@@ -8,12 +8,12 @@ heat maps is left to downstream tools.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IoFailure, ShapeMismatch
+from .errors import ShapeMismatch
+from .tables import load_json, open_atomic, reading, save_json
 
 
 @dataclass
@@ -82,24 +82,18 @@ def export_alignment(
 
 
 def write_alignment_csv(path, records: list[tuple[str, str, float]]):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["query_token", "key_token", "weight"])
-            for q_token, k_token, weight in records:
-                writer.writerow([q_token, k_token, f"{weight:.17g}"])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_atomic(path, newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["query_token", "key_token", "weight"])
+        for q_token, k_token, weight in records:
+            writer.writerow([q_token, k_token, f"{weight:.17g}"])
 
 
 def read_alignment_csv(path) -> list[tuple[str, str, float]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)  # header
-            return [(row[0], row[1], float(row[2])) for row in reader]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)  # header
+        return [(row[0], row[1], float(row[2])) for row in reader]
 
 
 def write_weights_json(path, weights: AttentionWeights):
@@ -107,25 +101,17 @@ def write_weights_json(path, weights: AttentionWeights):
         "weights": [[float(x) for x in row] for row in weights.weights],
         "output": [[float(x) for x in row] for row in weights.output],
     }
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    save_json(path, payload)
 
 
 def load_attention_input(path) -> AttentionInput:
     """Read a JSON file with queries/keys/values and optional token lists."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return AttentionInput(
-        queries=np.asarray(payload["queries"], dtype=np.float64),
-        keys=np.asarray(payload["keys"], dtype=np.float64),
-        values=np.asarray(payload["values"], dtype=np.float64),
-        tokens_q=[str(t) for t in payload.get("tokens_q", [])],
-        tokens_k=[str(t) for t in payload.get("tokens_k", [])],
-    )
+    with reading(path):
+        payload = load_json(path)
+        return AttentionInput(
+            queries=np.asarray(payload["queries"], dtype=np.float64),
+            keys=np.asarray(payload["keys"], dtype=np.float64),
+            values=np.asarray(payload["values"], dtype=np.float64),
+            tokens_q=[str(t) for t in payload.get("tokens_q", [])],
+            tokens_k=[str(t) for t in payload.get("tokens_k", [])],
+        )

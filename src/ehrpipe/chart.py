@@ -12,11 +12,10 @@ partition; empty cells are 0 (the per-type mean in z-space).
 
 from __future__ import annotations
 
-import json
 import math
-import zipfile
 from dataclasses import dataclass
 from datetime import datetime
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -25,9 +24,15 @@ from .errors import (
     CatalogMismatch,
     EmptyType,
     EventAfterDischarge,
-    IoFailure,
 )
-from .tables import iter_csv_rows, parse_timestamp
+from .tables import (
+    iter_csv_rows,
+    load_json,
+    parse_timestamp,
+    reading,
+    save_json,
+    save_npz,
+)
 
 N_BINS = 4
 _BIN_EDGE_HOURS = (24.0, 16.0, 8.0)  # offsets before discharge
@@ -279,7 +284,8 @@ def read_chart_events_from_collection(path) -> Iterator[ObservationEvent]:
 
 # --- persistence -----------------------------------------------------------
 
-def save_tensors(path, tensors: list[AdmissionTensor], catalog: list[str]):
+def save_tensors(path, tensors: list[AdmissionTensor],
+                 catalog: list[str]) -> Path:
     ids = np.array([t.admission_id for t in tensors])
     values = np.stack([t.values for t in tensors]) if tensors else np.zeros(
         (0, len(catalog), N_BINS)
@@ -287,27 +293,16 @@ def save_tensors(path, tensors: list[AdmissionTensor], catalog: list[str]):
     mask = np.stack([t.mask for t in tensors]) if tensors else np.zeros(
         (0, len(catalog), N_BINS), dtype=bool
     )
-    try:
-        np.savez(
-            path,
-            admission_ids=ids,
-            values=values,
-            mask=mask,
-            catalog=np.array(catalog),
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return save_npz(path, {"admission_ids": ids, "values": values,
+                           "mask": mask, "catalog": np.array(catalog)})
 
 
 def load_tensors(path) -> tuple[list[AdmissionTensor], list[str]]:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            ids = [str(x) for x in data["admission_ids"]]
-            values = data["values"]
-            mask = data["mask"]
-            catalog = [str(x) for x in data["catalog"]]
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        ids = [str(x) for x in data["admission_ids"]]
+        values = data["values"]
+        mask = data["mask"]
+        catalog = [str(x) for x in data["catalog"]]
     tensors = [
         AdmissionTensor(admission_id=i, values=values[k], mask=mask[k])
         for k, i in enumerate(ids)
@@ -315,33 +310,25 @@ def load_tensors(path) -> tuple[list[AdmissionTensor], list[str]]:
     return tensors, catalog
 
 
-def save_stats(path, stats: NormalizationStats):
+def save_stats(path, stats: NormalizationStats) -> Path:
     payload = {
         "type_ids": stats.type_ids,
         "mean": [float(x) for x in stats.mean],
         "stddev": [float(x) for x in stats.stddev],
         "count": [int(x) for x in stats.count],
     }
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return save_json(path, payload, indent=1)
 
 
 def load_stats(path) -> NormalizationStats:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return NormalizationStats(
-        type_ids=[str(x) for x in payload["type_ids"]],
-        mean=np.asarray(payload["mean"], dtype=np.float64),
-        stddev=np.asarray(payload["stddev"], dtype=np.float64),
-        count=np.asarray(payload["count"], dtype=np.int64),
-    )
+    with reading(path):
+        payload = load_json(path)
+        return NormalizationStats(
+            type_ids=[str(x) for x in payload["type_ids"]],
+            mean=np.asarray(payload["mean"], dtype=np.float64),
+            stddev=np.asarray(payload["stddev"], dtype=np.float64),
+            count=np.asarray(payload["count"], dtype=np.int64),
+        )
 
 
 def preprocess_admissions(

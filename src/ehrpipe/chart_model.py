@@ -10,8 +10,8 @@ recurrence over the bins (rnn). All variants continue with dropout and two
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .nn import (
     sigmoid,
     bce_loss,
 )
+from .tables import reading, save_npz
 
 VARIANTS = ("fcnn", "cnn", "rnn")
 
@@ -227,7 +228,7 @@ def predict(model: ChartModel, tensors: np.ndarray,
 _CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, trained: TrainedModel):
+def save_checkpoint(path, trained: TrainedModel) -> Path:
     meta = {
         "version": _CHECKPOINT_VERSION,
         "config": asdict(trained.config),
@@ -238,24 +239,18 @@ def save_checkpoint(path, trained: TrainedModel):
     arrays = {
         f"param_{i}": p for i, p in enumerate(trained.model.params())
     }
-    try:
-        np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return save_npz(path, {"meta": np.array(json.dumps(meta)), **arrays})
 
 
 def load_checkpoint(path) -> TrainedModel:
-    try:
+    with reading(path):
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             arrays = [data[f"param_{i}"]
                       for i in range(len(data.files) - 1)]
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if meta.get("version") != _CHECKPOINT_VERSION:
-        raise IoFailure(f"{path}: unsupported checkpoint version")
-    cfg = meta["config"]
-    config = ChartModelConfig(**cfg)
+        if meta["version"] != _CHECKPOINT_VERSION:
+            raise IoFailure(f"{path}: unsupported checkpoint version")
+        config = ChartModelConfig(**meta["config"])
     model = build(config)
     params = model.params()
     if len(params) != len(arrays):

@@ -14,12 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import chart, chart_model, fhir_etl, metrics
 from . import labels as labels_mod
 from . import notes as notes_mod
+from . import pipeline
 from . import split as split_mod
 from .attention import (
     attention,
@@ -29,10 +28,9 @@ from .attention import (
     write_weights_json,
 )
 from .errors import DataError, PipelineError
-from .pipeline import run_pipeline
-from .runcfg import config_hash, load_config, write_run_manifest
+from .runcfg import PipelineConfig, config_hash, load_config, write_run_manifest
 from .synth import SynthConfig, generate
-from .tables import TableKind, read_admission_times, iter_csv_rows
+from .tables import TableKind, save_json
 
 
 def _args_hash(args: argparse.Namespace) -> str:
@@ -46,10 +44,8 @@ def _args_hash(args: argparse.Namespace) -> str:
 def _emit_manifest(args, subcommand: str, inputs: dict, outputs: dict,
                    seed: int):
     primary = next(iter(outputs.values()), ".")
-    directory = Path(primary).parent
-    directory.mkdir(parents=True, exist_ok=True)
     write_run_manifest(
-        directory / f"run_manifest_{subcommand}.json",
+        Path(primary).parent / f"run_manifest_{subcommand}.json",
         subcommand,
         inputs={k: str(v) for k, v in inputs.items()},
         outputs={k: str(v) for k, v in outputs.items()},
@@ -97,57 +93,39 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_events(path):
-    name = str(path)
-    if name.endswith(".json") or name.endswith(".json.gz"):
-        return chart.read_chart_events_from_collection(path)
-    return chart.read_chart_events(path)
-
-
 def _cmd_preprocess(args) -> int:
-    times = read_admission_times(args.admissions)
-    discharge = {adm: t[1] for adm, t in times.items()}
     fit_ids = None
     if args.split:
-        assignment = split_mod.load_split(args.split)
-        fit_ids = {a for a, tag in assignment.items() if tag == "train"}
-    tensors, catalog, stats = chart.preprocess_admissions(
-        _read_events(args.chartevents), discharge, fit_ids=fit_ids,
+        fit_ids = pipeline.members(split_mod.load_split(args.split), "train")
+    tensors, catalog, stats = pipeline.preprocess_chart(
+        args.chartevents, args.admissions, fit_ids=fit_ids,
         numeric_fraction=args.numeric_fraction,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tensors_path = out / "tensors.npz"
-    stats_path = out / "chart_stats.json"
-    chart.save_tensors(tensors_path, tensors, catalog)
-    chart.save_stats(stats_path, stats)
+    outputs = {
+        "tensors": chart.save_tensors(out / "tensors.npz", tensors, catalog),
+        "stats": chart.save_stats(out / "chart_stats.json", stats),
+    }
     print(f"{len(tensors)} admission tensors over {len(catalog)} types")
     _emit_manifest(
         args, "preprocess",
         {"chartevents": args.chartevents, "admissions": args.admissions},
-        {"tensors": tensors_path, "stats": stats_path},
-        seed=0,
+        outputs, seed=0,
     )
     return 0
 
 
 def _cmd_labels(args) -> int:
-    xwalk = labels_mod.load_crosswalk(args.crosswalk)
-    diagnoses = labels_mod.read_diagnoses(args.diagnoses)
-    if args.admissions:
-        admission_ids = [
-            str(row["hadm_id"]).strip()
-            for row in iter_csv_rows(args.admissions)
-        ]
-        diagnoses = {adm: diagnoses.get(adm, []) for adm in admission_ids}
-    vectors, unknown = labels_mod.encode_labels(diagnoses, xwalk)
-    labels_mod.save_labels(args.out, vectors, xwalk.categories)
-    print(f"{len(vectors)} admissions x {xwalk.n_categories} categories; "
+    vectors, categories, unknown = pipeline.label_admissions(
+        args.diagnoses, args.crosswalk, args.admissions)
+    written = labels_mod.save_labels(args.out, vectors, categories)
+    print(f"{len(vectors)} admissions x {len(categories)} categories; "
           f"{sum(unknown.values())} unknown code occurrences")
     _emit_manifest(
         args, "labels",
         {"diagnoses": args.diagnoses, "crosswalk": args.crosswalk},
-        {"labels": args.out}, seed=0,
+        {"labels": written}, seed=0,
     )
     return 0
 
@@ -163,50 +141,27 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _load_probs(path) -> tuple[list[str], np.ndarray]:
-    with np.load(path, allow_pickle=False) as data:
-        return [str(x) for x in data["admission_ids"]], data["probs"]
-
-
 def _cmd_train(args) -> int:
     tensors, catalog = chart.load_tensors(args.tensors)
     vectors, _ = labels_mod.load_labels(args.labels)
-    assignment = split_mod.load_split(args.split)
-    bits_by_id = {v.admission_id: v.bits for v in vectors}
-    ids = [t.admission_id for t in tensors if t.admission_id in bits_by_id]
-    values = np.stack(
-        [t.values for t in tensors if t.admission_id in bits_by_id]
-    )
-    label_matrix = np.stack([bits_by_id[a] for a in ids])
-    config = chart_model.ChartModelConfig(
-        variant=args.variant,
-        n_types=len(catalog),
-        n_categories=label_matrix.shape[1],
-        hidden_size=args.hidden,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        dropout=args.dropout,
-        conv_filters=args.conv_filters,
-        rnn_hidden=args.rnn_hidden,
+    stats_path = Path(args.tensors).parent / "chart_stats.json"
+    trained = pipeline.train_chart(
+        tensors, catalog, vectors, split_mod.load_split(args.split),
+        stats_ref=stats_path.name if stats_path.exists() else "",
+        variant=args.variant, hidden_size=args.hidden, epochs=args.epochs,
+        batch_size=args.batch_size, lr=args.lr, dropout=args.dropout,
+        conv_filters=args.conv_filters, rnn_hidden=args.rnn_hidden,
         seed=args.seed,
     )
-    stats_path = Path(args.tensors).parent / "chart_stats.json"
-    trained = chart_model.train(
-        chart_model.build(config), values, label_matrix, ids, assignment,
-        catalog=catalog,
-        stats_ref=stats_path.name if stats_path.exists() else "",
-    )
-    chart_model.save_checkpoint(args.out, trained)
-    log_path = Path(args.log) if args.log else Path(str(args.out) + ".log.json")
-    log_path.write_text(json.dumps(trained.history, indent=1) + "\n",
-                        encoding="utf-8")
+    written = chart_model.save_checkpoint(args.out, trained)
+    log_path = save_json(args.log or str(args.out) + ".log.json",
+                         trained.history, indent=1)
     print(f"train loss per epoch: "
           f"{[round(x, 6) for x in trained.history['train_loss']]}")
     _emit_manifest(
         args, "train",
         {"tensors": args.tensors, "labels": args.labels, "split": args.split},
-        {"checkpoint": args.out, "log": log_path}, seed=args.seed,
+        {"checkpoint": written, "log": log_path}, seed=args.seed,
     )
     return 0
 
@@ -214,32 +169,20 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     trained = chart_model.load_checkpoint(args.model)
     tensors, _ = chart.load_tensors(args.tensors)
-    ids = [t.admission_id for t in tensors]
-    values = (
-        np.stack([t.values for t in tensors])
-        if tensors
-        else np.zeros((0, trained.config.n_types, 4))
-    )
-    probs = chart_model.predict(trained.model, values)
-    np.savez(args.out, admission_ids=np.array(ids), probs=probs)
-    print(f"{probs.shape[0]} x {probs.shape[1]} probabilities -> {args.out}")
+    ids, probs = pipeline.predict_chart(trained, tensors)
+    written = pipeline.save_probs(args.out, ids, probs)
+    print(f"{probs.shape[0]} x {probs.shape[1]} probabilities -> {written}")
     _emit_manifest(args, "predict",
                    {"model": args.model, "tensors": args.tensors},
-                   {"probs": args.out}, seed=0)
+                   {"probs": written}, seed=0)
     return 0
 
 
 def _cmd_notes_prep(args) -> int:
-    times = read_admission_times(args.admissions)
-    note_events = notes_mod.read_note_events(args.notes)
-    subset = notes_mod.build_subset(note_events, times, args.subset)
-    chunks = []
-    for adm in sorted(subset):
-        chunks.extend(
-            notes_mod.chunk_text(adm, subset[adm], max_len=args.max_len)
-        )
+    n_admissions, chunks = pipeline.chunk_notes(
+        args.notes, args.admissions, args.subset, args.max_len)
     notes_mod.save_chunks(args.out, chunks)
-    print(f"{len(subset)} admissions -> {len(chunks)} chunks "
+    print(f"{n_admissions} admissions -> {len(chunks)} chunks "
           f"(subset={args.subset})")
     _emit_manifest(args, "notes-prep",
                    {"notes": args.notes, "admissions": args.admissions},
@@ -259,59 +202,43 @@ def _cmd_score_notes(args) -> int:
                 "score-notes needs --params, or --labels and --split to fit"
             )
         vectors, _ = labels_mod.load_labels(args.labels)
-        assignment = split_mod.load_split(args.split)
-        bits_by_id = {v.admission_id: v.bits for v in vectors}
-        train_chunks = [
-            ch for ch in chunks
-            if assignment.get(ch.admission_id) == "train"
-        ]
-        scorer_config = notes_mod.ScorerConfig(
-            feature_dim=args.feature_dim, epochs=args.epochs,
-            batch_size=args.batch_size, lr=args.lr, seed=args.seed,
+        params, history = pipeline.fit_scorer(
+            chunks, vectors, split_mod.load_split(args.split),
+            notes_mod.ScorerConfig(
+                feature_dim=args.feature_dim, epochs=args.epochs,
+                batch_size=args.batch_size, lr=args.lr, seed=args.seed,
+            ),
         )
-        params, history = notes_mod.train_scorer(train_chunks, bits_by_id,
-                                                 scorer_config)
-        fit_out = args.fit_out or str(args.out) + ".scorer.npz"
-        notes_mod.save_scorer(fit_out, params)
-        outputs["scorer"] = fit_out
+        outputs["scorer"] = notes_mod.save_scorer(
+            args.fit_out or str(args.out) + ".scorer.npz", params)
         print(f"scorer loss per epoch: "
               f"{[round(x, 6) for x in history['train_loss']]}")
         inputs = {"chunks": args.chunks, "labels": args.labels,
                   "split": args.split}
     matrices = notes_mod.score_chunks(chunks, params)
-    notes_mod.save_score_matrices(args.out, matrices)
-    outputs["scores"] = args.out
-    print(f"scored {len(matrices)} admissions -> {args.out}")
+    outputs["scores"] = notes_mod.save_score_matrices(args.out, matrices)
+    print(f"scored {len(matrices)} admissions -> {outputs['scores']}")
     _emit_manifest(args, "score-notes", inputs, outputs, seed=args.seed)
     return 0
 
 
 def _cmd_aggregate(args) -> int:
-    matrices = notes_mod.load_score_matrices(args.scores)
-    params = notes_mod.AggregationParams(c=args.scale_c)
-    ids = [m.admission_id for m in matrices]
-    probs = np.stack([notes_mod.aggregate(m, params) for m in matrices])
-    np.savez(args.out, admission_ids=np.array(ids), probs=probs)
-    print(f"aggregated {len(ids)} admissions -> {args.out}")
+    ids, probs = pipeline.aggregate_scores(
+        notes_mod.load_score_matrices(args.scores), args.scale_c)
+    written = pipeline.save_probs(args.out, ids, probs)
+    print(f"aggregated {len(ids)} admissions -> {written}")
     _emit_manifest(args, "aggregate", {"scores": args.scores},
-                   {"probs": args.out}, seed=0)
+                   {"probs": written}, seed=0)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    ids, probs = _load_probs(args.probs)
+    ids, probs = pipeline.load_probs(args.probs)
     vectors, _ = labels_mod.load_labels(args.labels)
-    keep = set(ids)
-    if args.split and args.partition:
-        assignment = split_mod.load_split(args.split)
-        keep = {a for a, tag in assignment.items() if tag == args.partition}
-    bits_by_id = {v.admission_id: v.bits for v in vectors}
-    rows = [i for i, adm in enumerate(ids)
-            if adm in keep and adm in bits_by_id]
-    if not rows:
-        raise DataError("no admissions to evaluate")
-    truths = np.stack([bits_by_id[ids[i]] for i in rows])
-    report = metrics.micro_average(probs[rows], truths, target=args.target)
+    keep = None
+    if args.partition:
+        keep = pipeline.members(split_mod.load_split(args.split), args.partition)
+    report = pipeline.evaluate(ids, probs, vectors, keep, args.target)
     metrics.save_report(args.out, report)
     print(f"micro AU-ROC {report.micro_auroc:.4f}  "
           f"AU-PR {report.micro_aupr:.4f}  "
@@ -348,7 +275,7 @@ def _cmd_pipeline(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if args.output_dir:
         config.output_dir = Path(args.output_dir)
-    artifacts = run_pipeline(config)
+    artifacts = pipeline.run_pipeline(config)
     print(f"pipeline complete: {len(artifacts)} artifacts in "
           f"{config.output_dir} (config hash {config_hash(config)[:12]})")
     for name in ("chart_metrics", "note_metrics"):
@@ -374,21 +301,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.set_defaults(func=_cmd_transform)
 
+    synth = SynthConfig()
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patients", type=int, default=100)
-    p.add_argument("--admissions", type=int, default=120)
-    p.add_argument("--types", type=int, default=450)
-    p.add_argument("--categories", type=int, default=281)
-    p.add_argument("--positive-rate", type=float, default=0.043)
-    p.add_argument("--signal", type=float, default=0.0)
-    p.add_argument("--notes-min", type=int, default=1)
-    p.add_argument("--notes-max", type=int, default=3)
-    p.add_argument("--vocab", type=int, default=200)
-    p.add_argument("--planted", type=int, default=3)
-    p.add_argument("--events-min", type=int, default=40)
-    p.add_argument("--events-max", type=int, default=80)
+    p.add_argument("--seed", type=int, default=synth.seed)
+    p.add_argument("--patients", type=int, default=synth.n_patients)
+    p.add_argument("--admissions", type=int, default=synth.n_admissions)
+    p.add_argument("--types", type=int, default=synth.n_observation_types)
+    p.add_argument("--categories", type=int, default=synth.n_ccs_categories)
+    p.add_argument("--positive-rate", type=float,
+                   default=synth.positive_rate_target)
+    p.add_argument("--signal", type=float, default=synth.signal_strength)
+    p.add_argument("--notes-min", type=int,
+                   default=synth.notes_per_admission[0])
+    p.add_argument("--notes-max", type=int,
+                   default=synth.notes_per_admission[1])
+    p.add_argument("--vocab", type=int, default=synth.vocabulary_size)
+    p.add_argument("--planted", type=int, default=synth.n_planted)
+    p.add_argument("--events-min", type=int,
+                   default=synth.events_per_admission[0])
+    p.add_argument("--events-max", type=int,
+                   default=synth.events_per_admission[1])
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("preprocess", help="chart events -> admission tensors")
@@ -412,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="iterative stratified split")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", type=float, nargs=3, default=[0.8, 0.1, 0.1])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ratios", type=float, nargs=3,
+                   default=list(split_mod.SplitSpec.ratios))
+    p.add_argument("--seed", type=int, default=split_mod.SplitSpec.seed)
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a chart tensor classifier")
@@ -422,15 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.add_argument("--variant", choices=chart_model.VARIANTS, default="cnn")
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=2e-5)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--conv-filters", type=int, default=8)
-    p.add_argument("--rnn-hidden", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    model = chart_model.ChartModelConfig()
+    p.add_argument("--variant", choices=chart_model.VARIANTS,
+                   default=model.variant)
+    p.add_argument("--hidden", type=int, default=model.hidden_size)
+    p.add_argument("--epochs", type=int, default=model.epochs)
+    p.add_argument("--batch-size", type=int, default=model.batch_size)
+    p.add_argument("--lr", type=float, default=model.lr)
+    p.add_argument("--dropout", type=float, default=model.dropout)
+    p.add_argument("--conv-filters", type=int, default=model.conv_filters)
+    p.add_argument("--rnn-hidden", type=int, default=model.rnn_hidden)
+    p.add_argument("--seed", type=int, default=model.seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="probabilities from a checkpoint")
@@ -443,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notes", required=True)
     p.add_argument("--admissions", required=True)
     p.add_argument("--subset", choices=notes_mod.SUBSET_KINDS,
-                   default="days3")
+                   default=PipelineConfig.subset)
     p.add_argument("--max-len", type=int, default=notes_mod.DEFAULT_MAX_LEN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_notes_prep)
@@ -456,27 +392,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="labels npz, to fit a new scorer")
     p.add_argument("--split", help="split json, to fit a new scorer")
     p.add_argument("--fit-out", help="where to store the fitted scorer")
-    p.add_argument("--feature-dim", type=int,
-                   default=notes_mod.DEFAULT_HASH_DIM)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
+    scorer = notes_mod.ScorerConfig()
+    p.add_argument("--feature-dim", type=int, default=scorer.feature_dim)
+    p.add_argument("--epochs", type=int, default=scorer.epochs)
+    p.add_argument("--batch-size", type=int, default=scorer.batch_size)
+    p.add_argument("--lr", type=float, default=scorer.lr)
+    p.add_argument("--seed", type=int, default=scorer.seed)
     p.set_defaults(func=_cmd_score_notes)
 
     p = sub.add_parser("aggregate", help="chunk scores -> admission scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scale-c", type=float, default=2.0)
+    p.add_argument("--scale-c", type=float,
+                   default=notes_mod.AggregationParams.c)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("eval", help="metric report from probabilities")
     p.add_argument("--probs", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split")
+    p.add_argument("--split", help="with --partition: evaluate one partition")
     p.add_argument("--partition", choices=split_mod.PARTITIONS)
-    p.add_argument("--target", type=float, default=0.8,
+    p.add_argument("--target", type=float,
+                   default=PipelineConfig.recall_target,
                    help="precision target for the recall metric")
     p.set_defaults(func=_cmd_eval)
 
@@ -499,6 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "eval" and (args.split is None) != (
+            args.partition is None):
+        parser.error("eval: --split and --partition go together")
     try:
         return args.func(args)
     except PipelineError as exc:

@@ -4,7 +4,8 @@ Each output file is a JSON array of single-level objects: one "resource_type"
 key plus scalar attributes (string / integer / decimal / ISO timestamp /
 null). A "mimic_source_table" attribute is added to every record so the
 source table survives the many-to-one table->resource mapping and the files
-stay lossless. Paths ending in ".gz" are read/written gzip-compressed.
+stay lossless. Paths ending in ".gz" are read/written gzip-compressed, and
+an output file appears only once it is complete.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from .errors import (
-    IoFailure,
     MalformedJson,
     MalformedRow,
     SchemaMismatch,
@@ -29,7 +29,9 @@ from .tables import (
     attribute_name,
     convert_cell,
     map_table_kind,
+    open_atomic,
     open_text_auto,
+    reading,
 )
 
 Scalar = str | int | float | None
@@ -95,20 +97,14 @@ def iter_records(input_path, table: TableKind) -> Iterator[ResourceRecord]:
     resource_type = map_table_kind(table)
     if resource_type is None:
         raise UnmappedTable(f"no FHIR resource type for table {table.value}")
-    try:
-        with open_text_auto(input_path, "rt", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaMismatch(f"{table.value}: empty file, no header")
-            columns = _resolve_header(table, header)
-            for number, row in enumerate(reader, start=1):
-                yield _row_to_record(table, resource_type, columns, row, number)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {input_path}: {exc}") from exc
-    except EOFError as exc:
-        raise IoFailure(f"truncated input {input_path}: {exc}") from exc
+    with reading(input_path), open_text_auto(input_path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaMismatch(f"{table.value}: empty file, no header")
+        columns = _resolve_header(table, header)
+        for number, row in enumerate(reader, start=1):
+            yield _row_to_record(table, resource_type, columns, row, number)
 
 
 def _record_json(record: ResourceRecord) -> str:
@@ -145,11 +141,8 @@ def transform(input_path, output_path, table: TableKind) -> ResourceCollection:
             collection.records.append(record)
             yield record
 
-    try:
-        with open_text_auto(output_path, "wt") as handle:
-            _write_array(handle, _collect())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {output_path}: {exc}") from exc
+    with open_atomic(output_path) as handle:
+        _write_array(handle, _collect())
     return collection
 
 
@@ -158,11 +151,8 @@ def transform_stream(input_path, output_path, table: TableKind) -> int:
 
     This is the O(1)-memory path the CLI uses for very large tables.
     """
-    try:
-        with open_text_auto(output_path, "wt") as handle:
-            return _write_array(handle, iter_records(input_path, table))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {output_path}: {exc}") from exc
+    with open_atomic(output_path) as handle:
+        return _write_array(handle, iter_records(input_path, table))
 
 
 def read_collection(path) -> ResourceCollection:
@@ -172,15 +162,11 @@ def read_collection(path) -> ResourceCollection:
     the first record; an empty array yields an empty collection with both
     fields None.
     """
-    try:
-        with open_text_auto(path, "rt") as handle:
+    with reading(path), open_text_auto(path) as handle:
+        try:
             payload = json.load(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except EOFError as exc:
-        raise IoFailure(f"truncated input {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(f"{path}: {exc}") from exc
 
     if not isinstance(payload, list):
         raise MalformedJson(f"{path}: top-level JSON value is not an array")

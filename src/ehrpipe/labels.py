@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import random
-import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -21,10 +21,9 @@ from .errors import (
     CategoryOutOfRange,
     DegenerateClassBalance,
     DuplicateIcdCode,
-    IoFailure,
     MalformedCrosswalk,
 )
-from .tables import iter_csv_rows, open_text_auto
+from .tables import iter_csv_rows, open_text_auto, reading, save_npz
 
 
 @dataclass
@@ -61,27 +60,24 @@ def _normalize_code(raw: str) -> str:
 def load_crosswalk(path) -> CcsCrosswalk:
     """Parse a single-level crosswalk CSV into a validated code->category map."""
     mapping: dict[str, int] = {}
-    try:
-        with open_text_auto(path, "rt", newline="") as handle:
-            for row in csv.reader(handle):
-                if len(row) < 2:
-                    continue
-                code = _normalize_code(row[0])
-                cat_text = _normalize_code(row[1])
-                if not code:
-                    continue
-                try:
-                    category = int(cat_text)
-                except ValueError:
-                    continue  # header or descriptive line
-                seen = mapping.get(code)
-                if seen is not None and seen != category:
-                    raise DuplicateIcdCode(
-                        f"code {code!r} maps to both {seen} and {category}"
-                    )
-                mapping[code] = category
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), open_text_auto(path, newline="") as handle:
+        for row in csv.reader(handle):
+            if len(row) < 2:
+                continue
+            code = _normalize_code(row[0])
+            cat_text = _normalize_code(row[1])
+            if not code:
+                continue
+            try:
+                category = int(cat_text)
+            except ValueError:
+                continue  # header or descriptive line
+            seen = mapping.get(code)
+            if seen is not None and seen != category:
+                raise DuplicateIcdCode(
+                    f"code {code!r} maps to both {seen} and {category}"
+                )
+            mapping[code] = category
     if not mapping:
         raise MalformedCrosswalk(f"{path}: no code/category rows found")
     categories = sorted(set(mapping.values()))
@@ -160,32 +156,26 @@ def undersample(
 
 # --- persistence -----------------------------------------------------------
 
-def save_labels(path, vectors: list[LabelVector], categories: list[int]):
+def save_labels(path, vectors: list[LabelVector],
+                categories: list[int]) -> Path:
     ids = np.array([v.admission_id for v in vectors])
     bits = (
         np.stack([v.bits for v in vectors])
         if vectors
         else np.zeros((0, len(categories)), dtype=bool)
     )
-    try:
-        np.savez(
-            path,
-            admission_ids=ids,
-            bits=bits,
-            categories=np.asarray(categories, dtype=np.int64),
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return save_npz(path, {
+        "admission_ids": ids,
+        "bits": bits,
+        "categories": np.asarray(categories, dtype=np.int64),
+    })
 
 
 def load_labels(path) -> tuple[list[LabelVector], list[int]]:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            ids = [str(x) for x in data["admission_ids"]]
-            bits = data["bits"]
-            categories = [int(x) for x in data["categories"]]
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        ids = [str(x) for x in data["admission_ids"]]
+        bits = data["bits"]
+        categories = [int(x) for x in data["categories"]]
     vectors = [
         LabelVector(admission_id=i, bits=bits[k]) for k, i in enumerate(ids)
     ]

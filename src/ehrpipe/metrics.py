@@ -9,13 +9,14 @@ pools all (sample, category) cells before computing the scalar metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateLabels, IoFailure, NonFiniteValue, ShapeMismatch
+from .errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
+from .tables import save_json
 
 
 def _validate(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray,
@@ -177,10 +178,5 @@ def micro_average(scores, truths, target: float = 0.8) -> MetricReport:
     return report
 
 
-def save_report(path, report: MetricReport):
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=1)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def save_report(path, report: MetricReport) -> Path:
+    return save_json(path, report.to_dict(), indent=1)

@@ -14,10 +14,9 @@ the best chunk while the mean term attenuates noise as chunks accumulate.
 from __future__ import annotations
 
 import hashlib
-import json
-import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -26,12 +25,18 @@ from .errors import (
     EmptyChunkSet,
     EmptyPartition,
     InvalidConfig,
-    IoFailure,
     ShapeMismatch,
     UnknownAdmission,
 )
 from .nn import Adam, DenseLayer, bce_loss, sigmoid
-from .tables import iter_csv_rows, parse_timestamp
+from .tables import (
+    iter_csv_rows,
+    load_json,
+    parse_timestamp,
+    reading,
+    save_json,
+    save_npz,
+)
 
 DISCHARGE_CATEGORY = "discharge summary"
 SUBSET_KINDS = ("disch", "days3", "days2")
@@ -40,7 +45,6 @@ _SUBSET_WINDOW_HOURS = {"days3": 72, "days2": 48}
 DEFAULT_REPLACEMENTS = {"dr.": "doctor"}
 DEFAULT_MARKER = "[CLS]"
 DEFAULT_MAX_LEN = 512
-DEFAULT_HASH_DIM = 2 ** 15
 
 
 @dataclass
@@ -85,7 +89,7 @@ class LinearClassifierParams:
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    feature_dim: int = DEFAULT_HASH_DIM
+    feature_dim: int = 2 ** 15
     epochs: int = 3
     batch_size: int = 32
     lr: float = 1e-2
@@ -293,67 +297,45 @@ def read_note_events(path) -> list[NoteEvent]:
 
 # --- persistence -----------------------------------------------------------
 
-def save_chunks(path, chunks: list[ChunkTokenSequence]):
+def save_chunks(path, chunks: list[ChunkTokenSequence]) -> Path:
     payload: dict[str, list[list[str]]] = {}
     for chunk in chunks:
         payload.setdefault(chunk.admission_id, []).append(chunk.tokens)
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return save_json(path, payload)
 
 
 def load_chunks(path) -> list[ChunkTokenSequence]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     chunks = []
-    for adm, token_lists in payload.items():
-        for i, tokens in enumerate(token_lists):
-            chunks.append(
-                ChunkTokenSequence(admission_id=str(adm), chunk_index=i,
-                                   tokens=[str(t) for t in tokens])
-            )
+    with reading(path):
+        for adm, token_lists in load_json(path).items():
+            for i, tokens in enumerate(token_lists):
+                chunks.append(
+                    ChunkTokenSequence(admission_id=str(adm), chunk_index=i,
+                                       tokens=[str(t) for t in tokens])
+                )
     return chunks
 
 
-def save_scorer(path, params: LinearClassifierParams):
-    try:
-        np.savez(path, weights=params.weights, bias=params.bias)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def save_scorer(path, params: LinearClassifierParams) -> Path:
+    return save_npz(path, {"weights": params.weights, "bias": params.bias})
 
 
 def load_scorer(path) -> LinearClassifierParams:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return LinearClassifierParams(weights=data["weights"],
-                                          bias=data["bias"])
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        return LinearClassifierParams(weights=data["weights"],
+                                      bias=data["bias"])
 
 
-def save_score_matrices(path, matrices: list[ChunkScoreMatrix]):
-    arrays = {
+def save_score_matrices(path, matrices: list[ChunkScoreMatrix]) -> Path:
+    return save_npz(path, {
         f"adm_{m.admission_id}": m.probabilities for m in matrices
-    }
-    try:
-        np.savez(path, **arrays)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    })
 
 
 def load_score_matrices(path) -> list[ChunkScoreMatrix]:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return [
-                ChunkScoreMatrix(admission_id=name[len("adm_"):],
-                                 probabilities=data[name])
-                for name in data.files
-            ]
-    except (OSError, zipfile.BadZipFile) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        return [
+            ChunkScoreMatrix(admission_id=name[len("adm_"):],
+                             probabilities=data[name])
+            for name in data.files
+        ]

@@ -1,209 +1,275 @@
-"""End-to-end orchestration: synthetic data through both model families.
+"""Pipeline stages, and run_pipeline, which chains them end to end.
 
-Chart branch: synth -> transform -> labels -> split -> preprocess -> train ->
-predict -> eval. Notes branch (same labels and split): notes-prep ->
-score-notes -> aggregate -> eval. All artifacts are plain files under the
-configured output directory; re-running with the same config and seed
-rewrites byte-identical artifacts.
+Each stage is one function; the CLI subcommands and run_pipeline call the
+same ones. Chart branch: synth -> transform -> labels -> split -> preprocess
+-> train -> predict -> eval. Notes branch (same labels and split):
+notes-prep -> score-notes -> aggregate -> eval. All artifacts are plain
+files under the configured output directory; re-running with the same
+config and seed rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import chart, chart_model, fhir_etl, labels as labels_mod, metrics
 from . import notes as notes_mod
 from . import split as split_mod
-from .errors import DataError
+from .errors import DataError, EmptyChunkSet, EmptyPartition
 from .runcfg import PipelineConfig, config_hash, derive_seed, write_run_manifest
 from .synth import generate
-from .tables import TableKind, iter_csv_rows, read_admission_times
+from .tables import (
+    TableKind,
+    iter_csv_rows,
+    read_admission_times,
+    reading,
+    save_json,
+    save_npz,
+)
 
 
-def _eval_subset(
-    probs: np.ndarray,
-    prob_ids: list[str],
+def _bits_by_id(vectors: list[labels_mod.LabelVector]) -> dict[str, np.ndarray]:
+    return {v.admission_id: v.bits for v in vectors}
+
+
+def members(assignment: dict[str, str], partition: str) -> set[str]:
+    """Admission ids the split assignment puts in one partition."""
+    return {adm for adm, tag in assignment.items() if tag == partition}
+
+
+# --- stages ------------------------------------------------------------------
+
+def label_admissions(
+    diagnoses, crosswalk, admissions=None,
+) -> tuple[list[labels_mod.LabelVector], list[int], dict[str, int]]:
+    """CCS label vectors, category ids and counts of uncrosswalked codes.
+
+    With an admissions CSV every admission gets a vector, all zeros when it
+    has no diagnosis rows; without one only admissions with diagnoses do.
+    """
+    xwalk = labels_mod.load_crosswalk(crosswalk)
+    codes = labels_mod.read_diagnoses(diagnoses)
+    if admissions is not None:
+        admission_ids = [str(row["hadm_id"]).strip()
+                         for row in iter_csv_rows(admissions)]
+        codes = {adm: codes.get(adm, []) for adm in admission_ids}
+    vectors, unknown = labels_mod.encode_labels(codes, xwalk)
+    return vectors, xwalk.categories, unknown
+
+
+def preprocess_chart(
+    chartevents,
+    admissions,
+    fit_ids: Optional[set[str]] = None,
+    numeric_fraction: float = chart.DEFAULT_NUMERIC_FRACTION,
+) -> tuple[list[chart.AdmissionTensor], list[str], chart.NormalizationStats]:
+    """Admission tensors from a chartevents CSV or observation collection.
+
+    Normalization statistics are fitted on fit_ids only when given.
+    """
+    name = str(chartevents)
+    if name.endswith(".json") or name.endswith(".json.gz"):
+        events = chart.read_chart_events_from_collection(chartevents)
+    else:
+        events = chart.read_chart_events(chartevents)
+    times = read_admission_times(admissions)
+    discharge = {adm: t[1] for adm, t in times.items()}
+    return chart.preprocess_admissions(events, discharge, fit_ids=fit_ids,
+                                       numeric_fraction=numeric_fraction)
+
+
+def train_chart(
+    tensors: list[chart.AdmissionTensor],
+    catalog: list[str],
     vectors: list[labels_mod.LabelVector],
-    keep_ids: set[str],
-    recall_target: float = 0.8,
+    assignment: dict[str, str],
+    stats_ref: str = "",
+    **hyperparameters,
+) -> chart_model.TrainedModel:
+    """Chart model trained on the tensors that have labels.
+
+    hyperparameters are ChartModelConfig fields; n_types and n_categories
+    come from the catalog and the labels.
+    """
+    bits_by_id = _bits_by_id(vectors)
+    labelled = [t for t in tensors if t.admission_id in bits_by_id]
+    if not labelled:
+        raise EmptyPartition("no admission tensor has a label vector")
+    ids = [t.admission_id for t in labelled]
+    label_matrix = np.stack([bits_by_id[adm] for adm in ids])
+    config = chart_model.ChartModelConfig(
+        n_types=len(catalog), n_categories=label_matrix.shape[1],
+        **hyperparameters,
+    )
+    return chart_model.train(
+        chart_model.build(config), np.stack([t.values for t in labelled]),
+        label_matrix, ids, assignment, catalog=catalog, stats_ref=stats_ref,
+    )
+
+
+def predict_chart(
+    trained: chart_model.TrainedModel,
+    tensors: list[chart.AdmissionTensor],
+) -> tuple[list[str], np.ndarray]:
+    """Admission ids and their (N, C) probabilities."""
+    if tensors:
+        values = np.stack([t.values for t in tensors])
+    else:
+        values = np.zeros((0, trained.config.n_types, chart.N_BINS))
+    ids = [t.admission_id for t in tensors]
+    return ids, chart_model.predict(trained.model, values)
+
+
+def chunk_notes(
+    notes, admissions, subset: str, max_len: int,
+) -> tuple[int, list[notes_mod.ChunkTokenSequence]]:
+    """Chunks of one note subset, admission by admission in id order.
+
+    Returns the number of admissions with notes in the subset and the chunks.
+    """
+    texts = notes_mod.build_subset(notes_mod.read_note_events(notes),
+                                   read_admission_times(admissions), subset)
+    chunks = []
+    for adm in sorted(texts):
+        chunks.extend(notes_mod.chunk_text(adm, texts[adm], max_len=max_len))
+    return len(texts), chunks
+
+
+def fit_scorer(
+    chunks: list[notes_mod.ChunkTokenSequence],
+    vectors: list[labels_mod.LabelVector],
+    assignment: dict[str, str],
+    config: notes_mod.ScorerConfig,
+) -> tuple[notes_mod.LinearClassifierParams, dict]:
+    """Chunk scorer fitted on the chunks of train-partition admissions."""
+    train_ids = members(assignment, "train")
+    train_chunks = [ch for ch in chunks if ch.admission_id in train_ids]
+    return notes_mod.train_scorer(train_chunks, _bits_by_id(vectors), config)
+
+
+def aggregate_scores(
+    matrices: list[notes_mod.ChunkScoreMatrix], c: float,
+) -> tuple[list[str], np.ndarray]:
+    """Admission ids and their aggregated (N, C) probabilities."""
+    if not matrices:
+        raise EmptyChunkSet("no scored admissions to aggregate")
+    params = notes_mod.AggregationParams(c=c)
+    ids = [m.admission_id for m in matrices]
+    return ids, np.stack([notes_mod.aggregate(m, params) for m in matrices])
+
+
+def evaluate(
+    ids: list[str],
+    probs: np.ndarray,
+    vectors: list[labels_mod.LabelVector],
+    keep: Optional[set[str]] = None,
+    target: float = PipelineConfig.recall_target,
 ) -> metrics.MetricReport:
-    """Metric report over the admissions present in both inputs."""
-    bits_by_id = {v.admission_id: v.bits for v in vectors}
-    rows = [
-        i for i, adm in enumerate(prob_ids)
-        if adm in keep_ids and adm in bits_by_id
-    ]
+    """Metric report over the admissions with both probabilities and labels,
+    restricted to keep when given."""
+    bits_by_id = _bits_by_id(vectors)
+    rows = [i for i, adm in enumerate(ids)
+            if adm in bits_by_id and (keep is None or adm in keep)]
     if not rows:
         raise DataError("no admissions to evaluate")
-    scores = probs[rows]
-    truths = np.stack([bits_by_id[prob_ids[i]] for i in rows])
-    return metrics.micro_average(scores, truths, target=recall_target)
+    truths = np.stack([bits_by_id[ids[i]] for i in rows])
+    return metrics.micro_average(probs[rows], truths, target=target)
 
+
+def save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
+    return save_npz(path, {"admission_ids": np.array(ids), "probs": probs})
+
+
+def load_probs(path) -> tuple[list[str], np.ndarray]:
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        return [str(x) for x in data["admission_ids"]], data["probs"]
+
+
+# --- end to end ----------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
-    # --- synthetic tables ---------------------------------------------------
-    data_dir = out / "data"
-    manifest = generate(config.synth, data_dir)
+    manifest = generate(config.synth, out / "data")
     table_paths = {kind: path for kind, path, _ in manifest.tables}
+    admissions = table_paths[TableKind.ADMISSIONS]
     artifacts["synth_manifest"] = manifest.manifest_path
 
-    # --- flat FHIR collections ----------------------------------------------
-    fhir_dir = out / "fhir"
-    fhir_dir.mkdir(exist_ok=True)
+    (out / "fhir").mkdir(exist_ok=True)
     for kind, path, _ in manifest.tables:
-        target = fhir_dir / f"{kind.value}.json.gz"
+        target = out / "fhir" / f"{kind.value}.json.gz"
         fhir_etl.transform_stream(path, target, kind)
         artifacts[f"fhir_{kind.value}"] = target
 
-    # --- labels ---------------------------------------------------------------
-    xwalk = labels_mod.load_crosswalk(manifest.crosswalk_path)
-    diagnoses = labels_mod.read_diagnoses(table_paths[TableKind.DIAGNOSES_ICD])
-    all_admissions = [
-        str(row["hadm_id"]).strip()
-        for row in iter_csv_rows(table_paths[TableKind.ADMISSIONS])
-    ]
-    full_diagnoses = {adm: diagnoses.get(adm, []) for adm in all_admissions}
-    vectors, unknown = labels_mod.encode_labels(full_diagnoses, xwalk)
-    labels_path = out / "labels.npz"
-    labels_mod.save_labels(labels_path, vectors, xwalk.categories)
-    artifacts["labels"] = labels_path
-    if unknown:
-        (out / "unknown_codes.json").write_text(
-            json.dumps(unknown, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-    # --- split ------------------------------------------------------------------
-    split_result = split_mod.iterative_stratified_split(vectors, config.split)
-    split_path = out / "split.json"
-    split_mod.save_split(split_path, split_result)
-    artifacts["split"] = split_path
-
-    # --- chart preprocessing ------------------------------------------------
-    admission_times = read_admission_times(table_paths[TableKind.ADMISSIONS])
-    discharge_times = {adm: times[1] for adm, times in admission_times.items()}
-    events = chart.read_chart_events_from_collection(
-        artifacts["fhir_chartevents"]
+    vectors, categories, unknown = label_admissions(
+        table_paths[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
+        admissions,
     )
-    train_ids = {
-        adm for adm, tag in split_result.assignment.items() if tag == "train"
-    }
-    tensors, catalog, stats = chart.preprocess_admissions(
-        events,
-        discharge_times,
-        fit_ids=train_ids,
+    artifacts["labels"] = labels_mod.save_labels(out / "labels.npz", vectors,
+                                                 categories)
+    if unknown:
+        save_json(out / "unknown_codes.json", unknown, sort_keys=True)
+
+    split_result = split_mod.iterative_stratified_split(vectors, config.split)
+    assignment = split_result.assignment
+    artifacts["split"] = split_mod.save_split(out / "split.json", split_result)
+    test_ids = members(assignment, "test")
+
+    # --- chart branch ---------------------------------------------------------
+    tensors, catalog, stats = preprocess_chart(
+        artifacts["fhir_chartevents"], admissions,
+        fit_ids=members(assignment, "train"),
         numeric_fraction=config.numeric_fraction,
     )
-    tensors_path = out / "tensors.npz"
-    chart.save_tensors(tensors_path, tensors, catalog)
-    stats_path = out / "chart_stats.json"
-    chart.save_stats(stats_path, stats)
-    artifacts["tensors"] = tensors_path
-    artifacts["chart_stats"] = stats_path
-
-    # --- chart model train/predict/eval --------------------------------------
-    bits_by_id = {v.admission_id: v.bits for v in vectors}
-    tensor_ids = [t.admission_id for t in tensors]
-    tensor_values = np.stack([t.values for t in tensors])
-    label_matrix = np.stack([bits_by_id[a] for a in tensor_ids])
-
-    model_config = chart_model.ChartModelConfig(
-        variant=config.variant,
-        n_types=len(catalog),
-        n_categories=xwalk.n_categories,
-        hidden_size=config.hidden_size,
-        epochs=config.model_epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        dropout=config.dropout,
-        conv_filters=config.conv_filters,
-        rnn_hidden=config.rnn_hidden,
+    artifacts["tensors"] = chart.save_tensors(out / "tensors.npz", tensors,
+                                              catalog)
+    artifacts["chart_stats"] = chart.save_stats(out / "chart_stats.json",
+                                                stats)
+    trained = train_chart(
+        tensors, catalog, vectors, assignment,
+        stats_ref=artifacts["chart_stats"].name,
+        variant=config.variant, hidden_size=config.hidden_size,
+        epochs=config.model_epochs, batch_size=config.batch_size,
+        lr=config.lr, dropout=config.dropout,
+        conv_filters=config.conv_filters, rnn_hidden=config.rnn_hidden,
         seed=derive_seed(config.seed, "chart_model"),
     )
-    model = chart_model.build(model_config)
-    trained = chart_model.train(
-        model, tensor_values, label_matrix, tensor_ids,
-        split_result.assignment, catalog=catalog,
-        stats_ref=stats_path.name,
+    artifacts["chart_model"] = chart_model.save_checkpoint(
+        out / "chart_model.npz", trained)
+    artifacts["chart_training_log"] = save_json(
+        out / "chart_training_log.json", trained.history, indent=1)
+    ids, probs = predict_chart(trained, tensors)
+    artifacts["chart_probs"] = save_probs(out / "chart_probs.npz", ids, probs)
+    artifacts["chart_metrics"] = metrics.save_report(
+        out / "chart_metrics.json",
+        evaluate(ids, probs, vectors, test_ids, config.recall_target),
     )
-    model_path = out / "chart_model.npz"
-    chart_model.save_checkpoint(model_path, trained)
-    artifacts["chart_model"] = model_path
-    log_path = out / "chart_training_log.json"
-    log_path.write_text(
-        json.dumps(trained.history, indent=1) + "\n", encoding="utf-8"
+
+    # --- notes branch -----------------------------------------------------------
+    _, chunks = chunk_notes(table_paths[TableKind.NOTEEVENTS], admissions,
+                            config.subset, config.max_len)
+    artifacts["chunks"] = notes_mod.save_chunks(out / "chunks.json", chunks)
+    scorer, scorer_log = fit_scorer(chunks, vectors, assignment, config.scorer)
+    artifacts["note_scorer"] = notes_mod.save_scorer(out / "note_scorer.npz",
+                                                     scorer)
+    artifacts["note_training_log"] = save_json(
+        out / "note_training_log.json", scorer_log, indent=1)
+    matrices = notes_mod.score_chunks(chunks, scorer)
+    artifacts["chunk_scores"] = notes_mod.save_score_matrices(
+        out / "chunk_scores.npz", matrices)
+    ids, probs = aggregate_scores(matrices, config.aggregation_c)
+    artifacts["note_admission_probs"] = save_probs(
+        out / "note_admission_probs.npz", ids, probs)
+    artifacts["note_metrics"] = metrics.save_report(
+        out / "note_metrics.json",
+        evaluate(ids, probs, vectors, test_ids, config.recall_target),
     )
-    artifacts["chart_training_log"] = log_path
 
-    probs = chart_model.predict(trained.model, tensor_values)
-    probs_path = out / "chart_probs.npz"
-    np.savez(probs_path, admission_ids=np.array(tensor_ids), probs=probs)
-    artifacts["chart_probs"] = probs_path
-
-    test_ids = {
-        adm for adm, tag in split_result.assignment.items() if tag == "test"
-    }
-    chart_report = _eval_subset(probs, tensor_ids, vectors, test_ids,
-                                config.recall_target)
-    chart_metrics_path = out / "chart_metrics.json"
-    metrics.save_report(chart_metrics_path, chart_report)
-    artifacts["chart_metrics"] = chart_metrics_path
-
-    # --- notes branch ---------------------------------------------------------
-    note_events = notes_mod.read_note_events(table_paths[TableKind.NOTEEVENTS])
-    subset = notes_mod.build_subset(note_events, admission_times, config.subset)
-    chunks = []
-    for adm in sorted(subset):
-        chunks.extend(
-            notes_mod.chunk_text(adm, subset[adm], max_len=config.max_len)
-        )
-    chunks_path = out / "chunks.json"
-    notes_mod.save_chunks(chunks_path, chunks)
-    artifacts["chunks"] = chunks_path
-
-    train_chunks = [
-        ch for ch in chunks
-        if split_result.assignment.get(ch.admission_id) == "train"
-    ]
-    scorer_params, scorer_log = notes_mod.train_scorer(
-        train_chunks, bits_by_id, config.scorer
-    )
-    scorer_path = out / "note_scorer.npz"
-    notes_mod.save_scorer(scorer_path, scorer_params)
-    artifacts["note_scorer"] = scorer_path
-    scorer_log_path = out / "note_training_log.json"
-    scorer_log_path.write_text(
-        json.dumps(scorer_log, indent=1) + "\n", encoding="utf-8"
-    )
-    artifacts["note_training_log"] = scorer_log_path
-
-    matrices = notes_mod.score_chunks(chunks, scorer_params)
-    scores_path = out / "chunk_scores.npz"
-    notes_mod.save_score_matrices(scores_path, matrices)
-    artifacts["chunk_scores"] = scores_path
-
-    agg_params = notes_mod.AggregationParams(c=config.aggregation_c)
-    adm_ids = [m.admission_id for m in matrices]
-    adm_probs = np.stack(
-        [notes_mod.aggregate(m, agg_params) for m in matrices]
-    )
-    agg_path = out / "note_admission_probs.npz"
-    np.savez(agg_path, admission_ids=np.array(adm_ids), probs=adm_probs)
-    artifacts["note_admission_probs"] = agg_path
-
-    notes_report = _eval_subset(adm_probs, adm_ids, vectors, test_ids,
-                                config.recall_target)
-    notes_metrics_path = out / "note_metrics.json"
-    metrics.save_report(notes_metrics_path, notes_report)
-    artifacts["note_metrics"] = notes_metrics_path
-
-    # --- run manifest -----------------------------------------------------------
     manifest_path = out / "run_manifest_pipeline.json"
     write_run_manifest(
         manifest_path,

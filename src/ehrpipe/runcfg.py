@@ -1,7 +1,8 @@
 """Run configuration, seed derivation and per-invocation manifests.
 
-The config file is a plain INI document (see README for the schema); CLI
-flags override file values. One global seed fans out to per-stage seeds by
+The config file is a plain INI document (see README for the schema) whose
+keys are cast to the types of the PipelineConfig defaults; CLI flags
+override file values. One global seed fans out to per-stage seeds by
 hashing the stage name into it, so stages draw from independent but fully
 reproducible streams.
 """
@@ -16,10 +17,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .chart import DEFAULT_NUMERIC_FRACTION
-from .errors import ConfigError, IoFailure
-from .notes import DEFAULT_MAX_LEN, ScorerConfig
-from .split import SplitSpec
+from .chart_model import ChartModelConfig
+from .errors import ConfigError
+from .notes import DEFAULT_MAX_LEN, AggregationParams, ScorerConfig
+from .split import PARTITIONS, SplitSpec
 from .synth import SynthConfig
+from .tables import reading, save_json
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -37,18 +40,18 @@ class PipelineConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION
     # chart model
-    variant: str = "cnn"
-    hidden_size: int = 512
-    model_epochs: int = 3
-    batch_size: int = 32
-    lr: float = 2e-5
-    dropout: float = 0.2
-    conv_filters: int = 8
-    rnn_hidden: int = 64
+    variant: str = ChartModelConfig.variant
+    hidden_size: int = ChartModelConfig.hidden_size
+    model_epochs: int = ChartModelConfig.epochs
+    batch_size: int = ChartModelConfig.batch_size
+    lr: float = ChartModelConfig.lr
+    dropout: float = ChartModelConfig.dropout
+    conv_filters: int = ChartModelConfig.conv_filters
+    rnn_hidden: int = ChartModelConfig.rnn_hidden
     # notes
     subset: str = "days3"
     max_len: int = DEFAULT_MAX_LEN
-    aggregation_c: float = 2.0
+    aggregation_c: float = AggregationParams.c
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     recall_target: float = 0.8
 
@@ -58,118 +61,99 @@ class PipelineConfig:
         return data
 
 
-def _get(parser, section: str, option: str, cast, fallback):
-    if not parser.has_option(section, option):
-        return fallback
-    raw = parser.get(section, option)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, option)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from exc
+def _section(parser, section: str, defaults: dict) -> dict:
+    """The keys of one INI section, each cast to the type of its default.
+
+    A key the section does not set keeps its default; a key without a
+    default is a ConfigError.
+    """
+    values = dict(defaults)
+    if not parser.has_section(section):
+        return values
+    for key, raw in parser.items(section):
+        if key not in defaults:
+            raise ConfigError(
+                f"[{section}] unknown key {key!r}; "
+                f"known keys: {', '.join(defaults)}"
+            )
+        try:
+            values[key] = type(defaults[key])(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return values
+
+
+_SECTIONS = ("run", "synth", "split", "chart", "chart_model", "notes",
+             "metrics")
 
 
 def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     """Parse an INI config file into a PipelineConfig.
 
-    seed_override replaces the file's seed before stage seeds are derived,
-    so a flag-level override reproduces exactly what a config edit would.
+    Every key is optional and falls back to the PipelineConfig default; an
+    unknown section or key is a ConfigError. seed_override replaces the
+    file's seed before stage seeds are derived, so a flag-level override
+    reproduces exactly what a config edit would.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with reading(path), open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    unknown = [name for name in parser.sections() if name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown section(s) {unknown}; "
+                          f"known sections: {', '.join(_SECTIONS)}")
+    base = PipelineConfig()
 
-    cfg = PipelineConfig()
-    seed = _get(parser, "run", "seed", int, cfg.seed)
-    if seed_override is not None:
-        seed = seed_override
-    out_dir = Path(_get(parser, "run", "output_dir", str, str(cfg.output_dir)))
+    run = _section(parser, "run", {"seed": base.seed,
+                                   "output_dir": base.output_dir})
+    seed = run["seed"] if seed_override is None else seed_override
 
-    synth_defaults = SynthConfig(seed=derive_seed(seed, "synth"))
-    synth = SynthConfig(
-        seed=synth_defaults.seed,
-        n_patients=_get(parser, "synth", "n_patients", int,
-                        synth_defaults.n_patients),
-        n_admissions=_get(parser, "synth", "n_admissions", int,
-                          synth_defaults.n_admissions),
-        n_observation_types=_get(parser, "synth", "n_observation_types", int,
-                                 synth_defaults.n_observation_types),
-        n_ccs_categories=_get(parser, "synth", "n_ccs_categories", int,
-                              synth_defaults.n_ccs_categories),
-        positive_rate_target=_get(parser, "synth", "positive_rate_target",
-                                  float, synth_defaults.positive_rate_target),
-        signal_strength=_get(parser, "synth", "signal_strength", float,
-                             synth_defaults.signal_strength),
-        notes_per_admission=(
-            _get(parser, "synth", "notes_min", int,
-                 synth_defaults.notes_per_admission[0]),
-            _get(parser, "synth", "notes_max", int,
-                 synth_defaults.notes_per_admission[1]),
-        ),
-        vocabulary_size=_get(parser, "synth", "vocabulary_size", int,
-                             synth_defaults.vocabulary_size),
-        n_planted=_get(parser, "synth", "n_planted", int,
-                       synth_defaults.n_planted),
-        events_per_admission=(
-            _get(parser, "synth", "events_min", int,
-                 synth_defaults.events_per_admission[0]),
-            _get(parser, "synth", "events_max", int,
-                 synth_defaults.events_per_admission[1]),
-        ),
-    )
+    # The two (min, max) synth fields are one INI key per end.
+    synth = asdict(base.synth)
+    del synth["seed"]
+    notes_min, notes_max = synth.pop("notes_per_admission")
+    events_min, events_max = synth.pop("events_per_admission")
+    synth = _section(parser, "synth", dict(
+        synth, notes_min=notes_min, notes_max=notes_max,
+        events_min=events_min, events_max=events_max,
+    ))
+    notes_per_admission = (synth.pop("notes_min"), synth.pop("notes_max"))
+    events_per_admission = (synth.pop("events_min"), synth.pop("events_max"))
 
-    split = SplitSpec(
-        ratios=(
-            _get(parser, "split", "train", float, 0.8),
-            _get(parser, "split", "val", float, 0.1),
-            _get(parser, "split", "test", float, 0.1),
-        ),
-        seed=derive_seed(seed, "split"),
-    )
+    ratios = _section(parser, "split", dict(zip(PARTITIONS, base.split.ratios)))
+    chart = _section(parser, "chart",
+                     {"numeric_fraction": base.numeric_fraction})
+    model = _section(parser, "chart_model", {
+        "variant": base.variant, "hidden_size": base.hidden_size,
+        "epochs": base.model_epochs, "batch_size": base.batch_size,
+        "lr": base.lr, "dropout": base.dropout,
+        "conv_filters": base.conv_filters, "rnn_hidden": base.rnn_hidden,
+    })
+    model["model_epochs"] = model.pop("epochs")
 
-    scorer = ScorerConfig(
-        feature_dim=_get(parser, "notes", "feature_dim", int,
-                         ScorerConfig.feature_dim),
-        epochs=_get(parser, "notes", "epochs", int, ScorerConfig.epochs),
-        batch_size=_get(parser, "notes", "batch_size", int,
-                        ScorerConfig.batch_size),
-        lr=_get(parser, "notes", "lr", float, ScorerConfig.lr),
-        seed=derive_seed(seed, "scorer"),
-    )
+    # [notes] holds PipelineConfig fields and the ScorerConfig fields.
+    scorer = asdict(base.scorer)
+    del scorer["seed"]
+    notes = _section(parser, "notes", {
+        "subset": base.subset, "max_len": base.max_len,
+        "aggregation_c": base.aggregation_c, **scorer,
+    })
+    scorer = {key: notes.pop(key) for key in scorer}
+    recall = _section(parser, "metrics", {"recall_target": base.recall_target})
 
     return PipelineConfig(
         seed=seed,
-        output_dir=out_dir,
-        synth=synth,
-        split=split,
-        numeric_fraction=_get(parser, "chart", "numeric_fraction", float,
-                              cfg.numeric_fraction),
-        variant=_get(parser, "chart_model", "variant", str, cfg.variant),
-        hidden_size=_get(parser, "chart_model", "hidden_size", int,
-                         cfg.hidden_size),
-        model_epochs=_get(parser, "chart_model", "epochs", int,
-                          cfg.model_epochs),
-        batch_size=_get(parser, "chart_model", "batch_size", int,
-                        cfg.batch_size),
-        lr=_get(parser, "chart_model", "lr", float, cfg.lr),
-        dropout=_get(parser, "chart_model", "dropout", float, cfg.dropout),
-        conv_filters=_get(parser, "chart_model", "conv_filters", int,
-                          cfg.conv_filters),
-        rnn_hidden=_get(parser, "chart_model", "rnn_hidden", int,
-                        cfg.rnn_hidden),
-        subset=_get(parser, "notes", "subset", str, cfg.subset),
-        max_len=_get(parser, "notes", "max_len", int, cfg.max_len),
-        aggregation_c=_get(parser, "notes", "aggregation_c", float,
-                           cfg.aggregation_c),
-        scorer=scorer,
-        recall_target=_get(parser, "metrics", "recall_target", float,
-                           cfg.recall_target),
+        output_dir=run["output_dir"],
+        synth=SynthConfig(seed=derive_seed(seed, "synth"),
+                          notes_per_admission=notes_per_admission,
+                          events_per_admission=events_per_admission, **synth),
+        split=SplitSpec(ratios=tuple(ratios[tag] for tag in PARTITIONS),
+                        seed=derive_seed(seed, "split")),
+        scorer=ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer),
+        **chart, **model, **notes, **recall,
     )
 
 
@@ -204,9 +188,4 @@ def write_run_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    save_json(path, payload, indent=1)

@@ -11,14 +11,15 @@ totals are exact.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, IoFailure
+from .errors import InvalidSpec
 from .labels import LabelVector
+from .tables import load_json, save_json
 
 PARTITIONS = ("train", "val", "test")
 
@@ -174,19 +175,9 @@ def verify_distribution(
     return report
 
 
-def save_split(path, result: SplitResult):
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(result.assignment, handle, indent=0, sort_keys=True)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+def save_split(path, result: SplitResult) -> Path:
+    return save_json(path, result.assignment, indent=0, sort_keys=True)
 
 
 def load_split(path) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            assignment = json.load(handle)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return {str(k): str(v) for k, v in assignment.items()}
+    return {str(k): str(v) for k, v in load_json(path).items()}

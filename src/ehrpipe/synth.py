@@ -11,7 +11,6 @@ in their notes. Identical configs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoFailure
-from .tables import TableKind
+from .tables import TableKind, open_atomic, save_json
 
 _TIME_FMT = "%Y-%m-%d %H:%M:%S"
 _BASE_ADMIT = datetime(2130, 1, 1)
@@ -104,15 +103,12 @@ def _fmt_time(ts: datetime) -> str:
 
 def _write_csv(path: Path, header: list[str], rows) -> int:
     count = 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
-                count += 1
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_atomic(path, newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            count += 1
     return count
 
 
@@ -333,20 +329,17 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
 
     # --- crosswalk ----------------------------------------------------------
     crosswalk_path = out / "ccs_crosswalk.csv"
-    try:
-        with open(crosswalk_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write("Synthetic single-level CCS crosswalk\n")
-            handle.write("\n")
-            handle.write(
-                "'ICD-9-CM CODE','CCS CATEGORY','CCS CATEGORY DESCRIPTION'\n"
-            )
-            for c in range(n_cat):
-                for code in code_pool[c]:
-                    handle.write(
-                        f"'{code:<6}','{c + 1:<4}','synthetic category {c + 1}'\n"
-                    )
-    except OSError as exc:
-        raise IoFailure(f"cannot write {crosswalk_path}: {exc}") from exc
+    with open_atomic(crosswalk_path, newline="") as handle:
+        handle.write("Synthetic single-level CCS crosswalk\n")
+        handle.write("\n")
+        handle.write(
+            "'ICD-9-CM CODE','CCS CATEGORY','CCS CATEGORY DESCRIPTION'\n"
+        )
+        for c in range(n_cat):
+            for code in code_pool[c]:
+                handle.write(
+                    f"'{code:<6}','{c + 1:<4}','synthetic category {c + 1}'\n"
+                )
 
     # --- write tables and manifest -------------------------------------------
     headers = {
@@ -395,12 +388,7 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
         "crosswalk": crosswalk_path.name,
         "planted": [asdict(s) for s in planted],
     }
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {manifest_path}: {exc}") from exc
+    save_json(manifest_path, payload, indent=2)
 
     return SynthManifest(
         tables=tables,

@@ -6,6 +6,9 @@ the camelCase FHIR element name when an obvious element exists (admittime
 original name prefixed with "mimic_". row_id becomes "id" (the technical
 resource id). The per-table rename maps below are the single source of
 truth for that convention.
+
+The module also holds the one write path and the one read-error mapping
+that every artifact goes through (open_atomic, reading).
 """
 
 from __future__ import annotations
@@ -13,12 +16,18 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-from contextlib import contextmanager
+import json
+import os
+import zipfile
+from contextlib import ExitStack, contextmanager
 from datetime import datetime
 from enum import Enum
+from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import SchemaMismatch
+import numpy as np
+
+from .errors import IoFailure, SchemaMismatch
 
 
 class TableKind(str, Enum):
@@ -354,41 +363,93 @@ def convert_cell(raw: str, kind: str):
     return raw
 
 
-@contextmanager
-def open_text_auto(path, mode: str = "rt", newline: Optional[str] = None):
-    """Open a text file, transparently gzip-compressed when it ends in .gz.
+def open_text_auto(path, newline: Optional[str] = None):
+    """Open a text file for reading, gunzipping it when the name ends in .gz."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rt", encoding="utf-8", newline=newline)
+    return open(path, "r", encoding="utf-8", newline=newline)
 
-    Gzip writes use mtime=0 so identical content produces identical bytes.
+
+@contextmanager
+def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
+    """Open an artifact for writing; it appears at path only if the block succeeds.
+
+    Writes go to a temporary file beside path, which os.replace moves over
+    path once the block exits cleanly; on any exception the temporary file
+    is removed and path keeps its old content, if any. Text written to a
+    name ending in .gz is gzip-compressed with an empty header name and
+    mtime 0, so identical content gives identical bytes. An OSError becomes
+    IoFailure.
     """
-    p = str(path)
-    if p.endswith(".gz"):
-        if "r" in mode:
-            handle = gzip.open(p, "rt", encoding="utf-8", newline=newline)
-            try:
-                yield handle
-            finally:
-                handle.close()
-        else:
-            raw = open(p, "wb")
-            gz = gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0)
-            text = io.TextIOWrapper(gz, encoding="utf-8", newline=newline)
-            try:
-                yield text
-            finally:
-                text.close()
-                raw.close()
-    else:
-        handle = open(p, mode, encoding="utf-8", newline=newline)
-        try:
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.tmp")
+    try:
+        with ExitStack() as stack:
+            handle = stack.enter_context(open(temp, "wb"))
+            if not binary:
+                if target.name.endswith(".gz"):
+                    handle = stack.enter_context(gzip.GzipFile(
+                        filename="", mode="wb", fileobj=handle, mtime=0))
+                handle = stack.enter_context(io.TextIOWrapper(
+                    handle, encoding="utf-8", newline=newline))
             yield handle
-        finally:
-            handle.close()
+        os.replace(temp, target)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        temp.unlink(missing_ok=True)
+
+
+def save_json(path, payload, **dump_options) -> Path:
+    """Write payload as one JSON document plus a final newline."""
+    with open_atomic(path) as handle:
+        json.dump(payload, handle, **dump_options)
+        handle.write("\n")
+    return Path(path)
+
+
+def save_npz(path, arrays: dict[str, np.ndarray]) -> Path:
+    """Write arrays as an uncompressed .npz archive; returns the path written.
+
+    Like numpy.savez, appends ".npz" to a name that lacks it.
+    """
+    name = os.fspath(path)
+    if not name.endswith(".npz"):
+        name += ".npz"
+    with open_atomic(name, binary=True) as handle:
+        np.savez(handle, **arrays)
+    return Path(name)
+
+
+@contextmanager
+def reading(path):
+    """Report any failure to read or decode the artifact at path as IoFailure.
+
+    A missing, unreadable, truncated or wrong-kind file raises one of these
+    while it is opened or decoded, or while its content is unpacked.
+    """
+    try:
+        yield
+    except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
+            TypeError) as exc:
+        raise IoFailure(
+            f"cannot read {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def load_json(path) -> dict:
+    """A JSON artifact whose top-level value must be an object."""
+    with reading(path), open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise IoFailure(f"{path}: top-level JSON value is not an object")
+    return payload
 
 
 def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
     """Map hadm_id -> (admit time, discharge time) from an admissions CSV."""
     times: dict[str, tuple[datetime, datetime]] = {}
-    with open_text_auto(path, "rt", newline="") as handle:
+    with reading(path), open_text_auto(path, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             return times
@@ -409,7 +470,7 @@ def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
 
 def iter_csv_rows(path) -> Iterator[dict[str, str]]:
     """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts."""
-    with open_text_auto(path, "rt", newline="") as handle:
+    with reading(path), open_text_auto(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +285,218 @@ def test_pipeline_subcommand(tmp_path):
     )
     assert manifest2["seed"] == 8
     assert manifest2["config_hash"] != manifest["config_hash"]
+
+
+# --- bad input exits 4 ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def chain(cli_dataset, tmp_path_factory):
+    """One valid artifact of every kind, made by the CLI."""
+    d = tmp_path_factory.mktemp("chain")
+    data = cli_dataset
+    steps = [
+        ["labels", "--diagnoses", data / "diagnoses_icd.csv",
+         "--crosswalk", data / "ccs_crosswalk.csv",
+         "--admissions", data / "admissions.csv", "--out", d / "labels.npz"],
+        ["split", "--labels", d / "labels.npz", "--out", d / "split.json"],
+        ["preprocess", "--chartevents", data / "chartevents.csv",
+         "--admissions", data / "admissions.csv", "--out", d,
+         "--split", d / "split.json"],
+        ["train", "--tensors", d / "tensors.npz", "--labels", d / "labels.npz",
+         "--split", d / "split.json", "--out", d / "model.npz",
+         "--hidden", "4", "--epochs", "1"],
+        ["predict", "--model", d / "model.npz", "--tensors", d / "tensors.npz",
+         "--out", d / "probs.npz"],
+        ["notes-prep", "--notes", data / "noteevents.csv",
+         "--admissions", data / "admissions.csv", "--max-len", "64",
+         "--out", d / "chunks.json"],
+        ["score-notes", "--chunks", d / "chunks.json",
+         "--labels", d / "labels.npz", "--split", d / "split.json",
+         "--feature-dim", "256", "--epochs", "1", "--out", d / "scores.npz",
+         "--fit-out", d / "scorer.npz"],
+    ]
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    (d / "array.json").write_text("[1, 2]\n")
+    (d / "faulty").mkdir()
+    return d
+
+
+def _argv(chain, data, subcommand: str) -> list:
+    """A valid invocation of subcommand over the chain's artifacts."""
+    out = chain / "faulty"
+    return {
+        "eval": ["eval", "--probs", chain / "probs.npz",
+                 "--labels", chain / "labels.npz", "--out", out / "r.json"],
+        "predict": ["predict", "--model", chain / "model.npz",
+                    "--tensors", chain / "tensors.npz",
+                    "--out", out / "p.npz"],
+        "score-notes": ["score-notes", "--chunks", chain / "chunks.json",
+                        "--params", chain / "scorer.npz",
+                        "--out", out / "s.npz"],
+        "train": ["train", "--tensors", chain / "tensors.npz",
+                  "--labels", chain / "labels.npz",
+                  "--split", chain / "split.json", "--out", out / "m.npz",
+                  "--hidden", "4", "--epochs", "1"],
+        "preprocess": ["preprocess", "--chartevents",
+                       data / "chartevents.csv",
+                       "--admissions", data / "admissions.csv",
+                       "--out", out],
+        "notes-prep": ["notes-prep", "--notes", data / "noteevents.csv",
+                       "--admissions", data / "admissions.csv",
+                       "--out", out / "c.json"],
+        "labels": ["labels", "--diagnoses", data / "diagnoses_icd.csv",
+                   "--crosswalk", data / "ccs_crosswalk.csv",
+                   "--out", out / "l.npz"],
+    }[subcommand]
+
+
+def _with(argv: list, flag: str, value) -> list[str]:
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return [str(a) for a in argv]
+
+
+# (subcommand, flag, artifact the flag takes, artifact of another kind)
+ARTIFACT_FLAGS = [
+    ("eval", "--probs", "probs.npz", "labels.npz"),
+    ("eval", "--labels", "labels.npz", "probs.npz"),
+    ("predict", "--model", "model.npz", "tensors.npz"),
+    ("predict", "--tensors", "tensors.npz", "labels.npz"),
+    ("score-notes", "--params", "scorer.npz", "model.npz"),
+    ("score-notes", "--chunks", "chunks.json", "labels.npz"),
+    ("train", "--split", "split.json", "array.json"),
+]
+
+
+@pytest.mark.parametrize("fault", ["missing", "truncated", "wrong-kind"])
+@pytest.mark.parametrize("subcommand,flag,good,other", ARTIFACT_FLAGS)
+def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, fault,
+                                     subcommand, flag, good, other):
+    if fault == "missing":
+        bad = tmp_path / good
+    elif fault == "truncated":
+        content = (chain / good).read_bytes()
+        bad = tmp_path / good
+        bad.write_bytes(content[:len(content) // 2])
+    else:
+        bad = chain / other
+    argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
+    assert main(argv) == 4
+
+
+@pytest.mark.parametrize("subcommand,flag", [
+    ("preprocess", "--chartevents"),
+    ("preprocess", "--admissions"),
+    ("notes-prep", "--notes"),
+    ("labels", "--diagnoses"),
+])
+def test_missing_csv_exits_4(chain, cli_dataset, tmp_path, subcommand, flag):
+    argv = _with(_argv(chain, cli_dataset, subcommand), flag,
+                 tmp_path / "missing.csv")
+    assert main(argv) == 4
+
+
+def test_aggregate_of_empty_scores_exits_4(tmp_path):
+    from ehrpipe.notes import save_score_matrices
+
+    save_score_matrices(tmp_path / "empty.npz", [])
+    assert main([
+        "aggregate", "--scores", str(tmp_path / "empty.npz"),
+        "--out", str(tmp_path / "agg.npz"),
+    ]) == 4
+
+
+def test_train_without_labelled_tensors_exits_4(chain, tmp_path):
+    from ehrpipe.labels import LabelVector, save_labels
+
+    vectors = [LabelVector(f"other{i}", np.array([True, False]))
+               for i in range(3)]
+    save_labels(tmp_path / "labels.npz", vectors, [1, 2])
+    assert main([
+        "train", "--tensors", str(chain / "tensors.npz"),
+        "--labels", str(tmp_path / "labels.npz"),
+        "--split", str(chain / "split.json"),
+        "--out", str(tmp_path / "model.npz"), "--hidden", "4",
+    ]) == 4
+
+
+def test_attention_input_without_values_exits_4(tmp_path):
+    src = tmp_path / "qk.json"
+    src.write_text(json.dumps({"queries": [[1.0]], "keys": [[1.0]]}))
+    assert main(["attention", "--input", str(src),
+                 "--out-json", str(tmp_path / "w.json")]) == 4
+
+
+def test_load_stats_without_keys_raises_io_failure(tmp_path):
+    from ehrpipe.chart import load_stats
+    from ehrpipe.errors import IoFailure
+
+    path = tmp_path / "chart_stats.json"
+    path.write_text(json.dumps({"type_ids": ["1"], "mean": [0.0]}))
+    with pytest.raises(IoFailure):
+        load_stats(path)
+
+
+def test_transform_failing_midway_leaves_no_output(tmp_path):
+    src = tmp_path / "patients.csv"
+    header = ("row_id,subject_id,gender,dob,dod,dod_hosp,dod_ssn,"
+              "expire_flag\n")
+    good = "1,1,F,2100-01-01 00:00:00,,,,0\n"
+    src.write_text(header + good * 50 + "2,2,M\n" + good)
+    out = tmp_path / "out" / "patients.json.gz"
+    out.parent.mkdir()
+    assert main(["transform", "--table", "patients", str(src),
+                 str(out)]) == 4
+    assert list(out.parent.iterdir()) == []
+
+
+# --- config, usage and manifests ---------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("text", [
+    "[chart_model]\nhiden_size = 8\n",
+    "[chart_modle]\nhidden_size = 8\n",
+])
+def test_unknown_config_key_or_section_exits_3(tmp_path, text):
+    bad = tmp_path / "typo.ini"
+    bad.write_text(text)
+    assert main(["pipeline", "--config", str(bad)]) == 3
+
+
+def test_readme_config_listing_matches_demo_ini(tmp_path):
+    from ehrpipe.runcfg import load_config
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert " ; " in listing  # the listing carries inline comments
+    copy = tmp_path / "readme.ini"
+    copy.write_text(listing, encoding="utf-8")
+    assert load_config(copy) == load_config(REPO / "demo.ini")
+
+
+@pytest.mark.parametrize("flag", ["--partition", "--split"])
+def test_eval_split_and_partition_go_together(chain, tmp_path, flag):
+    value = "test" if flag == "--partition" else str(chain / "split.json")
+    with pytest.raises(SystemExit) as err:
+        main([
+            "eval", "--probs", str(chain / "probs.npz"),
+            "--labels", str(chain / "labels.npz"),
+            "--out", str(tmp_path / "report.json"), flag, value,
+        ])
+    assert err.value.code == 2
+
+
+def test_manifest_records_the_npz_path_written(chain, tmp_path):
+    assert main([
+        "predict", "--model", str(chain / "model.npz"),
+        "--tensors", str(chain / "tensors.npz"),
+        "--out", str(tmp_path / "probs"),
+    ]) == 0
+    manifest = json.loads(
+        (tmp_path / "run_manifest_predict.json").read_text()
+    )
+    assert manifest["outputs"]["probs"] == str(tmp_path / "probs.npz")
+    assert (tmp_path / "probs.npz").exists()
