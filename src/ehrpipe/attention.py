@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .tables import load_json, open_atomic, reading, save_json
+from .tables import iter_csv_rows, load_json, open_atomic, reading, save_json
 
 
 @dataclass
@@ -90,10 +90,10 @@ def write_alignment_csv(path, records: list[tuple[str, str, float]]):
 
 
 def read_alignment_csv(path) -> list[tuple[str, str, float]]:
-    with reading(path), open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)  # header
-        return [(row[0], row[1], float(row[2])) for row in reader]
+    columns = ("query_token", "key_token", "weight")
+    with reading(path):
+        return [(row["query_token"], row["key_token"], float(row["weight"]))
+                for row in iter_csv_rows(path, columns)]
 
 
 def write_weights_json(path, weights: AttentionWeights):

@@ -15,17 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import fhir_etl
 from .errors import (
     CatalogMismatch,
     EmptyType,
     EventAfterDischarge,
 )
 from .tables import (
+    TableKind,
+    attribute_name,
     iter_csv_rows,
     load_json,
     parse_timestamp,
@@ -40,6 +44,11 @@ _BIN_EDGE_HOURS = (24.0, 16.0, 8.0)  # offsets before discharge
 #: Fraction of a type's values that must parse as numbers for the type to
 #: be kept; rows of a retained type that still fail to parse are dropped.
 DEFAULT_NUMERIC_FRACTION = 0.9
+
+# Source columns the chart readers use; a collection names them by the
+# attribute names the transform gave them.
+_CHART_COLUMNS = ("hadm_id", "itemid", "charttime", "valuenum", "value")
+_COLLECTION_NAME = partial(attribute_name, TableKind.CHARTEVENTS)
 
 
 @dataclass
@@ -240,46 +249,40 @@ def apply_normalization(
     return AdmissionTensor(admission_id=str(admission_id), values=z, mask=mask)
 
 
-def read_chart_events(path) -> Iterator[ObservationEvent]:
-    """Stream chart events from a chartevents CSV (plain or gzip).
+def _text(cell) -> str:
+    return "" if cell is None else str(cell).strip()
 
-    valuenum is preferred when present; otherwise the raw value string is
-    kept for the numeric-type filter to judge. Rows without a parseable
-    charttime are dropped.
+
+def _chart_events(rows, name) -> Iterator[ObservationEvent]:
+    """Events out of chartevents rows; each cell is row.get(name(column)).
+
+    valuenum is preferred when it is neither null nor blank; otherwise the
+    raw value is kept for the numeric-type filter to judge. Rows without a
+    parseable charttime are dropped.
     """
-    for row in iter_csv_rows(path):
-        when = parse_timestamp(row.get("charttime", ""))
+    hadm_id, itemid, charttime, valuenum, value = map(name, _CHART_COLUMNS)
+    for row in rows:
+        when = parse_timestamp(_text(row.get(charttime)))
         if when is None:
             continue
-        raw = row.get("valuenum", "")
-        if raw is None or str(raw).strip() == "":
-            raw = row.get("value", "")
+        raw = row.get(valuenum)
         yield ObservationEvent(
-            admission_id=str(row.get("hadm_id", "")).strip(),
-            observation_type_id=str(row.get("itemid", "")).strip(),
-            value=raw,
+            admission_id=_text(row.get(hadm_id)),
+            observation_type_id=_text(row.get(itemid)),
+            value=raw if _text(raw) else row.get(value),
             charttime=when,
         )
+
+
+def read_chart_events(path) -> Iterator[ObservationEvent]:
+    """Stream chart events from a chartevents CSV (plain or gzip)."""
+    yield from _chart_events(iter_csv_rows(path, _CHART_COLUMNS), str)
 
 
 def read_chart_events_from_collection(path) -> Iterator[ObservationEvent]:
     """Chart events out of a flat FHIR observation collection file."""
-    from .fhir_etl import read_collection
-
-    for record in read_collection(path).records:
-        attrs = record.attributes
-        when = parse_timestamp(str(attrs.get("effectiveDateTime") or ""))
-        if when is None:
-            continue
-        value = attrs.get("valueQuantity")
-        if value is None:
-            value = attrs.get("valueString")
-        yield ObservationEvent(
-            admission_id=str(attrs.get("encounter", "")),
-            observation_type_id=str(attrs.get("code", "")),
-            value=value,
-            charttime=when,
-        )
+    records = (r.attributes for r in fhir_etl.read_collection(path).records)
+    yield from _chart_events(records, _COLLECTION_NAME)
 
 
 # --- persistence -----------------------------------------------------------

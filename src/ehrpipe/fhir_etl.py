@@ -10,24 +10,18 @@ an output file appears only once it is complete.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
-from .errors import (
-    MalformedJson,
-    MalformedRow,
-    SchemaMismatch,
-    UnknownResourceType,
-    UnmappedTable,
-)
+from .errors import MalformedJson, UnknownResourceType, UnmappedTable
 from .tables import (
     RESOURCE_TYPES,
     TABLE_COLUMNS,
     TableKind,
     attribute_name,
     convert_cell,
+    iter_csv_rows,
     map_table_kind,
     open_atomic,
     open_text_auto,
@@ -57,54 +51,22 @@ class ResourceCollection:
         return len(self.records)
 
 
-def _resolve_header(table: TableKind, header: list[str]) -> list[str]:
-    """Validate the CSV header against the table schema.
-
-    Returns lowercase column names in file order. Missing schema columns are
-    a SchemaMismatch; extra columns are carried through as mimic_<name>.
-    """
-    columns = [h.strip().lower() for h in header]
-    missing = set(TABLE_COLUMNS[table]) - set(columns)
-    if missing:
-        raise SchemaMismatch(
-            f"{table.value}: header missing column(s) {sorted(missing)}"
-        )
-    return columns
-
-
-def _row_to_record(
-    table: TableKind,
-    resource_type: str,
-    columns: list[str],
-    row: list[str],
-    row_number: int,
-) -> ResourceRecord:
-    if len(row) != len(columns):
-        raise MalformedRow(
-            f"{table.value}: row {row_number} has {len(row)} fields, "
-            f"header has {len(columns)}"
-        )
-    schema = TABLE_COLUMNS[table]
-    attrs: dict[str, Scalar] = {"mimic_source_table": table.value}
-    for col, raw in zip(columns, row):
-        kind = schema.get(col, "str")
-        attrs[attribute_name(table, col)] = convert_cell(raw, kind)
-    return ResourceRecord(resource_type=resource_type, attributes=attrs)
-
-
 def iter_records(input_path, table: TableKind) -> Iterator[ResourceRecord]:
-    """Stream records from a CSV file, one source row at a time."""
+    """Stream records from a CSV file, one source row at a time.
+
+    Every schema column must be in the header; extra columns are carried
+    through as mimic_<name>.
+    """
     resource_type = map_table_kind(table)
     if resource_type is None:
         raise UnmappedTable(f"no FHIR resource type for table {table.value}")
-    with reading(input_path), open_text_auto(input_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaMismatch(f"{table.value}: empty file, no header")
-        columns = _resolve_header(table, header)
-        for number, row in enumerate(reader, start=1):
-            yield _row_to_record(table, resource_type, columns, row, number)
+    schema = TABLE_COLUMNS[table]
+    for row in iter_csv_rows(input_path, schema):
+        attrs: dict[str, Scalar] = {"mimic_source_table": table.value}
+        for col, raw in row.items():
+            kind = schema.get(col, "str")
+            attrs[attribute_name(table, col)] = convert_cell(raw, kind)
+        yield ResourceRecord(resource_type=resource_type, attributes=attrs)
 
 
 def _record_json(record: ResourceRecord) -> str:

@@ -87,9 +87,9 @@ def load_crosswalk(path) -> CcsCrosswalk:
 def read_diagnoses(path) -> dict[str, list[str]]:
     """hadm_id -> ICD code list from a diagnoses_icd CSV, in file order."""
     out: dict[str, list[str]] = {}
-    for row in iter_csv_rows(path):
-        adm = str(row.get("hadm_id", "")).strip()
-        code = _normalize_code(row.get("icd9_code", ""))
+    for row in iter_csv_rows(path, ("hadm_id", "icd9_code")):
+        adm = row["hadm_id"].strip()
+        code = _normalize_code(row["icd9_code"])
         if not adm or not code:
             continue
         out.setdefault(adm, []).append(code)

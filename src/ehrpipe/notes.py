@@ -25,6 +25,7 @@ from .errors import (
     EmptyChunkSet,
     EmptyPartition,
     InvalidConfig,
+    IoFailure,
     ShapeMismatch,
     UnknownAdmission,
 )
@@ -279,17 +280,17 @@ def aggregate(matrix: ChunkScoreMatrix,
 def read_note_events(path) -> list[NoteEvent]:
     """Notes from a noteevents CSV; rows without a parseable time are dropped."""
     notes = []
-    for row in iter_csv_rows(path):
-        when = parse_timestamp(row.get("charttime", "") or
-                               row.get("chartdate", ""))
+    columns = ("hadm_id", "category", "charttime", "chartdate", "text")
+    for row in iter_csv_rows(path, columns):
+        when = parse_timestamp(row["charttime"] or row["chartdate"])
         if when is None:
             continue
         notes.append(
             NoteEvent(
-                admission_id=str(row.get("hadm_id", "")).strip(),
-                category=row.get("category", ""),
+                admission_id=row["hadm_id"].strip(),
+                category=row["category"],
                 charttime=when,
-                text=row.get("text", ""),
+                text=row["text"],
             )
         )
     return notes
@@ -305,14 +306,20 @@ def save_chunks(path, chunks: list[ChunkTokenSequence]) -> Path:
 
 
 def load_chunks(path) -> list[ChunkTokenSequence]:
+    """Chunks from a JSON object mapping admission ids to token lists."""
     chunks = []
-    with reading(path):
-        for adm, token_lists in load_json(path).items():
-            for i, tokens in enumerate(token_lists):
-                chunks.append(
-                    ChunkTokenSequence(admission_id=str(adm), chunk_index=i,
-                                       tokens=[str(t) for t in tokens])
-                )
+    for adm, token_lists in load_json(path).items():
+        if not (isinstance(token_lists, list) and all(
+                isinstance(tokens, list)
+                and all(isinstance(t, str) for t in tokens)
+                for tokens in token_lists)):
+            raise IoFailure(
+                f"{path}: admission {adm!r} does not map to token lists"
+            )
+        chunks.extend(
+            ChunkTokenSequence(admission_id=adm, chunk_index=i, tokens=tokens)
+            for i, tokens in enumerate(token_lists)
+        )
     return chunks
 
 
@@ -334,6 +341,11 @@ def save_score_matrices(path, matrices: list[ChunkScoreMatrix]) -> Path:
 
 def load_score_matrices(path) -> list[ChunkScoreMatrix]:
     with reading(path), np.load(path, allow_pickle=False) as data:
+        strays = [name for name in data.files if not name.startswith("adm_")]
+        if strays:
+            raise IoFailure(
+                f"{path}: array(s) {strays} are not chunk scores (adm_<id>)"
+            )
         return [
             ChunkScoreMatrix(admission_id=name[len("adm_"):],
                              probabilities=data[name])

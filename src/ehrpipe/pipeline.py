@@ -53,8 +53,8 @@ def label_admissions(
     xwalk = labels_mod.load_crosswalk(crosswalk)
     codes = labels_mod.read_diagnoses(diagnoses)
     if admissions is not None:
-        admission_ids = [str(row["hadm_id"]).strip()
-                         for row in iter_csv_rows(admissions)]
+        admission_ids = [row["hadm_id"].strip()
+                         for row in iter_csv_rows(admissions, ("hadm_id",))]
         codes = {adm: codes.get(adm, []) for adm in admission_ids}
     vectors, unknown = labels_mod.encode_labels(codes, xwalk)
     return vectors, xwalk.categories, unknown

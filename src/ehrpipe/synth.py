@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoFailure
-from .tables import TableKind, open_atomic, save_json
+from .tables import TABLE_COLUMNS, TableKind, open_atomic, save_json
 
 _TIME_FMT = "%Y-%m-%d %H:%M:%S"
 _BASE_ADMIT = datetime(2130, 1, 1)
@@ -342,27 +342,6 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
                 )
 
     # --- write tables and manifest -------------------------------------------
-    headers = {
-        TableKind.PATIENTS: ["row_id", "subject_id", "gender", "dob", "dod",
-                             "dod_hosp", "dod_ssn", "expire_flag"],
-        TableKind.ADMISSIONS: ["row_id", "subject_id", "hadm_id", "admittime",
-                               "dischtime", "deathtime", "admission_type",
-                               "admission_location", "discharge_location",
-                               "insurance", "language", "religion",
-                               "marital_status", "ethnicity", "edregtime",
-                               "edouttime", "diagnosis",
-                               "hospital_expire_flag", "has_chartevents_data"],
-        TableKind.DIAGNOSES_ICD: ["row_id", "subject_id", "hadm_id",
-                                  "seq_num", "icd9_code"],
-        TableKind.CHARTEVENTS: ["row_id", "subject_id", "hadm_id",
-                                "icustay_id", "itemid", "charttime",
-                                "storetime", "cgid", "value", "valuenum",
-                                "valueuom", "warning", "error",
-                                "resultstatus", "stopped"],
-        TableKind.NOTEEVENTS: ["row_id", "subject_id", "hadm_id", "chartdate",
-                               "charttime", "storetime", "category",
-                               "description", "cgid", "iserror", "text"],
-    }
     all_rows = {
         TableKind.PATIENTS: patient_rows,
         TableKind.ADMISSIONS: admission_rows,
@@ -371,11 +350,9 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
         TableKind.NOTEEVENTS: note_rows,
     }
     tables: list[tuple[TableKind, Path, int]] = []
-    for kind in (TableKind.PATIENTS, TableKind.ADMISSIONS,
-                 TableKind.DIAGNOSES_ICD, TableKind.CHARTEVENTS,
-                 TableKind.NOTEEVENTS):
+    for kind, rows in all_rows.items():
         path = out / f"{kind.value}.csv"
-        count = _write_csv(path, headers[kind], all_rows[kind])
+        count = _write_csv(path, list(TABLE_COLUMNS[kind]), rows)
         tables.append((kind, path, count))
 
     manifest_path = out / "manifest.json"

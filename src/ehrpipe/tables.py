@@ -8,7 +8,8 @@ resource id). The per-table rename maps below are the single source of
 truth for that convention.
 
 The module also holds the one write path and the one read-error mapping
-that every artifact goes through (open_atomic, reading).
+that every artifact goes through (open_atomic, reading), and the one
+reader of CSV tables (iter_csv_rows).
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from contextlib import ExitStack, contextmanager
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import IoFailure, SchemaMismatch
+from .errors import IoFailure, MalformedRow, SchemaMismatch
 
 
 class TableKind(str, Enum):
@@ -431,7 +432,7 @@ def reading(path):
     try:
         yield
     except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
-            TypeError) as exc:
+            TypeError, csv.Error) as exc:
         raise IoFailure(
             f"cannot read {path}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -449,32 +450,41 @@ def load_json(path) -> dict:
 def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
     """Map hadm_id -> (admit time, discharge time) from an admissions CSV."""
     times: dict[str, tuple[datetime, datetime]] = {}
-    with reading(path), open_text_auto(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            return times
-        fields = {name.lower(): name for name in reader.fieldnames}
-        missing = {"hadm_id", "admittime", "dischtime"} - set(fields)
-        if missing:
-            raise SchemaMismatch(
-                f"{path}: admissions file lacks column(s) {sorted(missing)}"
-            )
-        for row in reader:
-            hadm = row[fields["hadm_id"]].strip()
-            admit = parse_timestamp(row[fields["admittime"]])
-            disch = parse_timestamp(row[fields["dischtime"]])
-            if hadm and admit and disch:
-                times[hadm] = (admit, disch)
+    for row in iter_csv_rows(path, ("hadm_id", "admittime", "dischtime")):
+        hadm = row["hadm_id"].strip()
+        admit = parse_timestamp(row["admittime"])
+        disch = parse_timestamp(row["dischtime"])
+        if hadm and admit and disch:
+            times[hadm] = (admit, disch)
     return times
 
 
-def iter_csv_rows(path) -> Iterator[dict[str, str]]:
-    """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts."""
+def iter_csv_rows(
+    path, required: Iterable[str] = (),
+) -> Iterator[dict[str, str]]:
+    """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts.
+
+    The header must name every required column, and every later line, a
+    blank one included, must have as many fields as the header; otherwise
+    SchemaMismatch or MalformedRow (with the row number). Parsing is strict,
+    so a quoted field cut off by the end of the file raises IoFailure
+    instead of yielding a shortened last row.
+    """
     with reading(path), open_text_auto(path, newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(handle, strict=True)
         header = next(reader, None)
         if header is None:
-            return
+            raise SchemaMismatch(f"{path}: empty file, no header")
         keys = [h.strip().lower() for h in header]
-        for row in reader:
+        missing = set(required) - set(keys)
+        if missing:
+            raise SchemaMismatch(
+                f"{path}: header lacks column(s) {sorted(missing)}"
+            )
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(keys):
+                raise MalformedRow(
+                    f"{path}: row {number} has {len(row)} fields, "
+                    f"header has {len(keys)}"
+                )
             yield dict(zip(keys, row))

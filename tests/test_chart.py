@@ -29,7 +29,7 @@ from ehrpipe.errors import (
     EventAfterDischarge,
 )
 from ehrpipe.fhir_etl import transform
-from ehrpipe.tables import TableKind, read_admission_times
+from ehrpipe.tables import TABLE_COLUMNS, TableKind, read_admission_times
 
 DISCHARGE = datetime(2130, 1, 10, 12, 0, 0)
 
@@ -280,6 +280,20 @@ class TestPersistenceAndReaders:
             assert a.admission_id == b.admission_id
             assert a.observation_type_id == b.observation_type_id
             assert a.charttime == b.charttime
+
+    def test_readers_agree_on_a_blank_valuenum(self, csv_writer, tmp_path):
+        columns = list(TABLE_COLUMNS[TableKind.CHARTEVENTS])
+        cells = dict.fromkeys(columns, "")
+        cells.update(row_id="1", subject_id="1", hadm_id="7", itemid="42",
+                     charttime="2130-01-10 08:00:00", value="7.5",
+                     valuenum="  ")
+        path = csv_writer("chartevents.csv", columns, [list(cells.values())])
+        collection_path = tmp_path / "chartevents.json"
+        transform(path, collection_path, TableKind.CHARTEVENTS)
+        from_csv = [e.value for e in read_chart_events(path)]
+        from_col = [e.value
+                    for e in read_chart_events_from_collection(collection_path)]
+        assert from_csv == from_col == ["7.5"]
 
     def test_preprocess_excludes_admissions_without_events(
             self, small_dataset):

@@ -347,7 +347,13 @@ def _argv(chain, data, subcommand: str) -> list:
                        "--out", out / "c.json"],
         "labels": ["labels", "--diagnoses", data / "diagnoses_icd.csv",
                    "--crosswalk", data / "ccs_crosswalk.csv",
+                   "--admissions", data / "admissions.csv",
                    "--out", out / "l.npz"],
+        "aggregate": ["aggregate", "--scores", chain / "scores.npz",
+                      "--out", out / "a.npz"],
+        # _with(argv, "transform", path) replaces the input positional
+        "transform": ["transform", data / "noteevents.csv", out / "n.json",
+                      "--table", "noteevents"],
     }[subcommand]
 
 
@@ -366,13 +372,15 @@ ARTIFACT_FLAGS = [
     ("score-notes", "--params", "scorer.npz", "model.npz"),
     ("score-notes", "--chunks", "chunks.json", "labels.npz"),
     ("train", "--split", "split.json", "array.json"),
+    ("score-notes", "--chunks", "chunks.json", "split.json"),
+    ("aggregate", "--scores", "scores.npz", "labels.npz"),
 ]
 
 
 @pytest.mark.parametrize("fault", ["missing", "truncated", "wrong-kind"])
 @pytest.mark.parametrize("subcommand,flag,good,other", ARTIFACT_FLAGS)
-def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, fault,
-                                     subcommand, flag, good, other):
+def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, capsys,
+                                     fault, subcommand, flag, good, other):
     if fault == "missing":
         bad = tmp_path / good
     elif fault == "truncated":
@@ -383,6 +391,7 @@ def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, fault,
         bad = chain / other
     argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
     assert main(argv) == 4
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand,flag", [
@@ -394,6 +403,42 @@ def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, fault,
 def test_missing_csv_exits_4(chain, cli_dataset, tmp_path, subcommand, flag):
     argv = _with(_argv(chain, cli_dataset, subcommand), flag,
                  tmp_path / "missing.csv")
+    assert main(argv) == 4
+
+
+# Ways to spoil a valid input CSV: each maps its text to the bad text.
+SPOILERS = {
+    "no-columns": lambda text: "row_id,subject_id\n1,2\n",
+    "2-field-row": lambda text: text + "1,2\n",
+    "3-field-row": lambda text: text + "1,2,3\n",
+    "cut-mid-row": lambda text: text[:text.rindex(",")],
+    # every synthetic note spans lines, so it is quoted
+    "cut-in-quotes": lambda text: text[:text.rindex(" ")],
+    "long-note": lambda text: (text + "1,1,1,,,,Nursing,Report,,0,"
+                               + "word " * 28_000 + "\n"),
+}
+
+
+@pytest.mark.parametrize("subcommand,flag,table,spoiler", [
+    ("labels", "--admissions", "admissions", "no-columns"),
+    ("labels", "--admissions", "admissions", "3-field-row"),
+    ("labels", "--diagnoses", "diagnoses_icd", "no-columns"),
+    ("labels", "--diagnoses", "diagnoses_icd", "2-field-row"),
+    ("preprocess", "--chartevents", "chartevents", "no-columns"),
+    ("preprocess", "--chartevents", "chartevents", "3-field-row"),
+    ("preprocess", "--admissions", "admissions", "3-field-row"),
+    ("preprocess", "--admissions", "admissions", "cut-mid-row"),
+    ("notes-prep", "--admissions", "admissions", "3-field-row"),
+    ("notes-prep", "--notes", "noteevents", "cut-in-quotes"),
+    ("transform", "transform", "noteevents", "cut-in-quotes"),
+    ("notes-prep", "--notes", "noteevents", "long-note"),
+])
+def test_malformed_csv_exits_4(chain, cli_dataset, tmp_path, subcommand,
+                               flag, table, spoiler):
+    text = (cli_dataset / f"{table}.csv").read_text(encoding="utf-8")
+    bad = tmp_path / f"{table}.csv"
+    bad.write_text(SPOILERS[spoiler](text), encoding="utf-8")
+    argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
     assert main(argv) == 4
 
 
