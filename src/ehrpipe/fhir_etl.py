@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from .errors import MalformedJson, UnknownResourceType, UnmappedTable
 from .tables import (
@@ -20,7 +20,7 @@ from .tables import (
     TABLE_COLUMNS,
     TableKind,
     attribute_name,
-    convert_cell,
+    cell_converter,
     iter_csv_rows,
     map_table_kind,
     open_atomic,
@@ -29,6 +29,9 @@ from .tables import (
 )
 
 Scalar = str | int | float | None
+
+# json.dumps builds a new encoder per call unless every option is default.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass
@@ -51,28 +54,52 @@ class ResourceCollection:
         return len(self.records)
 
 
+def _header_fields(
+    table: TableKind, keys: list[str],
+) -> list[tuple[str, int, Callable[[str], Scalar]]]:
+    """(attribute, field index, converter) for each distinct header column.
+
+    Columns keep header order; a repeated column keeps its first position
+    and reads its last field, as dict(zip(keys, row)) would.
+    """
+    schema = TABLE_COLUMNS[table]
+    last = {col: index for index, col in enumerate(keys)}
+    return [
+        (attribute_name(table, col), index, cell_converter(schema.get(col, "str")))
+        for col, index in last.items()
+    ]
+
+
 def iter_records(input_path, table: TableKind) -> Iterator[ResourceRecord]:
     """Stream records from a CSV file, one source row at a time.
 
     Every schema column must be in the header; extra columns are carried
-    through as mimic_<name>.
+    through as mimic_<name>. Column names and converters are resolved once
+    per file.
     """
     resource_type = map_table_kind(table)
     if resource_type is None:
         raise UnmappedTable(f"no FHIR resource type for table {table.value}")
-    schema = TABLE_COLUMNS[table]
-    for row in iter_csv_rows(input_path, schema):
-        attrs: dict[str, Scalar] = {"mimic_source_table": table.value}
-        for col, raw in row.items():
-            kind = schema.get(col, "str")
-            attrs[attribute_name(table, col)] = convert_cell(raw, kind)
+
+    def row_builder(keys: list[str]) -> Callable[[list[str]], dict]:
+        fields = _header_fields(table, keys)
+
+        def attributes(row: list[str]) -> dict[str, Scalar]:
+            attrs: dict[str, Scalar] = {"mimic_source_table": table.value}
+            for name, index, convert in fields:
+                attrs[name] = convert(row[index])
+            return attrs
+
+        return attributes
+
+    for attrs in iter_csv_rows(input_path, TABLE_COLUMNS[table], row_builder):
         yield ResourceRecord(resource_type=resource_type, attributes=attrs)
 
 
 def _record_json(record: ResourceRecord) -> str:
     payload: dict[str, Scalar] = {"resource_type": record.resource_type}
     payload.update(record.attributes)
-    return json.dumps(payload, ensure_ascii=False)
+    return _ENCODER.encode(payload)
 
 
 def _write_array(handle: TextIO, records: Iterator[ResourceRecord]) -> int:

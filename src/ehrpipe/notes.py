@@ -278,11 +278,14 @@ def aggregate(matrix: ChunkScoreMatrix,
 
 
 def read_note_events(path) -> list[NoteEvent]:
-    """Notes from a noteevents CSV; rows without a parseable time are dropped."""
+    """Notes from a noteevents CSV; rows without a parseable time are dropped.
+
+    A blank charttime counts as missing, so chartdate stands in for it.
+    """
     notes = []
     columns = ("hadm_id", "category", "charttime", "chartdate", "text")
     for row in iter_csv_rows(path, columns):
-        when = parse_timestamp(row["charttime"] or row["chartdate"])
+        when = parse_timestamp(row["charttime"].strip() or row["chartdate"])
         if when is None:
             continue
         notes.append(

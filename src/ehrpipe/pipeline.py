@@ -10,6 +10,8 @@ config and seed rewrites byte-identical artifacts.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -188,6 +190,30 @@ def load_probs(path) -> tuple[list[str], np.ndarray]:
         return [str(x) for x in data["admission_ids"]], data["probs"]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _transform_tables(jobs: list[tuple[Path, Path, TableKind]]) -> None:
+    """fhir_etl.transform_stream(*job) for every job, on concurrent threads.
+
+    Each job writes its own file, with the bytes a serial run writes. zlib
+    releases the GIL, so one table's compression overlaps another's
+    conversion. The largest inputs start first; the first job in list order
+    that fails raises its error, once every job has ended.
+    """
+    largest_first = sorted(range(len(jobs)), reverse=True,
+                           key=lambda i: os.path.getsize(jobs[i][0]))
+    with ThreadPoolExecutor(min(len(jobs), _usable_cpus())) as pool:
+        futures = {i: pool.submit(fhir_etl.transform_stream, *jobs[i])
+                   for i in largest_first}
+        for i in range(len(jobs)):
+            futures[i].result()
+
+
 # --- end to end ----------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
@@ -201,9 +227,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     artifacts["synth_manifest"] = manifest.manifest_path
 
     (out / "fhir").mkdir(exist_ok=True)
-    for kind, path, _ in manifest.tables:
-        target = out / "fhir" / f"{kind.value}.json.gz"
-        fhir_etl.transform_stream(path, target, kind)
+    jobs = [(path, out / "fhir" / f"{kind.value}.json.gz", kind)
+            for kind, path, _ in manifest.tables]
+    _transform_tables(jobs)
+    for _, target, kind in jobs:
         artifacts[f"fhir_{kind.value}"] = target
 
     vectors, categories, unknown = label_admissions(

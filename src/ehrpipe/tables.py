@@ -19,12 +19,13 @@ import gzip
 import io
 import json
 import os
+import re
 import zipfile
 from contextlib import ExitStack, contextmanager
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -330,9 +331,24 @@ def attribute_name(table: TableKind, column: str) -> str:
 
 _TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d")
 
+# The common shape of _TIME_FORMATS in ASCII digits, which fromisoformat
+# reads to the same datetime many times faster than strptime. Anything else
+# (single-digit fields, a lower-case t, runs of spaces, non-ASCII digits,
+# all of which strptime accepts) takes the strptime loop. The hour is held
+# to 00-23, as strptime holds it, so that no fromisoformat reading of 24:00
+# can differ.
+_ISO_SHAPE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[ T](?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2})?"
+)
+
 
 def parse_timestamp(raw: str) -> Optional[datetime]:
     text = raw.strip()
+    if _ISO_SHAPE.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass  # an impossible date such as 2130-02-30; strptime rejects it too
     for fmt in _TIME_FORMATS:
         try:
             return datetime.strptime(text, fmt)
@@ -341,27 +357,49 @@ def parse_timestamp(raw: str) -> Optional[datetime]:
     return None
 
 
+def _to_int(raw: str):
+    if raw == "":
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+def _to_float(raw: str):
+    if raw == "":
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
+def _to_time(raw: str):
+    if raw == "":
+        return None
+    ts = parse_timestamp(raw)
+    return ts.isoformat(sep="T", timespec="seconds") if ts else raw
+
+
+def _to_str(raw: str):
+    return None if raw == "" else raw
+
+
+_CONVERTERS = {_ID: _to_int, _F: _to_float, _T: _to_time, _S: _to_str}
+
+
+def cell_converter(kind: str) -> Callable[[str], object]:
+    """The cell conversion of a column kind, to look up once per column."""
+    return _CONVERTERS.get(kind, _to_str)
+
+
 def convert_cell(raw: str, kind: str):
     """Convert a CSV cell per its column kind; empty cells become None.
 
     Unparseable cells fall back to the raw string so no input is ever lost.
     """
-    if raw == "":
-        return None
-    if kind == _ID:
-        try:
-            return int(raw)
-        except ValueError:
-            return raw
-    if kind == _F:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    if kind == _T:
-        ts = parse_timestamp(raw)
-        return ts.isoformat(sep="T", timespec="seconds") if ts else raw
-    return raw
+    return cell_converter(kind)(raw)
 
 
 def open_text_auto(path, newline: Optional[str] = None):
@@ -389,8 +427,10 @@ def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
             handle = stack.enter_context(open(temp, "wb"))
             if not binary:
                 if target.name.endswith(".gz"):
+                    # A lower level would trade output size for time.
                     handle = stack.enter_context(gzip.GzipFile(
-                        filename="", mode="wb", fileobj=handle, mtime=0))
+                        filename="", mode="wb", fileobj=handle, mtime=0,
+                        compresslevel=9))
                 handle = stack.enter_context(io.TextIOWrapper(
                     handle, encoding="utf-8", newline=newline))
             yield handle
@@ -460,8 +500,10 @@ def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
 
 
 def iter_csv_rows(
-    path, required: Iterable[str] = (),
-) -> Iterator[dict[str, str]]:
+    path,
+    required: Iterable[str] = (),
+    row_builder: Optional[Callable[[list[str]], Callable]] = None,
+) -> Iterator:
     """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts.
 
     The header must name every required column, and every later line, a
@@ -469,6 +511,10 @@ def iter_csv_rows(
     SchemaMismatch or MalformedRow (with the row number). Parsing is strict,
     so a quoted field cut off by the end of the file raises IoFailure
     instead of yielding a shortened last row.
+
+    With row_builder, each row is yielded as row_builder(keys)(fields)
+    instead, where keys is the lowercased header and fields the row's list
+    of strings: the caller resolves its columns once per file.
     """
     with reading(path), open_text_auto(path, newline="") as handle:
         reader = csv.reader(handle, strict=True)
@@ -481,10 +527,11 @@ def iter_csv_rows(
             raise SchemaMismatch(
                 f"{path}: header lacks column(s) {sorted(missing)}"
             )
+        build = row_builder(keys) if row_builder else None
         for number, row in enumerate(reader, start=1):
             if len(row) != len(keys):
                 raise MalformedRow(
                     f"{path}: row {number} has {len(row)} fields, "
                     f"header has {len(keys)}"
                 )
-            yield dict(zip(keys, row))
+            yield build(row) if build else dict(zip(keys, row))

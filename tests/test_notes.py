@@ -25,6 +25,7 @@ from ehrpipe.notes import (
     load_score_matrices,
     load_scorer,
     NoteEvent,
+    read_note_events,
     save_chunks,
     save_score_matrices,
     save_scorer,
@@ -32,6 +33,7 @@ from ehrpipe.notes import (
     ScorerConfig,
     train_scorer,
 )
+from ehrpipe.tables import TABLE_COLUMNS, TableKind
 
 ADMIT = datetime(2130, 3, 1, 8, 0, 0)
 DISCH = ADMIT + timedelta(days=6)
@@ -288,3 +290,26 @@ class TestPersistence:
             np.testing.assert_array_equal(
                 loaded[m.admission_id].probabilities, m.probabilities
             )
+
+
+class TestReadNoteEvents:
+    def test_blank_charttime_falls_back_to_chartdate(self, csv_writer):
+        header = list(TABLE_COLUMNS[TableKind.NOTEEVENTS])
+
+        def row(row_id, charttime, chartdate):
+            cells = dict.fromkeys(header, "")
+            cells.update(row_id=row_id, hadm_id="7", charttime=charttime,
+                         chartdate=chartdate, category="Nursing", text="t")
+            return [cells[col] for col in header]
+
+        path = csv_writer("noteevents.csv", header, [
+            row("1", "  ", "2130-03-02"),
+            row("2", "", "2130-03-03"),
+            row("3", "2130-03-04 10:00:00", "2130-03-04"),
+            row("4", "  ", ""),
+        ])
+        notes = read_note_events(path)
+        assert [n.charttime for n in notes] == [
+            datetime(2130, 3, 2), datetime(2130, 3, 3),
+            datetime(2130, 3, 4, 10),
+        ]

@@ -1,0 +1,98 @@
+"""tables.parse_timestamp accepts and rejects what its strptime form did."""
+
+from datetime import datetime
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ehrpipe.tables import parse_timestamp
+
+
+def strptime_parse(raw: str):
+    """The earlier parse_timestamp, frozen: three strptime formats in turn."""
+    text = raw.strip()
+    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d"):
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    return None
+
+
+CASES = [
+    ("2130-01-01 10:00:00", datetime(2130, 1, 1, 10)),
+    ("2130-01-01T10:00:00", datetime(2130, 1, 1, 10)),
+    ("2130-01-01", datetime(2130, 1, 1)),
+    (" 2130-12-31 23:59:59\n", datetime(2130, 12, 31, 23, 59, 59)),
+    # strptime accepts these, a strict ISO shape does not
+    ("2130-1-1", datetime(2130, 1, 1)),
+    ("2130-01- 1", datetime(2130, 1, 1)),
+    ("2130-01-01t10:00:00", datetime(2130, 1, 1, 10)),
+    ("2130-01-01  10:00:00", datetime(2130, 1, 1, 10)),
+    ("2130-01-01 1:2:3", datetime(2130, 1, 1, 1, 2, 3)),
+    ("٢١٣٠-01-01", datetime(2130, 1, 1)),
+    # fromisoformat accepts these, strptime does not
+    ("2130-01-01 10:00", None),
+    ("20130101", None),
+    ("2130-01-01 10:00:00.5", None),
+    ("2130-01-01T10:00:00+00:00", None),
+    ("2130-W01-1", None),
+    ("2130-01-01T10", None),
+    # neither accepts these
+    ("2130-02-30", None),
+    ("2130-01-01 24:00:00", None),
+    ("2130-01-01 23:59:60", None),
+    ("0000-01-01", None),
+    ("2130-13-01", None),
+    ("", None),
+    ("   ", None),
+    ("not a time", None),
+]
+
+
+@pytest.mark.parametrize("raw,expected", CASES)
+def test_parse_timestamp_matches_strptime(raw, expected):
+    assert strptime_parse(raw) == expected
+    assert parse_timestamp(raw) == expected
+
+
+_DIGITS = "0123456789٣"
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+def _separator(usual: str):
+    """Mostly the usual separator, else any of those the parsers know."""
+    return st.one_of(
+        st.just(usual), st.sampled_from(["-", ":", " ", "T", "t", "  ", ""]),
+    )
+
+
+def _number(width: int, top: int):
+    """A field: zero-padded up to top, unpadded, or any run of digits."""
+    return st.one_of(
+        st.integers(0, top).map(lambda n: f"{n:0{width}d}"),
+        st.integers(0, 99).map(str),
+        st.text(alphabet=_DIGITS, min_size=1, max_size=5),
+    )
+
+
+_date = _joined(_number(4, 9999), _separator("-"), _number(2, 12),
+                _separator("-"), _number(2, 31))
+_clock = [_joined(_separator(" "), _number(2, 24)),
+          _joined(_separator(":"), _number(2, 60)),
+          _joined(_separator(":"), _number(2, 60))]
+_near_stamp = _joined(
+    _date,
+    st.integers(0, 3).flatmap(lambda n: _joined(*_clock[:n])),
+    st.sampled_from(["", ":00", " "]),
+)
+
+
+@settings(max_examples=1000, database=None)
+@given(st.one_of(_near_stamp, st.text(alphabet=_DIGITS + "-: Tt", max_size=24)))
+def test_parse_timestamp_property(raw):
+    assert parse_timestamp(raw) == strptime_parse(raw)
