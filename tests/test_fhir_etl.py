@@ -217,6 +217,78 @@ class TestRoundtrip:
             read_collection(bad)
 
 
+# Two admissions rows and the exact text transform writes for them: "[",
+# then one record per line after one space, then "]"; each record is
+# resource_type, mimic_source_table, then the attributes in header order.
+# Non-ASCII text is written unescaped and an empty cell is null.
+GOLDEN_ROWS = [
+    {"row_id": "1", "subject_id": "7", "hadm_id": "101",
+     "admittime": "2101-05-01 10:00:00", "dischtime": "2101-05-05 09:30:00",
+     "admission_type": "EMERGENCY", "diagnosis": "FIÈVRE – SEPSIS"},
+    {"row_id": "2", "subject_id": "8", "hadm_id": "102",
+     "admittime": "2101-06-02", "dischtime": "2101-06-03T08:00:00",
+     "deathtime": "2101-06-03 07:59:00", "admission_type": "ELECTIVE",
+     "diagnosis": "肺炎", "hospital_expire_flag": "1"},
+]
+_GOLDEN_NULLS = (
+    '"mimic_admission_location": null, "mimic_discharge_location": null, '
+    '"mimic_insurance": null, "mimic_language": null, '
+    '"mimic_religion": null, "mimic_marital_status": null, '
+    '"mimic_ethnicity": null, "mimic_edregtime": null, '
+    '"mimic_edouttime": null, '
+)
+GOLDEN_TEXT = (
+    '[\n'
+    ' {"resource_type": "encounter", "mimic_source_table": "admissions", '
+    '"id": 1, "subject": 7, "identifier": 101, '
+    '"periodStart": "2101-05-01T10:00:00", '
+    '"periodEnd": "2101-05-05T09:30:00", "mimic_deathtime": null, '
+    '"class": "EMERGENCY", ' + _GOLDEN_NULLS
+    + '"reasonCode": "FIÈVRE – SEPSIS", '
+    '"mimic_hospital_expire_flag": null, '
+    '"mimic_has_chartevents_data": null},\n'
+    ' {"resource_type": "encounter", "mimic_source_table": "admissions", '
+    '"id": 2, "subject": 8, "identifier": 102, '
+    '"periodStart": "2101-06-02T00:00:00", '
+    '"periodEnd": "2101-06-03T08:00:00", '
+    '"mimic_deathtime": "2101-06-03T07:59:00", '
+    '"class": "ELECTIVE", ' + _GOLDEN_NULLS
+    + '"reasonCode": "肺炎", "mimic_hospital_expire_flag": 1, '
+    '"mimic_has_chartevents_data": null}\n'
+    ']\n'
+)
+
+
+class TestGoldenBytes:
+    def _golden_csv(self, csv_writer):
+        return csv_writer(
+            "admissions.csv", ADMISSION_HEADER,
+            [[row.get(col, "") for col in ADMISSION_HEADER]
+             for row in GOLDEN_ROWS],
+        )
+
+    def test_layout_and_key_order(self, csv_writer, tmp_path):
+        out = tmp_path / "admissions.json"
+        transform(self._golden_csv(csv_writer), out, TableKind.ADMISSIONS)
+        assert out.read_bytes() == GOLDEN_TEXT.encode("utf-8")
+
+    def test_header_only_is_an_empty_array_line(self, csv_writer, tmp_path):
+        path = csv_writer("admissions.csv", ADMISSION_HEADER, [])
+        out = tmp_path / "admissions.json"
+        transform(path, out, TableKind.ADMISSIONS)
+        assert out.read_bytes() == b"[]\n"
+
+    def test_gzip_holds_the_same_bytes_with_a_fixed_header(
+            self, csv_writer, tmp_path):
+        packed = tmp_path / "admissions.json.gz"
+        transform(self._golden_csv(csv_writer), packed, TableKind.ADMISSIONS)
+        raw = packed.read_bytes()
+        assert gzip.decompress(raw) == GOLDEN_TEXT.encode("utf-8")
+        assert raw[:3] == b"\x1f\x8b\x08"  # gzip magic, deflate
+        assert raw[3] & 0x08 == 0  # FLG.FNAME clear: no file name
+        assert raw[4:8] == b"\0\0\0\0"  # MTIME 0
+
+
 def _random_cell(rng):
     kind = rng.randrange(6)
     if kind == 0:
