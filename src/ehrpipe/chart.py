@@ -26,6 +26,7 @@ from .errors import (
     CatalogMismatch,
     EmptyType,
     EventAfterDischarge,
+    SchemaMismatch,
 )
 from .tables import (
     TableKind,
@@ -49,6 +50,7 @@ DEFAULT_NUMERIC_FRACTION = 0.9
 # attribute names the transform gave them.
 _CHART_COLUMNS = ("hadm_id", "itemid", "charttime", "valuenum", "value")
 _COLLECTION_NAME = partial(attribute_name, TableKind.CHARTEVENTS)
+_COLLECTION_ATTRIBUTES = frozenset(map(_COLLECTION_NAME, _CHART_COLUMNS))
 
 
 @dataclass
@@ -280,8 +282,16 @@ def read_chart_events(path) -> Iterator[ObservationEvent]:
 
 
 def read_chart_events_from_collection(path) -> Iterator[ObservationEvent]:
-    """Chart events out of a flat FHIR observation collection file."""
-    records = (r.attributes for r in fhir_etl.read_collection(path).records)
+    """Chart events out of a chartevents collection file, read whole.
+
+    Every record must carry the attributes the events are built from, null
+    or not; any other kind of collection raises SchemaMismatch.
+    """
+    records = fhir_etl.read_collection(path)
+    for index, record in enumerate(records):
+        if not record.keys() >= _COLLECTION_ATTRIBUTES:
+            missing = sorted(_COLLECTION_ATTRIBUTES - record.keys())
+            raise SchemaMismatch(f"{path}: record {index} lacks {missing}")
     yield from _chart_events(records, _COLLECTION_NAME)
 
 

@@ -58,7 +58,7 @@ def _emit_manifest(args, subcommand: str, inputs: dict, outputs: dict,
 
 def _cmd_transform(args) -> int:
     table = TableKind(args.table)
-    count = fhir_etl.transform_stream(args.input, args.output, table)
+    count = fhir_etl.transform(args.input, args.output, table)
     print(f"{args.input} -> {args.output}: {count} records "
           f"({fhir_etl.map_table_kind(table)})")
     _emit_manifest(args, "transform", {"csv": args.input},

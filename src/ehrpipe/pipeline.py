@@ -198,7 +198,7 @@ def _usable_cpus() -> int:
 
 
 def _transform_tables(jobs: list[tuple[Path, Path, TableKind]]) -> None:
-    """fhir_etl.transform_stream(*job) for every job, on concurrent threads.
+    """fhir_etl.transform(*job) for every job, on concurrent threads.
 
     Each job writes its own file, with the bytes a serial run writes. zlib
     releases the GIL, so one table's compression overlaps another's
@@ -208,7 +208,7 @@ def _transform_tables(jobs: list[tuple[Path, Path, TableKind]]) -> None:
     largest_first = sorted(range(len(jobs)), reverse=True,
                            key=lambda i: os.path.getsize(jobs[i][0]))
     with ThreadPoolExecutor(min(len(jobs), _usable_cpus())) as pool:
-        futures = {i: pool.submit(fhir_etl.transform_stream, *jobs[i])
+        futures = {i: pool.submit(fhir_etl.transform, *jobs[i])
                    for i in largest_first}
         for i in range(len(jobs)):
             futures[i].result()

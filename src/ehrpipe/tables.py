@@ -18,6 +18,7 @@ import csv
 import gzip
 import io
 import json
+import math
 import os
 import re
 import zipfile
@@ -370,9 +371,10 @@ def _to_float(raw: str):
     if raw == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         return raw
+    return value if math.isfinite(value) else raw  # JSON has no NaN or inf
 
 
 def _to_time(raw: str):
@@ -390,16 +392,12 @@ _CONVERTERS = {_ID: _to_int, _F: _to_float, _T: _to_time, _S: _to_str}
 
 
 def cell_converter(kind: str) -> Callable[[str], object]:
-    """The cell conversion of a column kind, to look up once per column."""
-    return _CONVERTERS.get(kind, _to_str)
+    """The cell conversion of a column kind, to look up once per column.
 
-
-def convert_cell(raw: str, kind: str):
-    """Convert a CSV cell per its column kind; empty cells become None.
-
-    Unparseable cells fall back to the raw string so no input is ever lost.
+    Empty cells become None. A cell that does not parse, or a number that
+    is not finite, stays its raw string, so no input is ever lost.
     """
-    return cell_converter(kind)(raw)
+    return _CONVERTERS.get(kind, _to_str)
 
 
 def open_text_auto(path, newline: Optional[str] = None):

@@ -1,5 +1,6 @@
 """Binning, aggregation and normalization of chart events."""
 
+import json
 import math
 import random
 from datetime import datetime, timedelta
@@ -294,6 +295,36 @@ class TestPersistenceAndReaders:
         from_col = [e.value
                     for e in read_chart_events_from_collection(collection_path)]
         assert from_csv == from_col == ["7.5"]
+
+    def test_non_finite_valuenum_stays_a_string(self, csv_writer, tmp_path):
+        columns = list(TABLE_COLUMNS[TableKind.CHARTEVENTS])
+        raws = ["nan", "inf", "1e400", "-Infinity", "2.5", "4"]
+        rows = []
+        for hour, raw in enumerate(raws):
+            cells = dict.fromkeys(columns, "")
+            cells.update(row_id=str(hour), subject_id="1", hadm_id="7",
+                         itemid="42", charttime=f"2130-01-10 0{hour}:00:00",
+                         valuenum=raw)
+            rows.append(list(cells.values()))
+        path = csv_writer("chartevents.csv", columns, rows)
+        collection_path = tmp_path / "chartevents.json"
+        transform(path, collection_path, TableKind.CHARTEVENTS)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        records = json.loads(collection_path.read_text(encoding="utf-8"),
+                             parse_constant=reject)
+        assert [r["valueQuantity"] for r in records] == [
+            "nan", "inf", "1e400", "-Infinity", 2.5, 4.0]
+        from_csv = list(read_chart_events(path))
+        from_col = list(read_chart_events_from_collection(collection_path))
+        assert [e.value for e in from_csv[:4]] == raws[:4]
+        assert [e.value for e in from_col[:4]] == raws[:4]
+        kept_csv, _ = filter_numeric(from_csv, numeric_fraction=0.3)
+        kept_col, _ = filter_numeric(from_col, numeric_fraction=0.3)
+        assert kept_csv == kept_col
+        assert [e.value for e in kept_col] == [2.5, 4.0]
 
     def test_preprocess_excludes_admissions_without_events(
             self, small_dataset):

@@ -442,6 +442,28 @@ def test_malformed_csv_exits_4(chain, cli_dataset, tmp_path, subcommand,
     assert main(argv) == 4
 
 
+@pytest.mark.parametrize("table", ["admissions", "noteevents"])
+def test_wrong_kind_collection_exits_4(chain, cli_dataset, tmp_path, capsys,
+                                       table):
+    collection = tmp_path / f"{table}.json.gz"
+    assert main(["transform", "--table", table,
+                 str(cli_dataset / f"{table}.csv"), str(collection)]) == 0
+    capsys.readouterr()
+    argv = _with(_argv(chain, cli_dataset, "preprocess"), "--chartevents",
+                 collection)
+    assert main(argv) == 4
+    assert f"{collection}: record 0 lacks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]", '[{"id": 1}]'])
+def test_malformed_collection_exits_4(chain, cli_dataset, tmp_path, text):
+    bad = tmp_path / "chartevents.json"
+    bad.write_text(text)
+    argv = _with(_argv(chain, cli_dataset, "preprocess"), "--chartevents",
+                 bad)
+    assert main(argv) == 4
+
+
 def test_aggregate_of_empty_scores_exits_4(tmp_path):
     from ehrpipe.notes import save_score_matrices
 

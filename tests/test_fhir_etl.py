@@ -15,9 +15,9 @@ from ehrpipe.errors import (
     UnmappedTable,
 )
 from ehrpipe.fhir_etl import (
+    iter_records,
     read_collection,
     transform,
-    transform_stream,
 )
 from ehrpipe.tables import TABLE_COLUMNS, TableKind, map_table_kind
 
@@ -86,20 +86,18 @@ class TestTransform:
             [_admission_row(i, i, 100 + i) for i in range(1, 4)],
         )
         out = tmp_path / "admissions.json"
-        collection = transform(path, out, TableKind.ADMISSIONS)
-        assert collection.resource_type == "encounter"
-        assert len(collection) == 3
-        assert json.loads(out.read_text()) == [
-            {"resource_type": r.resource_type} | r.attributes
-            for r in collection.records
-        ]
+        count = transform(path, out, TableKind.ADMISSIONS)
+        records = list(iter_records(path, TableKind.ADMISSIONS))
+        assert all(r["resource_type"] == "encounter" for r in records)
+        assert count == 3
+        assert json.loads(out.read_text()) == records
 
     def test_header_only_gives_empty_array(self, csv_writer, tmp_path):
         path = csv_writer("patients.csv",
                           list(TABLE_COLUMNS[TableKind.PATIENTS]), [])
         out = tmp_path / "patients.json"
-        collection = transform(path, out, TableKind.PATIENTS)
-        assert len(collection) == 0
+        count = transform(path, out, TableKind.PATIENTS)
+        assert count == 0
         assert json.loads(out.read_text()) == []
 
     def test_unmapped_table(self, csv_writer, tmp_path):
@@ -127,9 +125,8 @@ class TestTransform:
     def test_attribute_naming_and_nulls(self, csv_writer, tmp_path):
         path = csv_writer("admissions.csv", ADMISSION_HEADER,
                           [_admission_row(1, 7, 101)])
-        collection = transform(path, tmp_path / "a.json",
-                               TableKind.ADMISSIONS)
-        attrs = collection.records[0].attributes
+        transform(path, tmp_path / "a.json", TableKind.ADMISSIONS)
+        attrs = read_collection(tmp_path / "a.json")[0]
         assert attrs["periodStart"] == "2101-05-01T10:00:00"
         assert attrs["periodEnd"] == "2101-05-05T09:30:00"
         assert attrs["subject"] == 7
@@ -142,8 +139,7 @@ class TestTransform:
             "admissions.csv", ADMISSION_HEADER,
             [_admission_row(i, i, 100 + i) for i in range(1, 6)],
         )
-        count = transform_stream(path, tmp_path / "a.json",
-                                 TableKind.ADMISSIONS)
+        count = transform(path, tmp_path / "a.json", TableKind.ADMISSIONS)
         assert count == 5
         assert len(read_collection(tmp_path / "a.json")) == 5
 
@@ -157,9 +153,11 @@ class TestRoundtrip:
         out = tmp_path / "a.json"
         written = transform(path, out, TableKind.ADMISSIONS)
         read = read_collection(out)
-        assert read.records == written.records
-        assert read.resource_type == written.resource_type
-        assert read.source_table == TableKind.ADMISSIONS
+        assert written == 3
+        assert read == list(iter_records(path, TableKind.ADMISSIONS))
+        for record in read:
+            assert record["resource_type"] == "encounter"
+            assert record["mimic_source_table"] == "admissions"
 
     def test_gzip_compression_transparency(self, csv_writer, tmp_path):
         path = csv_writer(
@@ -171,8 +169,7 @@ class TestRoundtrip:
         transform(path, plain, TableKind.ADMISSIONS)
         transform(path, packed, TableKind.ADMISSIONS)
         assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
-        assert read_collection(packed).records == \
-            read_collection(plain).records
+        assert read_collection(packed) == read_collection(plain)
 
     def test_gzip_input(self, tmp_path):
         raw = "\r\n".join(
@@ -181,9 +178,7 @@ class TestRoundtrip:
         )
         src = tmp_path / "a.csv.gz"
         src.write_bytes(gzip.compress(raw.encode()))
-        collection = transform(src, tmp_path / "a.json",
-                               TableKind.ADMISSIONS)
-        assert len(collection) == 1
+        assert transform(src, tmp_path / "a.json", TableKind.ADMISSIONS) == 1
 
     def test_truncated_gzip(self, csv_writer, tmp_path):
         path = csv_writer(
@@ -205,6 +200,13 @@ class TestRoundtrip:
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        with pytest.raises(MalformedJson):
+            read_collection(bad)
+
+    @pytest.mark.parametrize("text", ["{}", "[1]", '[{"id": 1}]'])
+    def test_not_an_array_of_typed_objects(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         with pytest.raises(MalformedJson):
             read_collection(bad)
 
@@ -324,9 +326,9 @@ class TestRandomizedRoundtrips:
                 writer.writerows(rows)
             out = tmp_path / f"t{trial}.json"
             written = transform(src, out, table)
-            assert len(written) == n_rows  # count preservation
+            assert written == n_rows  # count preservation
             read = read_collection(out)
-            assert read.records == written.records
+            assert read == list(iter_records(src, table))
 
     def test_flatness_of_serialized_records(self, csv_writer, tmp_path):
         path = csv_writer(

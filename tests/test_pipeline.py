@@ -4,7 +4,7 @@ import pytest
 
 from ehrpipe import pipeline
 from ehrpipe.cli import main
-from ehrpipe.fhir_etl import transform_stream
+from ehrpipe.fhir_etl import transform
 from ehrpipe.runcfg import load_config
 from ehrpipe.tables import TableKind
 
@@ -36,7 +36,7 @@ def test_collections_match_serial_transforms(config_path, tmp_path):
     for kind in ("patients", "admissions", "diagnoses_icd", "chartevents",
                  "noteevents"):
         serial = tmp_path / f"{kind}.json.gz"
-        transform_stream(data / f"{kind}.csv", serial, TableKind(kind))
+        transform(data / f"{kind}.csv", serial, TableKind(kind))
         assert artifacts[f"fhir_{kind}"].read_bytes() == serial.read_bytes()
 
 
