@@ -9,8 +9,13 @@ bytes with one BLAS thread and with the default. Forward passes fault on
 NaN/Inf rather than letting them propagate.
 
 Layer protocol: forward(x, train=False) caches what backward needs;
-backward(grad) returns the input gradient and stores parameter gradients
-retrievable via grads(), aligned with params().
+backward(grad) returns the input gradient and writes parameter gradients
+into the arrays grads() returns, aligned with params(). Those arrays are
+allocated once and overwritten by every backward, so a caller that keeps a
+gradient across batches copies it. A first layer's input gradient has no
+reader: DenseLayer.backward_params(grad) fills grads() without computing it.
+Adam updates parameters and its moments in place, slice by slice, and
+allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -53,12 +58,20 @@ class DenseLayer:
         return _ensure_finite("dense output", x @ self.weights.T + self.bias)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
+        return grad @ self.weights
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """The parameter half of backward, for a layer fed by the data.
+
+        Skips grad @ weights: for the note scorer that is a
+        (batch, categories) x (categories, 2^15) product nobody reads.
+        """
         if self._x is None or grad.shape != (self._x.shape[0],
                                              self.weights.shape[0]):
             raise ShapeMismatch(f"dense backward got {grad.shape}")
-        self.d_weights = grad.T @ self._x
-        self.d_bias = grad.sum(axis=0)
-        return grad @ self.weights
+        np.matmul(grad.T, self._x, out=self.d_weights)
+        np.sum(grad, axis=0, out=self.d_bias)
 
     def params(self):
         return [self.weights, self.bias]
@@ -166,8 +179,8 @@ class TimeConvLayer:
         if self._x is None or grad.shape[:2] != self._x.shape[:2]:
             raise ShapeMismatch(f"timeconv backward got {grad.shape}")
         kernel = self.filters[:, 0, :]
-        self.d_filters = np.einsum("btf,btk->fk", grad, self._x)[:, None, :]
-        self.d_bias = grad.sum(axis=(0, 1))
+        self.d_filters[:, 0, :] = np.einsum("btf,btk->fk", grad, self._x)
+        self.d_bias[:] = grad.sum(axis=(0, 1))
         return np.einsum("btf,fk->btk", grad, kernel)
 
     def params(self):
@@ -218,9 +231,9 @@ class SimpleRnnLayer:
         if self._x is None or grad.shape != self._states[-1].shape:
             raise ShapeMismatch(f"rnn backward got {grad.shape}")
         x = self._x
-        self.d_input = np.zeros_like(self.input_weights)
-        self.d_recurrent = np.zeros_like(self.recurrent_weights)
-        self.d_bias = np.zeros_like(self.bias)
+        self.d_input.fill(0.0)
+        self.d_recurrent.fill(0.0)
+        self.d_bias.fill(0.0)
         dx = np.zeros_like(x)
         dh = grad
         for k in range(N_BINS - 1, -1, -1):
@@ -274,8 +287,20 @@ def bce_loss(probabilities: np.ndarray,
     return loss, (p - y) / cells
 
 
+# Adam walks each parameter in slices of this many elements, so that all of
+# a step's passes over one slice stay in cache (2^14 to 2^16 measured equally
+# fast on the note scorer's 281 x 2^15 weights; 2^11 and 2^17 slower).
+ADAM_SLICE = 2 ** 15
+
+
 class Adam:
-    """Adam with bias correction over a list of parameter arrays (in place)."""
+    """Adam with bias correction over a list of parameter arrays (in place).
+
+    Kingma & Ba, ICLR 2015. Parameters and both moments are updated in
+    place through flat views, one slice at a time, with two scratch slices
+    allocated here; a step allocates no parameter-sized array. The update is
+    elementwise, so the slicing does not change a bit of the result.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float = 2e-5,
                  beta1: float = 0.9, beta2: float = 0.999,
@@ -288,24 +313,55 @@ class Adam:
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
+        self._flat = []
+        for p, m, v in zip(params, self.first_moment, self.second_moment):
+            flat = p.reshape(-1)
+            if not np.may_share_memory(flat, p):
+                # reshape copied: an update of the copy would never reach p
+                raise ShapeMismatch(
+                    f"Adam needs contiguous parameters, got strides "
+                    f"{p.strides} for shape {p.shape}"
+                )
+            self._flat.append((flat, m.reshape(-1), v.reshape(-1)))
+        width = min(ADAM_SLICE, max((p.size for p in params), default=0))
+        self._scratch = (np.empty(width), np.empty(width))
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ShapeMismatch(
                 f"{len(grads)} gradients for {len(self.params)} parameters"
             )
-        self.step_count += 1
-        t = self.step_count
-        for p, g, m, v in zip(self.params, grads, self.first_moment,
-                              self.second_moment):
+        for p, g in zip(self.params, grads):
             if g.shape != p.shape:
                 raise ShapeMismatch(
                     f"gradient {g.shape} does not match parameter {p.shape}"
                 )
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.step_count += 1
+        t = self.step_count
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.epsilon
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        for (p, m, v), g in zip(self._flat, grads):
+            g = g.reshape(-1)
+            for start in range(0, p.size, ADAM_SLICE):
+                cut = slice(start, start + ADAM_SLICE)
+                ps, gs, ms, vs = p[cut], g[cut], m[cut], v[cut]
+                a = self._scratch[0][:ps.size]
+                b = self._scratch[1][:ps.size]
+                # m = m*b1 + (1-b1)*g
+                ms *= b1
+                np.multiply(1.0 - b1, gs, out=a)
+                ms += a
+                # v = v*b2 + ((1-b2)*g)*g
+                vs *= b2
+                np.multiply(1.0 - b2, gs, out=a)
+                a *= gs
+                vs += a
+                # p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+                np.divide(vs, c2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(ms, c1, out=b)
+                b *= lr
+                b /= a
+                ps -= b

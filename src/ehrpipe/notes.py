@@ -13,6 +13,7 @@ the best chunk while the mean term attenuates noise as chunks accumulate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -96,6 +97,15 @@ class ScorerConfig:
     lr: float = 1e-2
     seed: int = 0
 
+    def validate(self) -> None:
+        for name in ("feature_dim", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"scorer {name} must be positive")
+        if self.epochs < 0:
+            raise InvalidConfig("scorer epochs must be >= 0")
+        if not self.lr > 0:  # also rejects NaN
+            raise InvalidConfig("scorer lr must be positive")
+
 
 def clean_text(raw: str, replacements: Optional[Mapping[str, str]] = None) -> str:
     """Lowercase, apply replacements in order, strip newlines, collapse runs."""
@@ -172,6 +182,7 @@ def chunk_text(
     ]
 
 
+@functools.lru_cache(maxsize=2 ** 16)
 def _token_slot(token: str, dim: int) -> tuple[int, float]:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     value = int.from_bytes(digest, "little")
@@ -225,6 +236,7 @@ def train_scorer(
 
     Deterministic per seed; returns the parameters and a per-epoch loss log.
     """
+    config.validate()
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     if not usable:
         raise EmptyPartition("no labeled chunks to train on")
@@ -252,7 +264,7 @@ def train_scorer(
             y = targets[rows]
             probs = sigmoid(layer.forward(x, train=True))
             loss, grad_logits = bce_loss(probs, y)
-            layer.backward(grad_logits)
+            layer.backward_params(grad_logits)
             optimizer.step(layer.grads())
             total_loss += loss * y.size
             total_cells += y.size

@@ -143,6 +143,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     })
     scorer = {key: notes.pop(key) for key in scorer}
     recall = _section(parser, "metrics", {"recall_target": base.recall_target})
+    scorer = ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer)
+    scorer.validate()
 
     return PipelineConfig(
         seed=seed,
@@ -152,7 +154,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
                           events_per_admission=events_per_admission, **synth),
         split=SplitSpec(ratios=tuple(ratios[tag] for tag in PARTITIONS),
                         seed=derive_seed(seed, "split")),
-        scorer=ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer),
+        scorer=scorer,
         **chart, **model, **notes, **recall,
     )
 

@@ -533,6 +533,41 @@ def test_unknown_config_key_or_section_exits_3(tmp_path, text):
     assert main(["pipeline", "--config", str(bad)]) == 3
 
 
+# Each of these used to crash (exit 1), train nothing (exit 0) or fault on
+# NaN weights (exit 5).
+BAD_SCORER_SETTINGS = [("batch_size", "0"), ("batch_size", "-1"),
+                       ("feature_dim", "0"), ("epochs", "-1"), ("lr", "0"),
+                       ("lr", "nan")]
+
+
+@pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)
+def test_bad_scorer_flag_exits_3(chain, tmp_path, key, value):
+    out = tmp_path / "s.npz"
+    argv = ["score-notes", "--chunks", chain / "chunks.json",
+            "--labels", chain / "labels.npz", "--split", chain / "split.json",
+            "--feature-dim", "256", "--epochs", "1", "--out", out,
+            "--" + key.replace("_", "-"), value]
+    assert main([str(a) for a in argv]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)
+def test_bad_scorer_config_exits_3_before_the_first_stage(tmp_path, key,
+                                                          value):
+    import configparser
+
+    parser = configparser.ConfigParser()
+    parser.read(REPO / "demo.ini", encoding="utf-8")
+    parser["notes"][key] = value
+    bad = tmp_path / "scorer.ini"
+    with open(bad, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(bad),
+                 "--output-dir", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_readme_config_listing_matches_demo_ini(tmp_path):
     from ehrpipe.runcfg import load_config
 

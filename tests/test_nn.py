@@ -7,6 +7,7 @@ import pytest
 
 from ehrpipe.errors import NonFiniteValue, ShapeMismatch
 from ehrpipe.nn import (
+    ADAM_SLICE,
     Adam,
     bce_loss,
     DenseLayer,
@@ -238,3 +239,107 @@ class TestAdam:
             opt.step([np.zeros(4)])
         with pytest.raises(ShapeMismatch):
             opt.step([])
+
+
+class FrozenAdam:
+    """The earlier Adam, frozen: whole-array expressions, new temporaries."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p) for p in params]
+        self.second_moment = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        for p, g, m, v in zip(self.params, grads, self.first_moment,
+                              self.second_moment):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+# The note scorer's weights at MIMIC size, a parameter whose size is not a
+# multiple of the slice, the scorer's bias and a TimeConv filter bank.
+ADAM_SHAPES = [(281, 2 ** 15), (3 * ADAM_SLICE + 5,), (281,), (8, 1, 4)]
+
+
+def _adam_run(optimizer_cls, steps: int):
+    """Parameters and moments after steps of optimizer_cls on fixed data.
+
+    The first parameter gets the scorer's kind of gradient: most columns
+    are whole zero columns (hashed slots no chunk of the batch touched).
+    """
+    rng = np.random.default_rng(17)
+    params = [rng.standard_normal(shape) for shape in ADAM_SHAPES]
+    opt = optimizer_cls(params, lr=0.01)
+    for _ in range(steps):
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2)
+                 for shape in ADAM_SHAPES[1:]]
+        sparse = np.zeros(ADAM_SHAPES[0])
+        cols = rng.choice(ADAM_SHAPES[0][1], size=600, replace=False)
+        sparse[:, cols] = rng.standard_normal((ADAM_SHAPES[0][0], cols.size))
+        opt.step([sparse] + grads)
+    return params, opt.first_moment, opt.second_moment
+
+
+class TestAdamMatchesFrozen:
+    def test_bit_identical_to_whole_array_update(self):
+        # One side at a time: the frozen step's temporaries are weight-sized.
+        expected = _adam_run(FrozenAdam, steps=5)
+        got = _adam_run(Adam, steps=5)
+        for kind, want_list, got_list in zip(("p", "m", "v"), expected, got):
+            for want, have in zip(want_list, got_list):
+                assert np.array_equal(want, have), (kind, want.shape)
+
+    def test_non_contiguous_parameter_rejected(self):
+        # reshape(-1) would copy these, and the copy would be updated instead
+        for bad in (np.zeros((4, 6))[:, :3], np.zeros((3, 5)).T):
+            with pytest.raises(ShapeMismatch):
+                Adam([np.zeros(3), bad])
+
+    def test_evenly_strided_parameter_is_updated(self):
+        base = np.zeros((4, 6))
+        param = base[:, ::2]  # flattens to a view with one stride
+        Adam([param], lr=0.1).step([np.ones_like(param)])
+        assert np.all(base[:, ::2] < 0)
+        assert np.all(base[:, 1::2] == 0)
+
+
+class TestGradientBuffers:
+    def test_dense_backward_params_writes_in_place(self):
+        rng = np.random.default_rng(5)
+        layer = DenseLayer(40, 7, rng)
+        d_weights, d_bias = layer.grads()
+        for _ in range(2):
+            x = rng.standard_normal((6, 40))
+            g = rng.standard_normal((6, 7))
+            layer.forward(x, train=True)
+            assert layer.backward_params(g) is None
+        assert layer.grads()[0] is d_weights
+        assert layer.grads()[1] is d_bias
+        assert np.array_equal(d_weights, g.T @ x)
+        assert np.array_equal(d_bias, g.sum(axis=0))
+
+    @pytest.mark.parametrize("make,x_shape", [
+        (lambda rng: DenseLayer(6, 4, rng), (3, 6)),
+        (lambda rng: TimeConvLayer(4, rng), (3, 6, 4)),
+        (lambda rng: SimpleRnnLayer(6, 5, rng), (3, 6, 4)),
+    ])
+    def test_grads_buffers_are_reused(self, make, x_shape):
+        rng = np.random.default_rng(7)
+        layer = make(rng)
+        before = layer.grads()
+        for _ in range(2):
+            out = layer.forward(rng.standard_normal(x_shape), train=True)
+            layer.backward(rng.standard_normal(out.shape))
+        assert all(a is b for a, b in zip(before, layer.grads()))

@@ -4,6 +4,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrpipe.errors import (
     EmptyChunkSet,
@@ -12,6 +14,7 @@ from ehrpipe.errors import (
     UnknownAdmission,
 )
 from ehrpipe.notes import (
+    _token_slot,
     aggregate,
     AggregationParams,
     build_subset,
@@ -159,6 +162,15 @@ class TestScoring:
         f2 = hash_features(["b", "a", "a"], 128)
         np.testing.assert_array_equal(f1, f2)
         assert np.abs(f1).sum() >= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=12), min_size=1, max_size=30),
+           st.integers(min_value=1, max_value=2 ** 20))
+    def test_cached_token_slots_match_uncached(self, tokens, dim):
+        for token in tokens + tokens:  # the second pass reads the cache
+            slot, sign = _token_slot(token, dim)
+            assert (slot, sign) == _token_slot.__wrapped__(token, dim)
+            assert 0 <= slot < dim and sign in (1.0, -1.0)
 
     def test_marked_token_learns_positive_weight(self):
         rng = np.random.default_rng(4)
