@@ -66,7 +66,7 @@ class ChartModelConfig:
             raise InvalidConfig("epochs must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must be in [0,1)")
-        if self.lr <= 0:
+        if not self.lr > 0:  # also rejects NaN
             raise InvalidConfig("lr must be positive")
 
 

@@ -6,9 +6,14 @@ or all other notes from the first 72h / 48h), concatenated in time order and
 split into whitespace-token chunks of at most max_len tokens including a
 leading classification marker. A pluggable chunk scorer maps chunks to
 per-category probabilities; the default is a signed-hash bag-of-words linear
-classifier trained with the shared BCE/Adam kernel. Chunk probabilities are
-combined per admission as (P_max + P_mean * n/c) / (1 + n/c), which leans on
-the best chunk while the mean term attenuates noise as chunks accumulate.
+classifier trained with the shared BCE/Adam kernel (feature hashing as in
+Weinberger et al., ICML 2009). Hashed chunks are held sparsely, as CSR rows
+of sorted unique slots and summed signs, never as a dense (chunks x
+feature_dim) matrix: training updates only the columns its chunks touch,
+and scoring is a blocked gather-sum over the weight columns. Chunk
+probabilities are combined per admission as (P_max + P_mean * n/c) /
+(1 + n/c), which leans on the best chunk while the mean term attenuates
+noise as chunks accumulate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     UnknownAdmission,
 )
-from .nn import Adam, DenseLayer, bce_loss, sigmoid
+from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
 from .tables import (
     iter_csv_rows,
     load_json,
@@ -75,7 +80,7 @@ class AggregationParams:
     c: float = 2.0
 
     def validate(self) -> None:
-        if self.c <= 0:
+        if not self.c > 0:  # also rejects NaN
             raise InvalidConfig("aggregation scale c must be positive")
 
 
@@ -199,11 +204,77 @@ def hash_features(tokens: Iterable[str], dim: int) -> np.ndarray:
     return out
 
 
-def _feature_matrix(chunks: list[ChunkTokenSequence], dim: int) -> np.ndarray:
-    feats = np.zeros((len(chunks), dim))
-    for i, chunk in enumerate(chunks):
-        feats[i] = hash_features(chunk.tokens, dim)
-    return feats
+def _hash_rows(chunks: list[ChunkTokenSequence],
+               dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunks' hash_features rows in CSR form: (indptr, slots, values).
+
+    Row i is chunk i: its sorted unique slots are slots[indptr[i]:indptr[i+1]]
+    and values holds their summed signs. A slot whose signs cancel keeps an
+    explicit 0; a chunk without tokens is an empty row.
+    """
+    lengths = np.fromiter((len(ch.tokens) for ch in chunks), dtype=np.int64,
+                          count=len(chunks))
+    hashed = [_token_slot(token, dim) for ch in chunks for token in ch.tokens]
+    slots = np.fromiter((slot for slot, _ in hashed), dtype=np.int64,
+                        count=len(hashed))
+    signs = np.fromiter((sign for _, sign in hashed), dtype=np.float64,
+                        count=len(hashed))
+    rows = np.repeat(np.arange(len(chunks), dtype=np.int64), lengths)
+    keys, inverse = np.unique(rows * dim + slots, return_inverse=True)
+    values = np.bincount(inverse, weights=signs, minlength=keys.size)
+    indptr = np.zeros(len(chunks) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // dim, minlength=len(chunks)), out=indptr[1:])
+    return indptr, keys % dim, values
+
+
+def _dense_rows(indptr: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                rows: np.ndarray, width: int) -> np.ndarray:
+    """The given rows of a CSR matrix as a dense (len(rows), width) array."""
+    counts = indptr[rows + 1] - indptr[rows]
+    offsets = np.cumsum(counts) - counts
+    picked = np.repeat(indptr[rows] - offsets, counts) + np.arange(counts.sum())
+    out = np.zeros((rows.size, width))
+    out[np.repeat(np.arange(rows.size), counts), columns[picked]] = (
+        values[picked])
+    return out
+
+
+# Budget for one scoring block's gathered (nonzeros x categories) weights.
+_SCORE_BLOCK_BYTES = 8 << 20
+
+
+def _logits(indptr: np.ndarray, slots: np.ndarray, values: np.ndarray,
+            params: LinearClassifierParams) -> np.ndarray:
+    """W f + b for every CSR row, as a gather-sum over the weight columns.
+
+    Rows go in blocks whose gathered (nonzeros x categories) weights fit
+    _SCORE_BLOCK_BYTES, so memory does not grow with the number of chunks;
+    a row larger than that is a block of its own. A block first copies the
+    distinct columns it touches, so that the per-nonzero gather reads
+    contiguous rows.
+    """
+    n_rows = indptr.size - 1
+    n_categories = params.weights.shape[0]
+    out = np.zeros((n_rows, n_categories))
+    budget = max(1, _SCORE_BLOCK_BYTES // (8 * n_categories))
+    start = 0
+    while start < n_rows:
+        stop = int(np.searchsorted(indptr, indptr[start] + budget,
+                                   side="right")) - 1
+        stop = min(max(stop, start + 1), n_rows)
+        lo, hi = indptr[start], indptr[stop]
+        # reduceat sums [cut, next cut); an empty row has no cut of its own
+        # and keeps its zero.
+        filled = np.flatnonzero(np.diff(indptr[start:stop + 1])) + start
+        if filled.size:
+            touched, position = np.unique(slots[lo:hi], return_inverse=True)
+            columns = np.ascontiguousarray(params.weights[:, touched].T)
+            gathered = columns[position]
+            gathered *= values[lo:hi, None]
+            out[filled] = np.add.reduceat(gathered, indptr[filled] - lo)
+        start = stop
+    out += params.bias
+    return out
 
 
 def score_chunks(
@@ -217,14 +288,15 @@ def score_chunks(
     grouped: dict[str, list[ChunkTokenSequence]] = {}
     for chunk in chunks:
         grouped.setdefault(chunk.admission_id, []).append(chunk)
-    out = []
-    for adm, adm_chunks in grouped.items():
-        adm_chunks = sorted(adm_chunks, key=lambda ch: ch.chunk_index)
-        feats = _feature_matrix(adm_chunks, params.feature_dim)
-        logits = feats @ params.weights.T + params.bias
-        out.append(ChunkScoreMatrix(admission_id=adm,
-                                    probabilities=sigmoid(logits)))
-    return out
+    ordered = [chunk for adm_chunks in grouped.values()
+               for chunk in sorted(adm_chunks, key=lambda ch: ch.chunk_index)]
+    probabilities = sigmoid(_logits(*_hash_rows(ordered, params.feature_dim),
+                                    params))
+    ends = np.cumsum([len(adm_chunks) for adm_chunks in grouped.values()])
+    return [
+        ChunkScoreMatrix(admission_id=adm, probabilities=rows)
+        for adm, rows in zip(grouped, np.split(probabilities, ends[:-1]))
+    ]
 
 
 def train_scorer(
@@ -235,6 +307,12 @@ def train_scorer(
     """Fit the linear chunk scorer; each chunk inherits its admission labels.
 
     Deterministic per seed; returns the parameters and a per-epoch loss log.
+    Only the active columns, the slots the training chunks hash to, can get
+    a gradient. A column outside them has Adam moments of 0 at every step,
+    so a dense Adam would leave it at its Glorot init bit for bit. Training
+    therefore runs a DenseLayer over the active columns alone, on batches
+    densified to (batch, active), and scatters its weights back into the
+    full (categories, feature_dim) init.
     """
     config.validate()
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
@@ -249,18 +327,22 @@ def train_scorer(
         raise ShapeMismatch("inconsistent label vector lengths")
 
     rng = np.random.default_rng([config.seed, 0])
-    layer = DenseLayer(config.feature_dim, n_categories,
-                       np.random.default_rng([config.seed, 1]))
+    init_rng = np.random.default_rng([config.seed, 1])
+    weights = glorot_uniform(init_rng, config.feature_dim, n_categories,
+                             (n_categories, config.feature_dim))
+    indptr, slots, values = _hash_rows(usable, config.feature_dim)
+    active, columns = np.unique(slots, return_inverse=True)
+    layer = DenseLayer(active.size, n_categories, init_rng)
+    layer.weights[...] = weights[:, active]  # replaces the layer's own draw
     optimizer = Adam(layer.params(), lr=config.lr)
     history: dict = {"train_loss": []}
-    features = _feature_matrix(usable, config.feature_dim)
     for _ in range(config.epochs):
         order = rng.permutation(len(usable))
         total_loss = 0.0
         total_cells = 0
         for start in range(0, len(order), config.batch_size):
             rows = order[start:start + config.batch_size]
-            x = features[rows]
+            x = _dense_rows(indptr, columns, values, rows, active.size)
             y = targets[rows]
             probs = sigmoid(layer.forward(x, train=True))
             loss, grad_logits = bce_loss(probs, y)
@@ -269,7 +351,8 @@ def train_scorer(
             total_loss += loss * y.size
             total_cells += y.size
         history["train_loss"].append(total_loss / total_cells)
-    params = LinearClassifierParams(weights=layer.weights, bias=layer.bias)
+    weights[:, active] = layer.weights
+    params = LinearClassifierParams(weights=weights, bias=layer.bias)
     return params, history
 
 

@@ -21,7 +21,13 @@ from . import chart, chart_model, fhir_etl, labels as labels_mod, metrics
 from . import notes as notes_mod
 from . import split as split_mod
 from .errors import DataError, EmptyChunkSet, EmptyPartition
-from .runcfg import PipelineConfig, config_hash, derive_seed, write_run_manifest
+from .runcfg import (
+    PipelineConfig,
+    check_fraction,
+    config_hash,
+    derive_seed,
+    write_run_manifest,
+)
 from .synth import generate
 from .tables import (
     TableKind,
@@ -72,6 +78,7 @@ def preprocess_chart(
 
     Normalization statistics are fitted on fit_ids only when given.
     """
+    check_fraction("numeric_fraction", numeric_fraction)
     name = str(chartevents)
     if name.endswith(".json") or name.endswith(".json.gz"):
         events = chart.read_chart_events_from_collection(chartevents)
@@ -156,9 +163,10 @@ def aggregate_scores(
     matrices: list[notes_mod.ChunkScoreMatrix], c: float,
 ) -> tuple[list[str], np.ndarray]:
     """Admission ids and their aggregated (N, C) probabilities."""
+    params = notes_mod.AggregationParams(c=c)
+    params.validate()
     if not matrices:
         raise EmptyChunkSet("no scored admissions to aggregate")
-    params = notes_mod.AggregationParams(c=c)
     ids = [m.admission_id for m in matrices]
     return ids, np.stack([notes_mod.aggregate(m, params) for m in matrices])
 
@@ -172,6 +180,7 @@ def evaluate(
 ) -> metrics.MetricReport:
     """Metric report over the admissions with both probabilities and labels,
     restricted to keep when given."""
+    check_fraction("recall_target", target)
     bits_by_id = _bits_by_id(vectors)
     rows = [i for i, adm in enumerate(ids)
             if adm in bits_by_id and (keep is None or adm in keep)]
@@ -217,6 +226,7 @@ def _transform_tables(jobs: list[tuple[Path, Path, TableKind]]) -> None:
 # --- end to end ----------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
+    config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}

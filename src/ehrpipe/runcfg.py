@@ -18,11 +18,22 @@ from pathlib import Path
 
 from .chart import DEFAULT_NUMERIC_FRACTION
 from .chart_model import ChartModelConfig
-from .errors import ConfigError
-from .notes import DEFAULT_MAX_LEN, AggregationParams, ScorerConfig
+from .errors import ConfigError, InvalidConfig
+from .notes import (
+    DEFAULT_MAX_LEN,
+    SUBSET_KINDS,
+    AggregationParams,
+    ScorerConfig,
+)
 from .split import PARTITIONS, SplitSpec
 from .synth import SynthConfig
 from .tables import reading, save_json
+
+
+def check_fraction(name: str, value: float) -> None:
+    """InvalidConfig unless 0 <= value <= 1; NaN fails too."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -54,6 +65,26 @@ class PipelineConfig:
     aggregation_c: float = AggregationParams.c
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     recall_target: float = 0.8
+
+    def validate(self) -> None:
+        """Check every setting, so that a bad one stops a run before its
+        first stage writes anything (InvalidConfig/InvalidSpec, exit 3)."""
+        self.synth.validate()
+        self.split.validate()
+        check_fraction("numeric_fraction", self.numeric_fraction)
+        ChartModelConfig(
+            variant=self.variant, hidden_size=self.hidden_size,
+            epochs=self.model_epochs, batch_size=self.batch_size,
+            lr=self.lr, dropout=self.dropout,
+            conv_filters=self.conv_filters, rnn_hidden=self.rnn_hidden,
+        ).validate()
+        if self.subset not in SUBSET_KINDS:
+            raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
+        if self.max_len < 2:
+            raise InvalidConfig("max_len must be at least 2 (marker + 1 token)")
+        AggregationParams(c=self.aggregation_c).validate()
+        self.scorer.validate()
+        check_fraction("recall_target", self.recall_target)
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -91,9 +122,10 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     """Parse an INI config file into a PipelineConfig.
 
     Every key is optional and falls back to the PipelineConfig default; an
-    unknown section or key is a ConfigError. seed_override replaces the
-    file's seed before stage seeds are derived, so a flag-level override
-    reproduces exactly what a config edit would.
+    unknown section or key, or a value PipelineConfig.validate rejects, is
+    a ConfigError. seed_override replaces the file's seed before stage seeds
+    are derived, so a flag-level override reproduces exactly what a config
+    edit would.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -144,9 +176,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     scorer = {key: notes.pop(key) for key in scorer}
     recall = _section(parser, "metrics", {"recall_target": base.recall_target})
     scorer = ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer)
-    scorer.validate()
 
-    return PipelineConfig(
+    config = PipelineConfig(
         seed=seed,
         output_dir=run["output_dir"],
         synth=SynthConfig(seed=derive_seed(seed, "synth"),
@@ -157,6 +188,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         scorer=scorer,
         **chart, **model, **notes, **recall,
     )
+    config.validate()
+    return config
 
 
 def config_hash(config: PipelineConfig) -> str:

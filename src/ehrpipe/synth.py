@@ -53,7 +53,7 @@ class SynthConfig:
             raise InvalidConfig("need n_admissions >= n_patients >= 1")
         if not 0.0 < self.positive_rate_target < 1.0:
             raise InvalidConfig("positive_rate_target must be in (0,1)")
-        if self.signal_strength < 0:
+        if not self.signal_strength >= 0:  # also rejects NaN
             raise InvalidConfig("signal_strength must be non-negative")
         lo, hi = self.notes_per_admission
         if lo < 1 or hi < lo:

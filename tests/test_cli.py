@@ -518,6 +518,42 @@ def test_transform_failing_midway_leaves_no_output(tmp_path):
     assert list(out.parent.iterdir()) == []
 
 
+def _shuffled_csv(src: Path, dst: Path, seed: int) -> None:
+    import csv
+
+    with open(src, newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    np.random.default_rng(seed).shuffle(rows)
+    with open(dst, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+
+
+def test_event_row_order_does_not_change_artifacts(chain, cli_dataset,
+                                                   tmp_path):
+    data, d = cli_dataset, tmp_path
+    for table, seed in (("chartevents", 1), ("noteevents", 2)):
+        _shuffled_csv(data / f"{table}.csv", d / f"{table}.csv", seed)
+        assert (d / f"{table}.csv").read_bytes() != (
+            data / f"{table}.csv").read_bytes()
+    steps = [
+        ["preprocess", "--chartevents", d / "chartevents.csv",
+         "--admissions", data / "admissions.csv", "--out", d,
+         "--split", chain / "split.json"],
+        ["notes-prep", "--notes", d / "noteevents.csv",
+         "--admissions", data / "admissions.csv", "--max-len", "64",
+         "--out", d / "chunks.json"],
+        ["score-notes", "--chunks", d / "chunks.json",
+         "--labels", chain / "labels.npz", "--split", chain / "split.json",
+         "--feature-dim", "256", "--epochs", "1", "--out", d / "scores.npz",
+         "--fit-out", d / "scorer.npz"],
+    ]
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    for name in ("tensors.npz", "chart_stats.json", "chunks.json",
+                 "scorer.npz", "scores.npz"):
+        assert (d / name).read_bytes() == (chain / name).read_bytes(), name
+
+
 # --- config, usage and manifests ---------------------------------------------
 
 REPO = Path(__file__).resolve().parent.parent
@@ -551,20 +587,77 @@ def test_bad_scorer_flag_exits_3(chain, tmp_path, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)
-def test_bad_scorer_config_exits_3_before_the_first_stage(tmp_path, key,
-                                                          value):
+def _demo_ini_with(tmp_path, section: str, key: str, value: str) -> Path:
     import configparser
 
     parser = configparser.ConfigParser()
     parser.read(REPO / "demo.ini", encoding="utf-8")
-    parser["notes"][key] = value
-    bad = tmp_path / "scorer.ini"
+    parser[section][key] = value
+    bad = tmp_path / f"{section}.ini"
     with open(bad, "w", encoding="utf-8") as handle:
         parser.write(handle)
+    return bad
+
+
+@pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)
+def test_bad_scorer_config_exits_3_before_the_first_stage(tmp_path, key,
+                                                          value):
+    bad = _demo_ini_with(tmp_path, "notes", key, value)
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(bad),
                  "--output-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+# Each of these used to write files before exiting 3, 4 or 5, or ran to the
+# end (exit 0) with NaN probabilities or a meaningless metric.
+BAD_SETTINGS = [
+    ("chart_model", "lr", "nan"), ("chart_model", "lr", "0"),
+    ("chart_model", "batch_size", "0"), ("chart_model", "dropout", "nan"),
+    ("notes", "aggregation_c", "nan"), ("notes", "aggregation_c", "0"),
+    ("chart", "numeric_fraction", "nan"), ("chart", "numeric_fraction", "1.5"),
+    ("metrics", "recall_target", "nan"), ("metrics", "recall_target", "-0.1"),
+    ("synth", "signal_strength", "nan"), ("split", "train", "nan"),
+    ("notes", "subset", "foo"), ("notes", "max_len", "1"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", BAD_SETTINGS)
+def test_bad_config_exits_3_before_the_first_stage(tmp_path, section, key,
+                                                   value):
+    bad = _demo_ini_with(tmp_path, section, key, value)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(bad),
+                 "--output-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_run_pipeline_checks_its_config_first(tmp_path):
+    from ehrpipe.errors import InvalidConfig
+    from ehrpipe.pipeline import run_pipeline
+    from ehrpipe.runcfg import load_config
+
+    config = load_config(REPO / "demo.ini")
+    config.output_dir = tmp_path / "out"
+    config.lr = float("nan")
+    with pytest.raises(InvalidConfig):
+        run_pipeline(config)
+    assert not config.output_dir.exists()
+
+
+@pytest.mark.parametrize("subcommand,flag,value", [
+    ("aggregate", "--scale-c", "nan"), ("aggregate", "--scale-c", "0"),
+    ("preprocess", "--numeric-fraction", "nan"),
+    ("preprocess", "--numeric-fraction", "1.5"),
+    ("eval", "--target", "nan"), ("eval", "--target", "2"),
+    ("train", "--lr", "nan"),
+])
+def test_bad_flag_exits_3(chain, cli_dataset, tmp_path, subcommand, flag,
+                          value):
+    argv = [str(a) for a in _argv(chain, cli_dataset, subcommand)]
+    out = tmp_path / "out"
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv + [flag, value]) == 3
     assert not out.exists()
 
 

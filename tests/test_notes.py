@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrpipe import notes
 from ehrpipe.errors import (
     EmptyChunkSet,
     EmptyPartition,
@@ -36,6 +37,7 @@ from ehrpipe.notes import (
     ScorerConfig,
     train_scorer,
 )
+from ehrpipe.nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
 from ehrpipe.tables import TABLE_COLUMNS, TableKind
 
 ADMIT = datetime(2130, 3, 1, 8, 0, 0)
@@ -216,6 +218,129 @@ class TestScoring:
         with pytest.raises(EmptyPartition):
             train_scorer(chunk_text("A", "a b", max_len=4), {},
                          ScorerConfig(feature_dim=16))
+
+
+def _cancelling_pair(dim: int) -> tuple[str, str]:
+    """Two tokens that hash to one slot with opposite signs."""
+    seen: dict[int, tuple[str, float]] = {}
+    for i in range(1_000_000):
+        token = f"t{i}"
+        slot, sign = _token_slot(token, dim)
+        if slot in seen and seen[slot][1] != sign:
+            return seen[slot][0], token
+        seen.setdefault(slot, (token, sign))
+    raise AssertionError("no cancelling pair")
+
+
+def _sparse_case_chunks(dim: int) -> list[ChunkTokenSequence]:
+    """Random chunks plus a chunk whose only tokens cancel, a marker-only
+    chunk and a chunk without tokens."""
+    rng = np.random.default_rng(dim)
+    vocab = [f"w{i}" for i in range(60)]
+    plus, minus = _cancelling_pair(dim)
+    chunks = []
+    for i in range(24):
+        words = list(rng.choice(vocab, size=int(rng.integers(1, 40))))
+        chunks.extend(chunk_text(f"adm{i % 9}", " ".join(words), max_len=16))
+    chunks.append(ChunkTokenSequence("cancel", 0, [plus, minus, "w1"]))
+    chunks.append(ChunkTokenSequence("cancel", 1, [plus, minus]))
+    chunks.append(ChunkTokenSequence("marker", 0, ["[CLS]"]))
+    chunks.append(ChunkTokenSequence("blank", 0, []))
+    return chunks
+
+
+def _dense_train(chunks, labels_by_admission, config):
+    """The scorer trained on dense hash_features rows: the reference."""
+    usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
+    targets = np.stack([labels_by_admission[ch.admission_id]
+                        for ch in usable])
+    rng = np.random.default_rng([config.seed, 0])
+    layer = DenseLayer(config.feature_dim, targets.shape[1],
+                       np.random.default_rng([config.seed, 1]))
+    optimizer = Adam(layer.params(), lr=config.lr)
+    features = np.stack([hash_features(ch.tokens, config.feature_dim)
+                         for ch in usable])
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(usable))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            probs = sigmoid(layer.forward(features[rows], train=True))
+            loss, grad = bce_loss(probs, targets[rows])
+            layer.backward_params(grad)
+            optimizer.step(layer.grads())
+            total += loss * grad.size
+        losses.append(total / targets.size)
+    return layer.weights, layer.bias, losses
+
+
+class TestSparseFeatures:
+    """The CSR hashing, gather-sum scoring and active-column training
+    against the dense hash_features computation (tolerance 1e-12 where the
+    summation order changed, exact where it did not)."""
+
+    @pytest.mark.parametrize("dim", [16, 2 ** 15])
+    def test_hash_rows_match_hash_features(self, dim):
+        chunks = _sparse_case_chunks(dim)
+        indptr, slots, values = notes._hash_rows(chunks, dim)
+        for i, chunk in enumerate(chunks):
+            row = slice(indptr[i], indptr[i + 1])
+            assert np.all(np.diff(slots[row]) > 0)
+            rebuilt = np.zeros(dim)
+            rebuilt[slots[row]] = values[row]
+            np.testing.assert_array_equal(rebuilt,
+                                          hash_features(chunk.tokens, dim))
+        # the chunk [plus, minus] is one explicit zero
+        assert values[indptr[-4]:indptr[-3]].tolist() == [0.0]
+
+    @pytest.mark.parametrize("dim", [16, 2 ** 15])
+    @pytest.mark.parametrize("block_bytes", [8 << 20, 8 * 5 * 3])
+    def test_score_chunks_matches_dense(self, dim, block_bytes, monkeypatch):
+        monkeypatch.setattr(notes, "_SCORE_BLOCK_BYTES", block_bytes)
+        chunks = _sparse_case_chunks(dim)
+        rng = np.random.default_rng(1)
+        params = LinearClassifierParams(weights=rng.standard_normal((5, dim)),
+                                        bias=rng.standard_normal(5))
+        matrices = score_chunks(chunks, params)
+        assert [m.admission_id for m in matrices] == list(
+            dict.fromkeys(ch.admission_id for ch in chunks))
+        for matrix in matrices:
+            own = sorted((ch for ch in chunks
+                          if ch.admission_id == matrix.admission_id),
+                         key=lambda ch: ch.chunk_index)
+            dense = np.stack([hash_features(ch.tokens, dim) for ch in own])
+            expected = sigmoid(dense @ params.weights.T + params.bias)
+            np.testing.assert_allclose(matrix.probabilities, expected,
+                                       rtol=0, atol=1e-12)
+        blank = next(m for m in matrices if m.admission_id == "blank")
+        np.testing.assert_array_equal(blank.probabilities[0],
+                                      sigmoid(params.bias))
+
+    @pytest.mark.parametrize("dim", [16, 2 ** 15])
+    def test_train_scorer_matches_dense(self, dim):
+        chunks = _sparse_case_chunks(dim)
+        rng = np.random.default_rng(2)
+        labels = {ch.admission_id: rng.random(3) < 0.4 for ch in chunks}
+        config = ScorerConfig(feature_dim=dim, epochs=3, batch_size=4,
+                              lr=0.05, seed=7)
+        params, history = train_scorer(chunks, labels, config)
+        weights, bias, losses = _dense_train(chunks, labels, config)
+        np.testing.assert_allclose(params.weights, weights, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(params.bias, bias, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(history["train_loss"], losses, rtol=0,
+                                   atol=1e-12)
+
+        init = glorot_uniform(np.random.default_rng([config.seed, 1]), dim,
+                              3, (3, dim))
+        touched = {_token_slot(token, dim)[0]
+                   for ch in chunks for token in ch.tokens}
+        untouched = np.setdiff1d(np.arange(dim), sorted(touched))
+        assert untouched.size > 0 or dim == 16  # 16 slots are all touched
+        np.testing.assert_array_equal(params.weights[:, untouched],
+                                      init[:, untouched])
+        assert not np.array_equal(params.weights, init)
 
 
 class TestAggregation:
