@@ -5,9 +5,10 @@ source table survives the many-to-one table->resource mapping and the files
 stay lossless), then one scalar attribute per source column in header order
 (string / integer / finite decimal / ISO timestamp / null). A collection
 file is a JSON array of records, written one record per line; transform
-streams it and read_collection reads it back whole as the same dicts. Paths
-ending in ".gz" are read/written gzip-compressed, and an output file appears
-only once it is complete.
+streams it and read_collection reads it back whole as the same dicts and
+checks that every record is flat. Paths ending in ".gz" are read/written
+gzip-compressed, at zlib's default level 6, and an output file appears only
+once it is complete.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .tables import (
 
 Scalar = str | int | float | None
 Record = dict[str, Scalar]
+
+# The exact types json.load gives a scalar; type(True) is bool, not int.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 # json.dumps builds a new encoder per call unless every option is default.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
@@ -100,9 +104,10 @@ def read_collection(path) -> list[Record]:
     """Read a collection file written by transform, whole, into memory.
 
     Returns the records as parsed, in file order. The top level must be an
-    array, each record an object whose resource_type is in RESOURCE_TYPES,
-    and no attribute may be an object or an array (MalformedJson or
-    UnknownResourceType otherwise).
+    array and each record an object with a resource_type; no attribute,
+    resource_type included, may be an object or an array (MalformedJson
+    otherwise). A flat record whose resource_type is not in RESOURCE_TYPES
+    raises UnknownResourceType.
     """
     with reading(path), open_text_auto(path) as handle:
         try:
@@ -114,16 +119,17 @@ def read_collection(path) -> list[Record]:
         raise MalformedJson(f"{path}: top-level JSON value is not an array")
 
     for index, record in enumerate(records):
-        if not isinstance(record, dict) or "resource_type" not in record:
+        if type(record) is not dict or "resource_type" not in record:
             raise MalformedJson(f"{path}: record {index} is not a flat object")
+        if not _SCALAR_TYPES.issuperset(map(type, record.values())):
+            key = next(key for key, value in record.items()
+                       if type(value) not in _SCALAR_TYPES)
+            raise MalformedJson(
+                f"{path}: record {index} attribute {key!r} is nested"
+            )
         rtype = record["resource_type"]
         if rtype not in RESOURCE_TYPES:
             raise UnknownResourceType(
                 f"{path}: record {index} has resource_type {rtype!r}"
             )
-        for key, value in record.items():
-            if isinstance(value, (dict, list)):
-                raise MalformedJson(
-                    f"{path}: record {index} attribute {key!r} is nested"
-                )
     return records

@@ -3,15 +3,15 @@
 Each stage is one function; the CLI subcommands and run_pipeline call the
 same ones. Chart branch: synth -> transform -> labels -> split -> preprocess
 -> train -> predict -> eval. Notes branch (same labels and split):
-notes-prep -> score-notes -> aggregate -> eval. All artifacts are plain
-files under the configured output directory; re-running with the same
-config and seed rewrites byte-identical artifacts.
+notes-prep -> score-notes -> aggregate -> eval. run_pipeline runs them one
+after another in one thread, transform included: it converts the five
+tables in manifest order. All artifacts are plain files under the
+configured output directory; re-running with the same config and seed
+rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -199,30 +199,6 @@ def load_probs(path) -> tuple[list[str], np.ndarray]:
         return [str(x) for x in data["admission_ids"]], data["probs"]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _transform_tables(jobs: list[tuple[Path, Path, TableKind]]) -> None:
-    """fhir_etl.transform(*job) for every job, on concurrent threads.
-
-    Each job writes its own file, with the bytes a serial run writes. zlib
-    releases the GIL, so one table's compression overlaps another's
-    conversion. The largest inputs start first; the first job in list order
-    that fails raises its error, once every job has ended.
-    """
-    largest_first = sorted(range(len(jobs)), reverse=True,
-                           key=lambda i: os.path.getsize(jobs[i][0]))
-    with ThreadPoolExecutor(min(len(jobs), _usable_cpus())) as pool:
-        futures = {i: pool.submit(fhir_etl.transform, *jobs[i])
-                   for i in largest_first}
-        for i in range(len(jobs)):
-            futures[i].result()
-
-
 # --- end to end ----------------------------------------------------------------
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
@@ -237,10 +213,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     artifacts["synth_manifest"] = manifest.manifest_path
 
     (out / "fhir").mkdir(exist_ok=True)
-    jobs = [(path, out / "fhir" / f"{kind.value}.json.gz", kind)
-            for kind, path, _ in manifest.tables]
-    _transform_tables(jobs)
-    for _, target, kind in jobs:
+    for kind, path, _ in manifest.tables:
+        target = out / "fhir" / f"{kind.value}.json.gz"
+        fhir_etl.transform(path, target, kind)
         artifacts[f"fhir_{kind.value}"] = target
 
     vectors, categories, unknown = label_admissions(

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidConfig, IoFailure
 from .tables import TABLE_COLUMNS, TableKind, open_atomic, save_json
 
-_TIME_FMT = "%Y-%m-%d %H:%M:%S"
 _BASE_ADMIT = datetime(2130, 1, 1)
 
 #: Non-numeric observation types appended after the numeric ones; they
@@ -98,7 +97,8 @@ class SynthManifest:
 
 
 def _fmt_time(ts: datetime) -> str:
-    return ts.strftime(_TIME_FMT)
+    # strftime("%Y-%m-%d %H:%M:%S")'s text for years from 1000 on, faster.
+    return ts.isoformat(sep=" ", timespec="seconds")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> int:

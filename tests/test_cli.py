@@ -455,7 +455,10 @@ def test_wrong_kind_collection_exits_4(chain, cli_dataset, tmp_path, capsys,
     assert f"{collection}: record 0 lacks" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["{}", "[1]", '[{"id": 1}]'])
+@pytest.mark.parametrize("text", [
+    "{}", "[1]", '[{"id": 1}]', '[{"resource_type": ["observation"]}]',
+    '[{"resource_type": {"observation": 1}}]',
+])
 def test_malformed_collection_exits_4(chain, cli_dataset, tmp_path, text):
     bad = tmp_path / "chartevents.json"
     bad.write_text(text)

@@ -3,6 +3,8 @@
 import gzip
 import json
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -218,6 +220,29 @@ class TestRoundtrip:
         with pytest.raises(MalformedJson):
             read_collection(bad)
 
+    def test_bool_and_null_attributes_accepted(self, tmp_path):
+        records = [{"resource_type": "patient", "a": True, "b": False,
+                    "c": None, "d": 1, "e": 1.5, "f": "x"}]
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(records))
+        assert read_collection(path) == records
+
+    @pytest.mark.parametrize("records,message", [
+        ([{"resource_type": "patient", "id": 1},
+          {"resource_type": "patient", "id": 2, "x": [1], "y": {"z": 1}}],
+         "record 1 attribute 'x' is nested"),
+        ([{"resource_type": ["observation"]}],
+         "record 0 attribute 'resource_type' is nested"),
+        ([{"resource_type": {"observation": 1}}],
+         "record 0 attribute 'resource_type' is nested"),
+    ], ids=["first-nested-key", "array-resource-type", "object-resource-type"])
+    def test_error_names_the_record_and_first_nested_key(
+            self, tmp_path, records, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(records))
+        with pytest.raises(MalformedJson, match=message):
+            read_collection(bad)
+
 
 # Two admissions rows and the exact text transform writes for them: "[",
 # then one record per line after one space, then "]"; each record is
@@ -289,6 +314,18 @@ class TestGoldenBytes:
         assert raw[:3] == b"\x1f\x8b\x08"  # gzip magic, deflate
         assert raw[3] & 0x08 == 0  # FLG.FNAME clear: no file name
         assert raw[4:8] == b"\0\0\0\0"  # MTIME 0
+
+    def test_deflate_stream_holds_the_golden_text(self, csv_writer, tmp_path):
+        packed = tmp_path / "admissions.json.gz"
+        transform(self._golden_csv(csv_writer), packed, TableKind.ADMISSIONS)
+        raw = packed.read_bytes()
+        golden = GOLDEN_TEXT.encode("utf-8")
+        assert raw[8] == 0  # XFL: neither level 9 nor level 1
+        inflate = zlib.decompressobj(-zlib.MAX_WBITS)  # raw deflate
+        assert inflate.decompress(raw[10:]) == golden  # no optional fields
+        assert inflate.eof
+        assert inflate.unused_data == struct.pack(
+            "<II", zlib.crc32(golden), len(golden))
 
 
 def _random_cell(rng):

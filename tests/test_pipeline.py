@@ -1,4 +1,4 @@
-"""run_pipeline's concurrent table transform: same bytes, same failures."""
+"""run_pipeline's table transform: the bytes and failures of transform."""
 
 import pytest
 
@@ -22,9 +22,8 @@ SMALL_RUN = (
 
 
 @pytest.fixture
-def config_path(tmp_path, monkeypatch):
-    """A small run's INI; the tables get one thread each on any machine."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+def config_path(tmp_path):
+    """A small run's INI."""
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN.format(out=tmp_path / "run"))
     return path
@@ -57,7 +56,7 @@ def test_malformed_row_exits_4_and_leaves_no_temp_file(
     assert main(["pipeline", "--config", str(config_path)]) == 4
     fhir = tmp_path / "run" / "fhir"
     assert [p.name for p in fhir.iterdir() if p.name.endswith(".tmp")] == []
-    # The first broken table in manifest order is reported, as a serial
-    # run would, although the larger noteevents starts first.
+    # The first broken table in manifest order is reported; the run stops
+    # there, before noteevents.
     err = capsys.readouterr().err
     assert "admissions.csv" in err and "noteevents" not in err

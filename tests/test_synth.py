@@ -1,13 +1,14 @@
 """Determinism, referential integrity and signal planting of the generator."""
 
 import hashlib
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from ehrpipe.errors import InvalidConfig
 from ehrpipe.labels import load_crosswalk, read_diagnoses
-from ehrpipe.synth import SynthConfig, generate
+from ehrpipe.synth import SynthConfig, _fmt_time, generate
 from ehrpipe.tables import TableKind, iter_csv_rows, parse_timestamp
 
 
@@ -19,6 +20,22 @@ def _hashes(manifest):
         manifest.crosswalk_path.read_bytes()
     ).hexdigest()
     return out
+
+
+@pytest.mark.parametrize("ts", [
+    datetime(2130, 1, 1),
+    datetime(2130, 1, 31, 23, 59, 59, 999999),
+    datetime(2130, 2, 28, 23, 59, 59, 500000),
+    datetime(2132, 2, 29, 12, 0, 0, 1),
+    datetime(2130, 12, 31, 23, 59, 59, 999999),
+    datetime(2131, 1, 1, 0, 0, 0, 1),
+    datetime(2070, 6, 15, 7, 5, 3),
+    datetime(1000, 1, 1),
+    datetime(9999, 12, 31, 23, 59, 59, 999999),
+])
+def test_fmt_time_matches_strftime(ts):
+    # Microseconds are cut, not rounded, by both forms.
+    assert _fmt_time(ts) == ts.strftime("%Y-%m-%d %H:%M:%S")
 
 
 def test_determinism(tmp_path):

@@ -1,12 +1,14 @@
-"""tables.parse_timestamp accepts and rejects what its strptime form did."""
+"""tables.parse_timestamp accepts and rejects what its strptime form did,
+and save_json writes the text json.dump writes."""
 
+import json
 from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrpipe.tables import parse_timestamp
+from ehrpipe.tables import parse_timestamp, save_json
 
 
 def strptime_parse(raw: str):
@@ -96,3 +98,31 @@ _near_stamp = _joined(
 @given(st.one_of(_near_stamp, st.text(alphabet=_DIGITS + "-: Tt", max_size=24)))
 def test_parse_timestamp_property(raw):
     assert parse_timestamp(raw) == strptime_parse(raw)
+
+
+# The payload shapes and options the program saves: chunks, training logs
+# and metric reports (indent=1), the split (indent=0, sort_keys), the synth
+# manifest (indent=2) and unknown codes (sort_keys).
+_CHUNKS = {"101": [["[CLS]", "fièvre", "肺炎"], ["a", "b"]], "102": [[]]}
+_LOG = {"loss": [0.6931471805599453, 1e-17, 3.0], "epochs": 2,
+        "note": None, "ok": True, "empty": {}, "none": []}
+SAVE_JSON_CASES = [
+    (_CHUNKS, {}),
+    (_LOG, {"indent": 1}),
+    ({"b": "test", "a": "train", "c": "val"}, {"indent": 0,
+                                               "sort_keys": True}),
+    ({"tables": [["patients", "data/patients.csv", 30]], "seed": 7,
+      "nested": {"x": [1.5, -0.0, float("nan")]}}, {"indent": 2}),
+    ({"V30.01": 3, "E879.8": 1}, {"sort_keys": True}),
+    ({"text": "FIÈVRE – SEPSIS \u2028 \x00 \"quoted\""}, {"indent": 1}),
+]
+
+
+@pytest.mark.parametrize("payload,options", SAVE_JSON_CASES)
+def test_save_json_writes_the_text_of_json_dump(tmp_path, payload, options):
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, **options)
+        handle.write("\n")
+    path = save_json(tmp_path / "saved.json", payload, **options)
+    assert path.read_bytes() == reference.read_bytes()
