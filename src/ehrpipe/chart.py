@@ -103,12 +103,13 @@ def filter_numeric(
     catalog of retained type ids in stable sorted order.
     """
     events = list(events)
+    values = [_parse_number(ev.value) for ev in events]
     numeric_counts: dict[str, int] = {}
     total_counts: dict[str, int] = {}
-    for ev in events:
+    for ev, value in zip(events, values):
         tid = str(ev.observation_type_id)
         total_counts[tid] = total_counts.get(tid, 0) + 1
-        if _parse_number(ev.value) is not None:
+        if value is not None:
             numeric_counts[tid] = numeric_counts.get(tid, 0) + 1
     catalog = sorted(
         (
@@ -121,12 +122,9 @@ def filter_numeric(
     )
     keep = set(catalog)
     retained = []
-    for ev in events:
+    for ev, value in zip(events, values):
         tid = str(ev.observation_type_id)
-        if tid not in keep:
-            continue
-        value = _parse_number(ev.value)
-        if value is None:
+        if tid not in keep or value is None:
             continue
         retained.append(
             ObservationEvent(

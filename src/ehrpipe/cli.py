@@ -30,7 +30,7 @@ from .attention import (
 from .errors import DataError, PipelineError
 from .runcfg import PipelineConfig, config_hash, load_config, write_run_manifest
 from .synth import SynthConfig, generate
-from .tables import TableKind, save_json
+from .tables import TableKind, make_dir, save_json
 
 
 def _args_hash(args: argparse.Namespace) -> str:
@@ -101,8 +101,7 @@ def _cmd_preprocess(args) -> int:
         args.chartevents, args.admissions, fit_ids=fit_ids,
         numeric_fraction=args.numeric_fraction,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     outputs = {
         "tensors": chart.save_tensors(out / "tensors.npz", tensors, catalog),
         "stats": chart.save_stats(out / "chart_stats.json", stats),
@@ -145,13 +144,15 @@ def _cmd_train(args) -> int:
     tensors, catalog = chart.load_tensors(args.tensors)
     vectors, _ = labels_mod.load_labels(args.labels)
     stats_path = Path(args.tensors).parent / "chart_stats.json"
-    trained = pipeline.train_chart(
-        tensors, catalog, vectors, split_mod.load_split(args.split),
-        stats_ref=stats_path.name if stats_path.exists() else "",
+    config = chart_model.ChartModelConfig(
         variant=args.variant, hidden_size=args.hidden, epochs=args.epochs,
         batch_size=args.batch_size, lr=args.lr, dropout=args.dropout,
         conv_filters=args.conv_filters, rnn_hidden=args.rnn_hidden,
         seed=args.seed,
+    )
+    trained = pipeline.train_chart(
+        tensors, catalog, vectors, split_mod.load_split(args.split), config,
+        stats_ref=stats_path.name if stats_path.exists() else "",
     )
     written = chart_model.save_checkpoint(args.out, trained)
     log_path = save_json(args.log or str(args.out) + ".log.json",
@@ -168,8 +169,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     trained = chart_model.load_checkpoint(args.model)
-    tensors, _ = chart.load_tensors(args.tensors)
-    ids, probs = pipeline.predict_chart(trained, tensors)
+    tensors, catalog = chart.load_tensors(args.tensors)
+    ids, probs = pipeline.predict_chart(trained, tensors, catalog)
     written = pipeline.save_probs(args.out, ids, probs)
     print(f"{probs.shape[0]} x {probs.shape[1]} probabilities -> {written}")
     _emit_manifest(args, "predict",

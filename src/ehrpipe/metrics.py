@@ -34,27 +34,6 @@ def _validate(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray,
     return scores, truths
 
 
-def roc_auc(scores, truths) -> float:
-    """Area under ROC via tie-averaged ranks (Mann-Whitney statistic)."""
-    scores, truths = _validate(scores, truths)
-    n_pos = int(truths.sum())
-    n_neg = truths.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("need at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
-    pos_rank_sum = float(ranks[truths].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 def _threshold_counts(scores: np.ndarray,
                       truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (tp, fp) after each descending unique score threshold."""
@@ -66,6 +45,24 @@ def _threshold_counts(scores: np.ndarray,
     # keep only the last index of each tied block
     last = np.flatnonzero(np.diff(sorted_scores, append=np.nan) != 0)
     return tp[last], fp[last]
+
+
+def roc_auc(scores, truths) -> float:
+    """Trapezoidal area under ROC over the tied-score threshold steps.
+
+    The trapezoids are summed doubled, in integers, and divided once, so the
+    result equals the Mann-Whitney statistic from tie-averaged ranks bit for
+    bit.
+    """
+    scores, truths = _validate(scores, truths)
+    n_pos = int(truths.sum())
+    n_neg = truths.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabels("need at least one positive and one negative")
+    tp, fp = _threshold_counts(scores, truths)
+    tp = np.concatenate([[0], tp])
+    twice_area = int((np.diff(fp, prepend=0) * (tp[1:] + tp[:-1])).sum())
+    return twice_area / (2 * n_pos * n_neg)
 
 
 def pr_auc(scores, truths) -> float:

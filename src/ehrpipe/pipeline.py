@@ -12,6 +12,7 @@ rewrites byte-identical artifacts.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -20,18 +21,18 @@ import numpy as np
 from . import chart, chart_model, fhir_etl, labels as labels_mod, metrics
 from . import notes as notes_mod
 from . import split as split_mod
-from .errors import DataError, EmptyChunkSet, EmptyPartition
+from .errors import CatalogMismatch, DataError, EmptyChunkSet, EmptyPartition
 from .runcfg import (
     PipelineConfig,
     check_fraction,
     config_hash,
-    derive_seed,
     write_run_manifest,
 )
 from .synth import generate
 from .tables import (
     TableKind,
     iter_csv_rows,
+    make_dir,
     read_admission_times,
     reading,
     save_json,
@@ -95,13 +96,12 @@ def train_chart(
     catalog: list[str],
     vectors: list[labels_mod.LabelVector],
     assignment: dict[str, str],
+    config: chart_model.ChartModelConfig,
     stats_ref: str = "",
-    **hyperparameters,
 ) -> chart_model.TrainedModel:
     """Chart model trained on the tensors that have labels.
 
-    hyperparameters are ChartModelConfig fields; n_types and n_categories
-    come from the catalog and the labels.
+    The catalog and the labels replace config's n_types and n_categories.
     """
     bits_by_id = _bits_by_id(vectors)
     labelled = [t for t in tensors if t.admission_id in bits_by_id]
@@ -109,10 +109,8 @@ def train_chart(
         raise EmptyPartition("no admission tensor has a label vector")
     ids = [t.admission_id for t in labelled]
     label_matrix = np.stack([bits_by_id[adm] for adm in ids])
-    config = chart_model.ChartModelConfig(
-        n_types=len(catalog), n_categories=label_matrix.shape[1],
-        **hyperparameters,
-    )
+    config = replace(config, n_types=len(catalog),
+                     n_categories=label_matrix.shape[1])
     return chart_model.train(
         chart_model.build(config), np.stack([t.values for t in labelled]),
         label_matrix, ids, assignment, catalog=catalog, stats_ref=stats_ref,
@@ -122,8 +120,16 @@ def train_chart(
 def predict_chart(
     trained: chart_model.TrainedModel,
     tensors: list[chart.AdmissionTensor],
+    catalog: list[str],
 ) -> tuple[list[str], np.ndarray]:
-    """Admission ids and their (N, C) probabilities."""
+    """Admission ids and their (N, C) probabilities.
+
+    CatalogMismatch when the checkpoint records a catalog other than the
+    tensors' one.
+    """
+    if trained.catalog and trained.catalog != catalog:
+        raise CatalogMismatch(
+            "the tensors' observation types differ from the checkpoint's")
     if tensors:
         values = np.stack([t.values for t in tensors])
     else:
@@ -203,8 +209,7 @@ def load_probs(path) -> tuple[list[str], np.ndarray]:
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     config.validate()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(config.output_dir)
     artifacts: dict[str, Path] = {}
 
     manifest = generate(config.synth, out / "data")
@@ -212,7 +217,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     admissions = table_paths[TableKind.ADMISSIONS]
     artifacts["synth_manifest"] = manifest.manifest_path
 
-    (out / "fhir").mkdir(exist_ok=True)
+    make_dir(out / "fhir")
     for kind, path, _ in manifest.tables:
         target = out / "fhir" / f"{kind.value}.json.gz"
         fhir_etl.transform(path, target, kind)
@@ -242,20 +247,14 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                                               catalog)
     artifacts["chart_stats"] = chart.save_stats(out / "chart_stats.json",
                                                 stats)
-    trained = train_chart(
-        tensors, catalog, vectors, assignment,
-        stats_ref=artifacts["chart_stats"].name,
-        variant=config.variant, hidden_size=config.hidden_size,
-        epochs=config.model_epochs, batch_size=config.batch_size,
-        lr=config.lr, dropout=config.dropout,
-        conv_filters=config.conv_filters, rnn_hidden=config.rnn_hidden,
-        seed=derive_seed(config.seed, "chart_model"),
-    )
+    trained = train_chart(tensors, catalog, vectors, assignment,
+                          config.chart_model,
+                          stats_ref=artifacts["chart_stats"].name)
     artifacts["chart_model"] = chart_model.save_checkpoint(
         out / "chart_model.npz", trained)
     artifacts["chart_training_log"] = save_json(
         out / "chart_training_log.json", trained.history, indent=1)
-    ids, probs = predict_chart(trained, tensors)
+    ids, probs = predict_chart(trained, tensors, catalog)
     artifacts["chart_probs"] = save_probs(out / "chart_probs.npz", ids, probs)
     artifacts["chart_metrics"] = metrics.save_report(
         out / "chart_metrics.json",

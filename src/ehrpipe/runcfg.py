@@ -50,15 +50,7 @@ class PipelineConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION
-    # chart model
-    variant: str = ChartModelConfig.variant
-    hidden_size: int = ChartModelConfig.hidden_size
-    model_epochs: int = ChartModelConfig.epochs
-    batch_size: int = ChartModelConfig.batch_size
-    lr: float = ChartModelConfig.lr
-    dropout: float = ChartModelConfig.dropout
-    conv_filters: int = ChartModelConfig.conv_filters
-    rnn_hidden: int = ChartModelConfig.rnn_hidden
+    chart_model: ChartModelConfig = field(default_factory=ChartModelConfig)
     # notes
     subset: str = "days3"
     max_len: int = DEFAULT_MAX_LEN
@@ -72,12 +64,7 @@ class PipelineConfig:
         self.synth.validate()
         self.split.validate()
         check_fraction("numeric_fraction", self.numeric_fraction)
-        ChartModelConfig(
-            variant=self.variant, hidden_size=self.hidden_size,
-            epochs=self.model_epochs, batch_size=self.batch_size,
-            lr=self.lr, dropout=self.dropout,
-            conv_filters=self.conv_filters, rnn_hidden=self.rnn_hidden,
-        ).validate()
+        self.chart_model.validate()
         if self.subset not in SUBSET_KINDS:
             raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
         if self.max_len < 2:
@@ -85,11 +72,6 @@ class PipelineConfig:
         AggregationParams(c=self.aggregation_c).validate()
         self.scorer.validate()
         check_fraction("recall_target", self.recall_target)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["output_dir"] = str(self.output_dir)
-        return data
 
 
 def _section(parser, section: str, defaults: dict) -> dict:
@@ -123,9 +105,11 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 
     Every key is optional and falls back to the PipelineConfig default; an
     unknown section or key, or a value PipelineConfig.validate rejects, is
-    a ConfigError. seed_override replaces the file's seed before stage seeds
-    are derived, so a flag-level override reproduces exactly what a config
-    edit would.
+    a ConfigError. The synth, split, chart_model and scorer seeds are all
+    derived here from the run seed; seed_override replaces the file's seed
+    before they are, so a flag-level override reproduces exactly what a
+    config edit would. A PipelineConfig built in code keeps the seeds its
+    parts carry.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -158,13 +142,11 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     ratios = _section(parser, "split", dict(zip(PARTITIONS, base.split.ratios)))
     chart = _section(parser, "chart",
                      {"numeric_fraction": base.numeric_fraction})
+    # n_types and n_categories come from the data, the seed from [run].
     model = _section(parser, "chart_model", {
-        "variant": base.variant, "hidden_size": base.hidden_size,
-        "epochs": base.model_epochs, "batch_size": base.batch_size,
-        "lr": base.lr, "dropout": base.dropout,
-        "conv_filters": base.conv_filters, "rnn_hidden": base.rnn_hidden,
+        key: value for key, value in asdict(base.chart_model).items()
+        if key not in ("n_types", "n_categories", "seed")
     })
-    model["model_epochs"] = model.pop("epochs")
 
     # [notes] holds PipelineConfig fields and the ScorerConfig fields.
     scorer = asdict(base.scorer)
@@ -175,7 +157,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     })
     scorer = {key: notes.pop(key) for key in scorer}
     recall = _section(parser, "metrics", {"recall_target": base.recall_target})
-    scorer = ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer)
 
     config = PipelineConfig(
         seed=seed,
@@ -185,15 +166,17 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
                           events_per_admission=events_per_admission, **synth),
         split=SplitSpec(ratios=tuple(ratios[tag] for tag in PARTITIONS),
                         seed=derive_seed(seed, "split")),
-        scorer=scorer,
-        **chart, **model, **notes, **recall,
+        chart_model=ChartModelConfig(seed=derive_seed(seed, "chart_model"),
+                                     **model),
+        scorer=ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer),
+        **chart, **notes, **recall,
     )
     config.validate()
     return config
 
 
 def config_hash(config: PipelineConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True)
+    canonical = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

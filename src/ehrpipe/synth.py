@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoFailure
-from .tables import TABLE_COLUMNS, TableKind, open_atomic, save_json
+from .errors import InvalidConfig
+from .tables import TABLE_COLUMNS, TableKind, make_dir, open_atomic, save_json
 
 _BASE_ADMIT = datetime(2130, 1, 1)
 
@@ -115,11 +115,7 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
 def generate(config: SynthConfig, output_dir) -> SynthManifest:
     """Emit the synthetic dataset into output_dir and return its manifest."""
     config.validate()
-    out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
+    out = make_dir(output_dir)
 
     rng = np.random.default_rng(config.seed)
     n_pat = config.n_patients

@@ -441,6 +441,18 @@ def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
         temp.unlink(missing_ok=True)
 
 
+def make_dir(path) -> Path:
+    """Create the directory path and its parents if missing; returns it.
+
+    An OSError, such as a file in the way, becomes IoFailure.
+    """
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {path}: {exc}") from exc
+    return Path(path)
+
+
 def save_json(path, payload, **dump_options) -> Path:
     """Write payload as one JSON document plus a final newline."""
     with open_atomic(path) as handle:

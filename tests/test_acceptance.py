@@ -602,8 +602,10 @@ class TestA11PipelineReproducibility:
                     positive_rate_target=0.08, signal_strength=3.0,
                     n_planted=2, events_per_admission=(15, 30),
                 ),
-                hidden_size=32, model_epochs=2, lr=3e-3, conv_filters=4,
-                rnn_hidden=8, max_len=64,
+                chart_model=chart_model.ChartModelConfig(
+                    hidden_size=32, epochs=2, lr=3e-3, conv_filters=4,
+                    rnn_hidden=8),
+                max_len=64,
                 scorer=notes_mod.ScorerConfig(feature_dim=1024, epochs=2,
                                               seed=7),
             )

@@ -491,6 +491,30 @@ def test_train_without_labelled_tensors_exits_4(chain, tmp_path):
     ]) == 4
 
 
+def test_predict_with_another_catalog_exits_4(chain, tmp_path, capsys):
+    from ehrpipe.chart import load_tensors, save_tensors
+
+    tensors, catalog = load_tensors(chain / "tensors.npz")
+    renamed = save_tensors(tmp_path / "renamed.npz", tensors,
+                           [f"9{type_id}" for type_id in catalog])
+    assert main([
+        "predict", "--model", str(chain / "model.npz"),
+        "--tensors", str(renamed), "--out", str(tmp_path / "probs.npz"),
+    ]) == 4
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "probs.npz").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["preprocess", "synth"])
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_out_dir_blocked_by_a_file_exits_4(chain, cli_dataset, tmp_path,
+                                           subcommand, where):
+    (tmp_path / "file").write_text("not a directory\n")
+    argv = (_argv(chain, cli_dataset, "preprocess")
+            if subcommand == "preprocess" else ["synth", "--out", "x"])
+    assert main(_with(argv, "--out", tmp_path / where)) == 4
+
+
 def test_attention_input_without_values_exits_4(tmp_path):
     src = tmp_path / "qk.json"
     src.write_text(json.dumps({"queries": [[1.0]], "keys": [[1.0]]}))
@@ -636,13 +660,15 @@ def test_bad_config_exits_3_before_the_first_stage(tmp_path, section, key,
 
 
 def test_run_pipeline_checks_its_config_first(tmp_path):
+    from dataclasses import replace
+
     from ehrpipe.errors import InvalidConfig
     from ehrpipe.pipeline import run_pipeline
     from ehrpipe.runcfg import load_config
 
     config = load_config(REPO / "demo.ini")
     config.output_dir = tmp_path / "out"
-    config.lr = float("nan")
+    config.chart_model = replace(config.chart_model, lr=float("nan"))
     with pytest.raises(InvalidConfig):
         run_pipeline(config)
     assert not config.output_dir.exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ehrpipe.errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
 from ehrpipe.metrics import (
@@ -22,6 +24,26 @@ def concordance_oracle(scores, truths):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def rank_auroc(scores, truths):
+    """Mann-Whitney statistic from tie-averaged 1-based ranks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truths = np.asarray(truths, dtype=bool)
+    n_pos = int(truths.sum())
+    n_neg = truths.size - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[truths].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def pr_oracle(scores, truths):
@@ -61,6 +83,18 @@ class TestRocAuc:
             assert roc_auc(scores, truths) == pytest.approx(
                 concordance_oracle(scores, truths), abs=1e-12
             )
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.booleans()),
+                    min_size=2, max_size=300),
+           st.integers(1, 7))
+    def test_bitwise_equal_to_tie_averaged_ranks(self, cells, divisor):
+        # Few distinct scores, so most cases are heavy with ties.
+        scores = np.array([score / divisor for score, _ in cells])
+        truths = np.array([truth for _, truth in cells])
+        assume(truths.any() and not truths.all())
+        assert roc_auc(scores, truths).hex() == \
+            rank_auroc(scores, truths).hex()
 
     def test_degenerate(self):
         with pytest.raises(DegenerateLabels):

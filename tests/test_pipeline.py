@@ -1,11 +1,12 @@
-"""run_pipeline's table transform: the bytes and failures of transform."""
+"""run_pipeline: its config's stage seeds, and the bytes and failures of
+its table transform and output directory."""
 
 import pytest
 
 from ehrpipe import pipeline
 from ehrpipe.cli import main
 from ehrpipe.fhir_etl import transform
-from ehrpipe.runcfg import load_config
+from ehrpipe.runcfg import derive_seed, load_config
 from ehrpipe.tables import TableKind
 
 SMALL_RUN = (
@@ -60,3 +61,24 @@ def test_malformed_row_exits_4_and_leaves_no_temp_file(
     # there, before noteevents.
     err = capsys.readouterr().err
     assert "admissions.csv" in err and "noteevents" not in err
+
+
+def test_load_config_derives_every_stage_seed(config_path):
+    stages = ("synth", "split", "chart_model", "scorer")
+    seeds = {}
+    for run_seed, override in ((3, None), (8, 8)):
+        config = load_config(config_path, seed_override=override)
+        assert config.seed == run_seed
+        seeds[run_seed] = {stage: getattr(config, stage).seed
+                           for stage in stages}
+        assert seeds[run_seed] == {stage: derive_seed(run_seed, stage)
+                                   for stage in stages}
+    # seed_override moves all four
+    assert all(seeds[3][stage] != seeds[8][stage] for stage in stages)
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_output_dir_blocked_by_a_file_exits_4(config_path, tmp_path, where):
+    (tmp_path / "file").write_text("not a directory\n")
+    assert main(["pipeline", "--config", str(config_path),
+                 "--output-dir", str(tmp_path / where)]) == 4
