@@ -1,4 +1,4 @@
-"""Chart-event binning and normalization into per-admission tensors.
+"""Chart-event binning and normalization into admission tensors.
 
 Every admission becomes a (types x 4) matrix: the last three columns are the
 consecutive 8h windows before discharge, column 0 pools everything earlier.
@@ -7,7 +7,8 @@ bin 2 = (disch-16h, disch-8h], bin 1 = (disch-24h, disch-16h], bin 0 =
 (-inf, disch-24h]. An event stamped exactly on a boundary therefore lands in
 the earlier (lower-index) bin. Cell values are means of the contributing
 measurements, z-normalized per type with statistics fitted on the training
-partition; empty cells are 0 (the per-type mean in z-space).
+partition; empty cells are 0 (the per-type mean in z-space). ChartTensors
+holds N admissions' matrices stacked, as the arrays tensors.npz stores.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from .errors import (
     CatalogMismatch,
     EmptyType,
     EventAfterDischarge,
+    IoFailure,
     SchemaMismatch,
 )
 from .tables import (
     TableKind,
     attribute_name,
     iter_csv_rows,
+    load_admission_npz,
     load_json,
     parse_timestamp,
     reading,
@@ -62,10 +65,13 @@ class ObservationEvent:
 
 
 @dataclass
-class AdmissionTensor:
-    admission_id: str
-    values: np.ndarray  # float64 (n_types, 4)
-    mask: np.ndarray  # bool (n_types, 4)
+class ChartTensors:
+    admission_ids: np.ndarray  # str (N,)
+    values: np.ndarray  # float64 (N, n_types, 4)
+    mask: np.ndarray  # bool (N, n_types, 4)
+
+    def __len__(self) -> int:
+        return len(self.admission_ids)
 
 
 @dataclass
@@ -232,21 +238,20 @@ def fit_normalization(
 
 
 def apply_normalization(
-    admission_id: str,
     values: np.ndarray,
     mask: np.ndarray,
     stats: NormalizationStats,
-) -> AdmissionTensor:
-    """Z-normalize one raw matrix; zero-variance types and empty cells -> 0."""
+) -> np.ndarray:
+    """Z-normalize raw (..., types, 4) matrices; zero-variance types and
+    empty cells -> 0."""
     n_types = len(stats.type_ids)
-    if values.shape != (n_types, N_BINS) or mask.shape != (n_types, N_BINS):
+    if values.shape[-2:] != (n_types, N_BINS) or mask.shape != values.shape:
         raise CatalogMismatch(
             f"matrix shape {values.shape} does not match {n_types} types"
         )
     safe_std = np.where(stats.stddev > 0, stats.stddev, 1.0)
     z = (values - stats.mean[:, None]) / safe_std[:, None]
-    z = np.where(mask & (stats.stddev[:, None] > 0), z, 0.0)
-    return AdmissionTensor(admission_id=str(admission_id), values=z, mask=mask)
+    return np.where(mask & (stats.stddev[:, None] > 0), z, 0.0)
 
 
 def _text(cell) -> str:
@@ -295,30 +300,16 @@ def read_chart_events_from_collection(path) -> Iterator[ObservationEvent]:
 
 # --- persistence -----------------------------------------------------------
 
-def save_tensors(path, tensors: list[AdmissionTensor],
-                 catalog: list[str]) -> Path:
-    ids = np.array([t.admission_id for t in tensors])
-    values = np.stack([t.values for t in tensors]) if tensors else np.zeros(
-        (0, len(catalog), N_BINS)
-    )
-    mask = np.stack([t.mask for t in tensors]) if tensors else np.zeros(
-        (0, len(catalog), N_BINS), dtype=bool
-    )
-    return save_npz(path, {"admission_ids": ids, "values": values,
-                           "mask": mask, "catalog": np.array(catalog)})
+def save_tensors(path, tensors: ChartTensors, catalog: list[str]) -> Path:
+    return save_npz(path, {**vars(tensors), "catalog": np.array(catalog)})
 
 
-def load_tensors(path) -> tuple[list[AdmissionTensor], list[str]]:
-    with reading(path), np.load(path, allow_pickle=False) as data:
-        ids = [str(x) for x in data["admission_ids"]]
-        values = data["values"]
-        mask = data["mask"]
-        catalog = [str(x) for x in data["catalog"]]
-    tensors = [
-        AdmissionTensor(admission_id=i, values=values[k], mask=mask[k])
-        for k, i in enumerate(ids)
-    ]
-    return tensors, catalog
+def load_tensors(path) -> tuple[ChartTensors, list[str]]:
+    arrays = load_admission_npz(path, ("values", "mask"), ("catalog",))
+    catalog = [str(x) for x in arrays.pop("catalog")]
+    if arrays["mask"].shape != arrays["values"].shape:
+        raise IoFailure(f"{path}: mask and values differ in shape")
+    return ChartTensors(**arrays), catalog
 
 
 def save_stats(path, stats: NormalizationStats) -> Path:
@@ -347,18 +338,18 @@ def preprocess_admissions(
     discharge_times: dict[str, datetime],
     fit_ids: Optional[set[str]] = None,
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
-) -> tuple[list[AdmissionTensor], list[str], NormalizationStats]:
+) -> tuple[ChartTensors, list[str], NormalizationStats]:
     """Full preprocessing: filter, bin, fit stats (on fit_ids only when
     given), then normalize every admission with those statistics."""
     retained, catalog = filter_numeric(events, numeric_fraction)
     raw = aggregate_bins(retained, catalog, discharge_times)
     adm_ids = sorted(raw, key=_catalog_sort_key)
-    if fit_ids is None:
-        fit_set = adm_ids
-    else:
-        fit_set = [a for a in adm_ids if a in fit_ids]
+    fit_set = [a for a in adm_ids if fit_ids is None or a in fit_ids]
     stats = fit_normalization([raw[a] for a in fit_set], catalog)
-    tensors = [
-        apply_normalization(a, raw[a][0], raw[a][1], stats) for a in adm_ids
-    ]
+    shape = (len(adm_ids), len(catalog), N_BINS)
+    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    for row, adm in enumerate(adm_ids):
+        values[row], mask[row] = raw.pop(adm)
+    tensors = ChartTensors(np.array(adm_ids, dtype=str),
+                           apply_normalization(values, mask, stats), mask)
     return tensors, catalog, stats

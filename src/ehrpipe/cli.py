@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import chart, chart_model, fhir_etl, metrics
+from . import chart, chart_model, fhir_etl, metrics, runcfg
 from . import labels as labels_mod
 from . import notes as notes_mod
 from . import pipeline
@@ -94,14 +94,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    fit_ids = None
-    if args.split:
-        fit_ids = pipeline.members(split_mod.load_split(args.split), "train")
+    runcfg.check_fraction("numeric_fraction", args.numeric_fraction)
+    out = make_dir(args.out)
+    fit_ids = (pipeline.members(split_mod.load_split(args.split), "train")
+               if args.split else None)
     tensors, catalog, stats = pipeline.preprocess_chart(
         args.chartevents, args.admissions, fit_ids=fit_ids,
         numeric_fraction=args.numeric_fraction,
     )
-    out = make_dir(args.out)
     outputs = {
         "tensors": chart.save_tensors(out / "tensors.npz", tensors, catalog),
         "stats": chart.save_stats(out / "chart_stats.json", stats),
@@ -116,10 +116,10 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_labels(args) -> int:
-    vectors, categories, unknown = pipeline.label_admissions(
+    labels, unknown = pipeline.label_admissions(
         args.diagnoses, args.crosswalk, args.admissions)
-    written = labels_mod.save_labels(args.out, vectors, categories)
-    print(f"{len(vectors)} admissions x {len(categories)} categories; "
+    written = labels_mod.save_labels(args.out, labels)
+    print(f"{len(labels)} admissions x {len(labels.categories)} categories; "
           f"{sum(unknown.values())} unknown code occurrences")
     _emit_manifest(
         args, "labels",
@@ -130,9 +130,9 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    vectors, _ = labels_mod.load_labels(args.labels)
     spec = split_mod.SplitSpec(ratios=tuple(args.ratios), seed=args.seed)
-    result = split_mod.iterative_stratified_split(vectors, spec)
+    result = split_mod.iterative_stratified_split(
+        labels_mod.load_labels(args.labels), spec)
     split_mod.save_split(args.out, result)
     print(f"sizes: {result.sizes}")
     _emit_manifest(args, "split", {"labels": args.labels},
@@ -142,7 +142,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     tensors, catalog = chart.load_tensors(args.tensors)
-    vectors, _ = labels_mod.load_labels(args.labels)
+    labels = labels_mod.load_labels(args.labels)
     stats_path = Path(args.tensors).parent / "chart_stats.json"
     config = chart_model.ChartModelConfig(
         variant=args.variant, hidden_size=args.hidden, epochs=args.epochs,
@@ -151,7 +151,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     trained = pipeline.train_chart(
-        tensors, catalog, vectors, split_mod.load_split(args.split), config,
+        tensors, catalog, labels, split_mod.load_split(args.split), config,
         stats_ref=stats_path.name if stats_path.exists() else "",
     )
     written = chart_model.save_checkpoint(args.out, trained)
@@ -202,9 +202,9 @@ def _cmd_score_notes(args) -> int:
             raise DataError(
                 "score-notes needs --params, or --labels and --split to fit"
             )
-        vectors, _ = labels_mod.load_labels(args.labels)
         params, history = pipeline.fit_scorer(
-            chunks, vectors, split_mod.load_split(args.split),
+            chunks, labels_mod.load_labels(args.labels),
+            split_mod.load_split(args.split),
             notes_mod.ScorerConfig(
                 feature_dim=args.feature_dim, epochs=args.epochs,
                 batch_size=args.batch_size, lr=args.lr, seed=args.seed,
@@ -235,11 +235,11 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_eval(args) -> int:
     ids, probs = pipeline.load_probs(args.probs)
-    vectors, _ = labels_mod.load_labels(args.labels)
+    labels = labels_mod.load_labels(args.labels)
     keep = None
     if args.partition:
         keep = pipeline.members(split_mod.load_split(args.split), args.partition)
-    report = pipeline.evaluate(ids, probs, vectors, keep, args.target)
+    report = pipeline.evaluate(ids, probs, labels, keep, args.target)
     metrics.save_report(args.out, report)
     print(f"micro AU-ROC {report.micro_auroc:.4f}  "
           f"AU-PR {report.micro_aupr:.4f}  "

@@ -4,7 +4,8 @@ The crosswalk loader accepts the public single-level CCS CSV layout: quoted,
 whitespace-padded code and category columns, preceded by arbitrary header
 lines (any row whose category column is not an integer is skipped). The
 category count C is data-driven: distinct categories present in the file,
-indexed densely in ascending id order.
+indexed densely in ascending id order. LabelMatrix holds N admissions'
+label bits (N, C), as the arrays labels.npz stores.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .errors import (
     DuplicateIcdCode,
     MalformedCrosswalk,
 )
-from .tables import iter_csv_rows, open_text_auto, reading, save_npz
+from .tables import (
+    iter_csv_rows,
+    load_admission_npz,
+    open_text_auto,
+    reading,
+    save_npz,
+)
 
 
 @dataclass
@@ -48,9 +55,13 @@ class CcsCrosswalk:
 
 
 @dataclass
-class LabelVector:
-    admission_id: str
-    bits: np.ndarray  # bool (C,)
+class LabelMatrix:
+    admission_ids: np.ndarray  # str (N,)
+    bits: np.ndarray  # bool (N, C)
+    categories: np.ndarray  # int64 (C,): CCS category ids, ascending
+
+    def __len__(self) -> int:
+        return len(self.admission_ids)
 
 
 def _normalize_code(raw: str) -> str:
@@ -98,36 +109,38 @@ def read_diagnoses(path) -> dict[str, list[str]]:
 
 def encode_labels(
     diagnoses: Mapping[str, Iterable[str]], xwalk: CcsCrosswalk
-) -> tuple[list[LabelVector], dict[str, int]]:
-    """One boolean vector per admission plus a summary of unknown codes.
+) -> tuple[LabelMatrix, dict[str, int]]:
+    """One row of bits per admission plus a summary of unknown codes.
 
     Bit c is set when the admission has at least one ICD code in category c;
     codes absent from the crosswalk are counted, never fatal.
     """
     unknown: dict[str, int] = {}
-    vectors: list[LabelVector] = []
-    for adm, codes in diagnoses.items():
-        bits = np.zeros(xwalk.n_categories, dtype=bool)
+    bits = np.zeros((len(diagnoses), xwalk.n_categories), dtype=bool)
+    for row, codes in enumerate(diagnoses.values()):
         for code in codes:
             idx = xwalk.category_index(code)
             if idx is None:
                 key = _normalize_code(code)
                 unknown[key] = unknown.get(key, 0) + 1
             else:
-                bits[idx] = True
-        vectors.append(LabelVector(admission_id=str(adm), bits=bits))
-    return vectors, unknown
+                bits[row, idx] = True
+    ids = np.array([str(adm) for adm in diagnoses], dtype=str)
+    categories = np.asarray(xwalk.categories, dtype=np.int64)
+    return LabelMatrix(ids, bits, categories), unknown
 
 
 def binary_labels(
-    vectors: list[LabelVector], category: int
+    labels: LabelMatrix, category: int
 ) -> list[tuple[str, bool]]:
     """Project one category column as (admission_id, flag) pairs."""
-    if vectors and not 0 <= category < vectors[0].bits.shape[0]:
+    n_categories = labels.bits.shape[1]
+    if not 0 <= category < n_categories:
         raise CategoryOutOfRange(
-            f"category {category} not in 0..{vectors[0].bits.shape[0] - 1}"
+            f"category {category} not in 0..{n_categories - 1}"
         )
-    return [(v.admission_id, bool(v.bits[category])) for v in vectors]
+    return list(zip(labels.admission_ids.tolist(),
+                    labels.bits[:, category].tolist()))
 
 
 def undersample(
@@ -156,27 +169,9 @@ def undersample(
 
 # --- persistence -----------------------------------------------------------
 
-def save_labels(path, vectors: list[LabelVector],
-                categories: list[int]) -> Path:
-    ids = np.array([v.admission_id for v in vectors])
-    bits = (
-        np.stack([v.bits for v in vectors])
-        if vectors
-        else np.zeros((0, len(categories)), dtype=bool)
-    )
-    return save_npz(path, {
-        "admission_ids": ids,
-        "bits": bits,
-        "categories": np.asarray(categories, dtype=np.int64),
-    })
+def save_labels(path, labels: LabelMatrix) -> Path:
+    return save_npz(path, vars(labels))
 
 
-def load_labels(path) -> tuple[list[LabelVector], list[int]]:
-    with reading(path), np.load(path, allow_pickle=False) as data:
-        ids = [str(x) for x in data["admission_ids"]]
-        bits = data["bits"]
-        categories = [int(x) for x in data["categories"]]
-    vectors = [
-        LabelVector(admission_id=i, bits=bits[k]) for k, i in enumerate(ids)
-    ]
-    return vectors, categories
+def load_labels(path) -> LabelMatrix:
+    return LabelMatrix(**load_admission_npz(path, ("bits",), ("categories",)))

@@ -32,7 +32,6 @@ from .errors import (
     EmptyPartition,
     InvalidConfig,
     IoFailure,
-    ShapeMismatch,
     UnknownAdmission,
 )
 from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
@@ -318,13 +317,11 @@ def train_scorer(
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     if not usable:
         raise EmptyPartition("no labeled chunks to train on")
-    n_categories = len(next(iter(labels_by_admission.values())))
     targets = np.stack(
         [np.asarray(labels_by_admission[ch.admission_id], dtype=bool)
          for ch in usable]
     )
-    if targets.shape[1] != n_categories:
-        raise ShapeMismatch("inconsistent label vector lengths")
+    n_categories = targets.shape[1]
 
     rng = np.random.default_rng([config.seed, 0])
     init_rng = np.random.default_rng([config.seed, 1])
@@ -427,8 +424,11 @@ def save_scorer(path, params: LinearClassifierParams) -> Path:
 
 def load_scorer(path) -> LinearClassifierParams:
     with reading(path), np.load(path, allow_pickle=False) as data:
-        return LinearClassifierParams(weights=data["weights"],
-                                      bias=data["bias"])
+        weights, bias = data["weights"], data["bias"]
+        if weights.ndim != 2 or bias.shape != weights.shape[:1]:
+            raise ValueError(f"weights {weights.shape} and bias {bias.shape}"
+                             " are not a (C, dim) matrix and a (C,) vector")
+        return LinearClassifierParams(weights=weights, bias=bias)
 
 
 def save_score_matrices(path, matrices: list[ChunkScoreMatrix]) -> Path:
@@ -444,8 +444,11 @@ def load_score_matrices(path) -> list[ChunkScoreMatrix]:
             raise IoFailure(
                 f"{path}: array(s) {strays} are not chunk scores (adm_<id>)"
             )
-        return [
+        matrices = [
             ChunkScoreMatrix(admission_id=name[len("adm_"):],
                              probabilities=data[name])
             for name in data.files
         ]
+        if len({m.probabilities.shape[1:] for m in matrices}) > 1:
+            raise ValueError("admissions differ in their category counts")
+        return matrices

@@ -32,16 +32,12 @@ from .synth import generate
 from .tables import (
     TableKind,
     iter_csv_rows,
+    load_admission_npz,
     make_dir,
     read_admission_times,
-    reading,
     save_json,
     save_npz,
 )
-
-
-def _bits_by_id(vectors: list[labels_mod.LabelVector]) -> dict[str, np.ndarray]:
-    return {v.admission_id: v.bits for v in vectors}
 
 
 def members(assignment: dict[str, str], partition: str) -> set[str]:
@@ -49,14 +45,24 @@ def members(assignment: dict[str, str], partition: str) -> set[str]:
     return {adm for adm, tag in assignment.items() if tag == partition}
 
 
+def _labelled(ids: list[str], labels: labels_mod.LabelMatrix,
+              keep: Optional[set[str]] = None) -> tuple[list[int], list[int]]:
+    """Positions in ids of the admissions with labels (and in keep, when
+    given), and their rows in labels."""
+    row_of = dict(zip(labels.admission_ids.tolist(), range(len(labels))))
+    kept = [i for i, adm in enumerate(ids)
+            if adm in row_of and (keep is None or adm in keep)]
+    return kept, [row_of[ids[i]] for i in kept]
+
+
 # --- stages ------------------------------------------------------------------
 
 def label_admissions(
     diagnoses, crosswalk, admissions=None,
-) -> tuple[list[labels_mod.LabelVector], list[int], dict[str, int]]:
-    """CCS label vectors, category ids and counts of uncrosswalked codes.
+) -> tuple[labels_mod.LabelMatrix, dict[str, int]]:
+    """CCS labels and counts of uncrosswalked codes.
 
-    With an admissions CSV every admission gets a vector, all zeros when it
+    With an admissions CSV every admission gets a row, all zeros when it
     has no diagnosis rows; without one only admissions with diagnoses do.
     """
     xwalk = labels_mod.load_crosswalk(crosswalk)
@@ -65,8 +71,7 @@ def label_admissions(
         admission_ids = [row["hadm_id"].strip()
                          for row in iter_csv_rows(admissions, ("hadm_id",))]
         codes = {adm: codes.get(adm, []) for adm in admission_ids}
-    vectors, unknown = labels_mod.encode_labels(codes, xwalk)
-    return vectors, xwalk.categories, unknown
+    return labels_mod.encode_labels(codes, xwalk)
 
 
 def preprocess_chart(
@@ -74,12 +79,11 @@ def preprocess_chart(
     admissions,
     fit_ids: Optional[set[str]] = None,
     numeric_fraction: float = chart.DEFAULT_NUMERIC_FRACTION,
-) -> tuple[list[chart.AdmissionTensor], list[str], chart.NormalizationStats]:
+) -> tuple[chart.ChartTensors, list[str], chart.NormalizationStats]:
     """Admission tensors from a chartevents CSV or observation collection.
 
     Normalization statistics are fitted on fit_ids only when given.
     """
-    check_fraction("numeric_fraction", numeric_fraction)
     name = str(chartevents)
     if name.endswith(".json") or name.endswith(".json.gz"):
         events = chart.read_chart_events_from_collection(chartevents)
@@ -92,9 +96,9 @@ def preprocess_chart(
 
 
 def train_chart(
-    tensors: list[chart.AdmissionTensor],
+    tensors: chart.ChartTensors,
     catalog: list[str],
-    vectors: list[labels_mod.LabelVector],
+    labels: labels_mod.LabelMatrix,
     assignment: dict[str, str],
     config: chart_model.ChartModelConfig,
     stats_ref: str = "",
@@ -103,23 +107,22 @@ def train_chart(
 
     The catalog and the labels replace config's n_types and n_categories.
     """
-    bits_by_id = _bits_by_id(vectors)
-    labelled = [t for t in tensors if t.admission_id in bits_by_id]
-    if not labelled:
+    ids = tensors.admission_ids.tolist()
+    kept, rows = _labelled(ids, labels)
+    if not kept:
         raise EmptyPartition("no admission tensor has a label vector")
-    ids = [t.admission_id for t in labelled]
-    label_matrix = np.stack([bits_by_id[adm] for adm in ids])
     config = replace(config, n_types=len(catalog),
-                     n_categories=label_matrix.shape[1])
+                     n_categories=labels.bits.shape[1])
     return chart_model.train(
-        chart_model.build(config), np.stack([t.values for t in labelled]),
-        label_matrix, ids, assignment, catalog=catalog, stats_ref=stats_ref,
+        chart_model.build(config), tensors.values[kept], labels.bits[rows],
+        [ids[i] for i in kept], assignment, catalog=catalog,
+        stats_ref=stats_ref,
     )
 
 
 def predict_chart(
     trained: chart_model.TrainedModel,
-    tensors: list[chart.AdmissionTensor],
+    tensors: chart.ChartTensors,
     catalog: list[str],
 ) -> tuple[list[str], np.ndarray]:
     """Admission ids and their (N, C) probabilities.
@@ -130,12 +133,8 @@ def predict_chart(
     if trained.catalog and trained.catalog != catalog:
         raise CatalogMismatch(
             "the tensors' observation types differ from the checkpoint's")
-    if tensors:
-        values = np.stack([t.values for t in tensors])
-    else:
-        values = np.zeros((0, trained.config.n_types, chart.N_BINS))
-    ids = [t.admission_id for t in tensors]
-    return ids, chart_model.predict(trained.model, values)
+    return (tensors.admission_ids.tolist(),
+            chart_model.predict(trained.model, tensors.values))
 
 
 def chunk_notes(
@@ -155,14 +154,15 @@ def chunk_notes(
 
 def fit_scorer(
     chunks: list[notes_mod.ChunkTokenSequence],
-    vectors: list[labels_mod.LabelVector],
+    labels: labels_mod.LabelMatrix,
     assignment: dict[str, str],
     config: notes_mod.ScorerConfig,
 ) -> tuple[notes_mod.LinearClassifierParams, dict]:
     """Chunk scorer fitted on the chunks of train-partition admissions."""
     train_ids = members(assignment, "train")
     train_chunks = [ch for ch in chunks if ch.admission_id in train_ids]
-    return notes_mod.train_scorer(train_chunks, _bits_by_id(vectors), config)
+    bits_of = dict(zip(labels.admission_ids.tolist(), labels.bits))
+    return notes_mod.train_scorer(train_chunks, bits_of, config)
 
 
 def aggregate_scores(
@@ -180,20 +180,18 @@ def aggregate_scores(
 def evaluate(
     ids: list[str],
     probs: np.ndarray,
-    vectors: list[labels_mod.LabelVector],
+    labels: labels_mod.LabelMatrix,
     keep: Optional[set[str]] = None,
     target: float = PipelineConfig.recall_target,
 ) -> metrics.MetricReport:
     """Metric report over the admissions with both probabilities and labels,
     restricted to keep when given."""
     check_fraction("recall_target", target)
-    bits_by_id = _bits_by_id(vectors)
-    rows = [i for i, adm in enumerate(ids)
-            if adm in bits_by_id and (keep is None or adm in keep)]
-    if not rows:
+    kept, rows = _labelled(ids, labels, keep)
+    if not kept:
         raise DataError("no admissions to evaluate")
-    truths = np.stack([bits_by_id[ids[i]] for i in rows])
-    return metrics.micro_average(probs[rows], truths, target=target)
+    return metrics.micro_average(probs[kept], labels.bits[rows],
+                                 target=target)
 
 
 def save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
@@ -201,8 +199,8 @@ def save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
 
 
 def load_probs(path) -> tuple[list[str], np.ndarray]:
-    with reading(path), np.load(path, allow_pickle=False) as data:
-        return [str(x) for x in data["admission_ids"]], data["probs"]
+    arrays = load_admission_npz(path, ("probs",))
+    return arrays["admission_ids"].tolist(), arrays["probs"]
 
 
 # --- end to end ----------------------------------------------------------------
@@ -223,16 +221,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         fhir_etl.transform(path, target, kind)
         artifacts[f"fhir_{kind.value}"] = target
 
-    vectors, categories, unknown = label_admissions(
+    labels, unknown = label_admissions(
         table_paths[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
         admissions,
     )
-    artifacts["labels"] = labels_mod.save_labels(out / "labels.npz", vectors,
-                                                 categories)
+    artifacts["labels"] = labels_mod.save_labels(out / "labels.npz", labels)
     if unknown:
         save_json(out / "unknown_codes.json", unknown, sort_keys=True)
 
-    split_result = split_mod.iterative_stratified_split(vectors, config.split)
+    split_result = split_mod.iterative_stratified_split(labels, config.split)
     assignment = split_result.assignment
     artifacts["split"] = split_mod.save_split(out / "split.json", split_result)
     test_ids = members(assignment, "test")
@@ -247,7 +244,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                                               catalog)
     artifacts["chart_stats"] = chart.save_stats(out / "chart_stats.json",
                                                 stats)
-    trained = train_chart(tensors, catalog, vectors, assignment,
+    trained = train_chart(tensors, catalog, labels, assignment,
                           config.chart_model,
                           stats_ref=artifacts["chart_stats"].name)
     artifacts["chart_model"] = chart_model.save_checkpoint(
@@ -258,14 +255,14 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     artifacts["chart_probs"] = save_probs(out / "chart_probs.npz", ids, probs)
     artifacts["chart_metrics"] = metrics.save_report(
         out / "chart_metrics.json",
-        evaluate(ids, probs, vectors, test_ids, config.recall_target),
+        evaluate(ids, probs, labels, test_ids, config.recall_target),
     )
 
     # --- notes branch -----------------------------------------------------------
     _, chunks = chunk_notes(table_paths[TableKind.NOTEEVENTS], admissions,
                             config.subset, config.max_len)
     artifacts["chunks"] = notes_mod.save_chunks(out / "chunks.json", chunks)
-    scorer, scorer_log = fit_scorer(chunks, vectors, assignment, config.scorer)
+    scorer, scorer_log = fit_scorer(chunks, labels, assignment, config.scorer)
     artifacts["note_scorer"] = notes_mod.save_scorer(out / "note_scorer.npz",
                                                      scorer)
     artifacts["note_training_log"] = save_json(
@@ -278,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         out / "note_admission_probs.npz", ids, probs)
     artifacts["note_metrics"] = metrics.save_report(
         out / "note_metrics.json",
-        evaluate(ids, probs, vectors, test_ids, config.recall_target),
+        evaluate(ids, probs, labels, test_ids, config.recall_target),
     )
 
     manifest_path = out / "run_manifest_pipeline.json"

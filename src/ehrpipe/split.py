@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .labels import LabelVector
+from .labels import LabelMatrix
 from .tables import load_json, save_json
 
 PARTITIONS = ("train", "val", "test")
@@ -59,20 +59,19 @@ def _largest_remainder(total: int, ratios) -> list[int]:
 
 
 def iterative_stratified_split(
-    vectors: list[LabelVector], spec: SplitSpec
+    labels: LabelMatrix, spec: SplitSpec
 ) -> SplitResult:
     spec.validate()
-    n = len(vectors)
+    bits = labels.bits
+    n, n_labels = bits.shape
     if n < 3:
         raise InvalidSpec("need at least 3 samples")
-    if not vectors[0].bits.size or not any(v.bits.any() for v in vectors):
+    if not bits.any():
         raise InvalidSpec("need at least one label present")
-    n_labels = vectors[0].bits.shape[0]
 
     rng = random.Random(spec.seed)
     capacity = _largest_remainder(n, spec.ratios)
 
-    bits = np.stack([v.bits for v in vectors])
     label_totals = bits.sum(axis=0)
     # desired[p][l]: how many positives of label l partition p still wants
     desired = np.zeros((len(PARTITIONS), n_labels), dtype=np.int64)
@@ -118,8 +117,8 @@ def iterative_stratified_split(
         _place(sample, _pick_partition(capacity))
 
     assignment = {
-        vectors[i].admission_id: PARTITIONS[assignment_index[i]]
-        for i in range(n)
+        adm: PARTITIONS[p]
+        for adm, p in zip(labels.admission_ids.tolist(), assignment_index)
     }
     sizes = {
         tag: int((assignment_index == p).sum())
@@ -136,7 +135,7 @@ def iterative_stratified_split(
 
 def verify_distribution(
     result: SplitResult,
-    vectors: list[LabelVector],
+    labels: LabelMatrix,
     tolerance: float,
     min_support: int = 1,
 ) -> dict:
@@ -145,15 +144,11 @@ def verify_distribution(
     Labels with fewer than min_support global positives are skipped. Entries
     whose worst deviation exceeds the tolerance are flagged.
     """
-    bits = np.stack([v.bits for v in vectors])
+    bits = labels.bits
     n, n_labels = bits.shape
-    members = {
-        tag: [
-            i for i, v in enumerate(vectors)
-            if result.assignment[v.admission_id] == tag
-        ]
-        for tag in PARTITIONS
-    }
+    tags = [result.assignment[adm] for adm in labels.admission_ids.tolist()]
+    members = {tag: [i for i, t in enumerate(tags) if t == tag]
+               for tag in PARTITIONS}
     report: dict = {"tolerance": tolerance, "labels": {}, "flagged": []}
     for lab in range(n_labels):
         support = int(bits[:, lab].sum())

@@ -8,8 +8,9 @@ resource id). The per-table rename maps below are the single source of
 truth for that convention.
 
 The module also holds the one write path and the one read-error mapping
-that every artifact goes through (open_atomic, reading), and the one
-reader of CSV tables (iter_csv_rows).
+that every artifact goes through (open_atomic, reading), the one reader of
+admission-keyed .npz archives (load_admission_npz), and the one reader of
+CSV tables (iter_csv_rows).
 """
 
 from __future__ import annotations
@@ -489,6 +490,21 @@ def reading(path):
         raise IoFailure(
             f"cannot read {path}: {type(exc).__name__}: {exc}"
         ) from exc
+
+
+def load_admission_npz(path, per_admission: tuple[str, ...],
+                       shared: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """admission_ids (as strings), the per_admission arrays, each checked to
+    have one row per admission id, and the shared arrays of a .npz file."""
+    with reading(path), np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name]
+                  for name in ("admission_ids", *per_admission, *shared)}
+        ids = arrays["admission_ids"] = arrays["admission_ids"].astype(str)
+        shapes = {name: arrays[name].shape for name in per_admission}
+        if ids.ndim != 1 or any(s[:1] != ids.shape for s in shapes.values()):
+            raise ValueError(f"{ids.shape} admission ids and arrays {shapes}"
+                             " do not have one row per admission id")
+    return arrays
 
 
 def load_json(path) -> dict:

@@ -194,14 +194,13 @@ class TestA3NormalizationLaw:
                 matrices.append((values, mask))
             catalog = [str(i) for i in range(10)]
             stats = chart.fit_normalization(matrices, catalog)
-            tensors = [
-                chart.apply_normalization(str(i), v, m, stats)
-                for i, (v, m) in enumerate(matrices)
-            ]
+            mask = np.stack([m for _, m in matrices])
+            z = chart.apply_normalization(
+                np.stack([v for v, _ in matrices]), mask, stats)
             for t in range(10):
                 assert stats.stddev[t] > 0
                 cells = np.concatenate(
-                    [x.values[t][x.mask[t]] for x in tensors]
+                    [z[i, t][mask[i, t]] for i in range(len(matrices))]
                 )
                 assert abs(cells.mean()) < 1e-9
                 assert abs(cells.var() - 1.0) < 1e-9
@@ -272,9 +271,9 @@ class TestA5ChartModelLearnability:
                 chart.read_chart_events(paths[TableKind.CHARTEVENTS]),
                 discharge, fit_ids=train_ids,
             )
-            bits = {v.admission_id: v.bits for v in vectors}
-            ids = [t.admission_id for t in tensors]
-            x = np.stack([t.values for t in tensors])
+            bits = dict(zip(vectors.admission_ids.tolist(), vectors.bits))
+            ids = tensors.admission_ids.tolist()
+            x = tensors.values
             y = np.stack([bits[a] for a in ids])
             test_rows = [i for i, a in enumerate(ids)
                          if result.assignment.get(a) == "test"]
@@ -326,7 +325,7 @@ class TestA6NotePipelineLearnability:
                 chunks.extend(
                     notes_mod.chunk_text(adm, subset[adm], max_len=64)
                 )
-            bits = {v.admission_id: v.bits for v in vectors}
+            bits = dict(zip(vectors.admission_ids.tolist(), vectors.bits))
             train_chunks = [
                 c for c in chunks
                 if result.assignment.get(c.admission_id) == "train"
@@ -490,10 +489,10 @@ class TestA9StratifiedSplit:
                 bits = make_structured_labels(
                     np.random.default_rng(200 + seed), 1000, 20
                 )
-                vectors = [
-                    labels_mod.LabelVector(f"a{i}", bits[i])
-                    for i in range(1000)
-                ]
+                vectors = labels_mod.LabelMatrix(
+                    np.array([f"a{i}" for i in range(1000)]), bits,
+                    np.arange(20),
+                )
                 result = split_mod.iterative_stratified_split(
                     vectors, SplitSpec(seed=seed)
                 )
@@ -501,9 +500,9 @@ class TestA9StratifiedSplit:
                     vectors, SplitSpec(seed=seed)
                 )
                 assert result.assignment == again.assignment  # deterministic
-                assert set(result.assignment) == {
-                    v.admission_id for v in vectors
-                }
+                assert set(result.assignment) == set(
+                    vectors.admission_ids.tolist()
+                )
                 assert sum(result.sizes.values()) == 1000
                 report = split_mod.verify_distribution(
                     result, vectors, tolerance=0.02, min_support=50
@@ -519,12 +518,11 @@ class TestA9StratifiedSplit:
                 rng = np.random.default_rng(300 + seed)
                 n = int(rng.integers(30, 120))
                 n_pos = int(rng.integers(4, n - 4))
-                vectors = [
-                    labels_mod.LabelVector(
-                        f"a{i}", np.array([i < n_pos])
-                    )
-                    for i in range(n)
-                ]
+                vectors = labels_mod.LabelMatrix(
+                    np.array([f"a{i}" for i in range(n)]),
+                    np.array([[i < n_pos] for i in range(n)]),
+                    np.arange(1),
+                )
                 result = split_mod.iterative_stratified_split(
                     vectors, SplitSpec(seed=seed)
                 )

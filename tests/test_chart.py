@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from ehrpipe.chart import (
-    AdmissionTensor,
     aggregate_bins,
     apply_normalization,
     assign_bin,
+    ChartTensors,
     filter_numeric,
     fit_normalization,
     load_stats,
@@ -197,26 +197,26 @@ class TestNormalization:
         values[0, :3] = [1.0, 2.0, 3.0]
         mask[0, :3] = True
         stats = fit_normalization([(values, mask)], ["1"])
-        tensor = apply_normalization("A", values, mask, stats)
-        assert tensor.values[0, 2] == pytest.approx(
+        z = apply_normalization(values, mask, stats)
+        assert z[0, 2] == pytest.approx(
             math.sqrt(3.0 / 2.0), abs=1e-12
         )  # (3-2)/sqrt(2/3)
-        assert tensor.values[0, 1] == 0.0  # x equals the mean
-        assert tensor.values[0, 3] == 0.0  # unmasked fill
+        assert z[0, 1] == 0.0  # x equals the mean
+        assert z[0, 3] == 0.0  # unmasked fill
 
     def test_zero_stddev_maps_to_zero(self):
         values = np.full((1, 4), 5.0)
         mask = np.ones((1, 4), dtype=bool)
         stats = fit_normalization([(values, mask)], ["1"])
-        tensor = apply_normalization("A", values, mask, stats)
-        assert np.all(tensor.values == 0.0)
+        z = apply_normalization(values, mask, stats)
+        assert np.all(z == 0.0)
 
     def test_catalog_mismatch(self):
         values = np.zeros((2, 4))
         mask = np.ones((2, 4), dtype=bool)
         stats = fit_normalization([(values, mask)], ["1", "2"])
         with pytest.raises(CatalogMismatch):
-            apply_normalization("A", np.zeros((3, 4)),
+            apply_normalization(np.zeros((3, 4)),
                                 np.ones((3, 4), dtype=bool), stats)
 
     def test_normalization_law_on_fit_set(self):
@@ -229,13 +229,12 @@ class TestNormalization:
             matrices.append((values, mask))
         catalog = ["1", "2", "3"]
         stats = fit_normalization(matrices, catalog)
-        tensors = [
-            apply_normalization(str(i), v, m, stats)
-            for i, (v, m) in enumerate(matrices)
-        ]
+        mask = np.stack([m for _, m in matrices])
+        z = apply_normalization(np.stack([v for v, _ in matrices]), mask,
+                                stats)
         for t in range(3):
             cells = np.concatenate(
-                [x.values[t][x.mask[t]] for x in tensors]
+                [z[i, t][mask[i, t]] for i in range(len(matrices))]
             )
             assert abs(cells.mean()) < 1e-9
             assert abs(cells.var() - 1.0) < 1e-9
@@ -244,19 +243,17 @@ class TestNormalization:
 class TestPersistenceAndReaders:
     def test_tensor_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        tensors = [
-            AdmissionTensor(str(i), rng.normal(size=(3, 4)),
-                            rng.random((3, 4)) < 0.5)
-            for i in range(4)
-        ]
+        tensors = ChartTensors(np.array([str(i) for i in range(4)]),
+                               rng.normal(size=(4, 3, 4)),
+                               rng.random((4, 3, 4)) < 0.5)
         path = tmp_path / "tensors.npz"
         save_tensors(path, tensors, ["1", "2", "3"])
         loaded, catalog = load_tensors(path)
         assert catalog == ["1", "2", "3"]
-        for a, b in zip(tensors, loaded):
-            assert a.admission_id == b.admission_id
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.mask, b.mask)
+        for a, b in zip(tensors.admission_ids, loaded.admission_ids):
+            assert a == b
+        np.testing.assert_array_equal(tensors.values, loaded.values)
+        np.testing.assert_array_equal(tensors.mask, loaded.mask)
 
     def test_stats_roundtrip(self, tmp_path):
         values = np.array([[1.0, 2.0, 3.0, 0.0]])
@@ -336,5 +333,5 @@ class TestPersistenceAndReaders:
         )
         assert len(catalog) == small_dataset.config.n_observation_types
         assert len(tensors) <= small_dataset.config.n_admissions
-        for tensor in tensors:
-            assert tensor.mask.any()
+        for mask in tensors.mask:
+            assert mask.any()

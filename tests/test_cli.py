@@ -62,19 +62,17 @@ def test_bad_config_exits_3(tmp_path):
 
 
 def test_numeric_fault_exits_5(tmp_path):
-    from ehrpipe.chart import AdmissionTensor, save_tensors
-    from ehrpipe.labels import LabelVector, save_labels
+    from ehrpipe.chart import ChartTensors, save_tensors
+    from ehrpipe.labels import LabelMatrix, save_labels
     from ehrpipe.split import save_split, SplitResult
 
-    tensors = [
-        AdmissionTensor(f"a{i}", np.full((2, 4), np.inf),
-                        np.ones((2, 4), dtype=bool))
-        for i in range(4)
-    ]
+    ids = np.array([f"a{i}" for i in range(4)])
+    tensors = ChartTensors(ids, np.full((4, 2, 4), np.inf),
+                           np.ones((4, 2, 4), dtype=bool))
     save_tensors(tmp_path / "tensors.npz", tensors, ["1", "2"])
-    vectors = [LabelVector(f"a{i}", np.array([i % 2 == 0]))
-               for i in range(4)]
-    save_labels(tmp_path / "labels.npz", vectors, [1])
+    vectors = LabelMatrix(ids, np.array([[i % 2 == 0] for i in range(4)]),
+                          np.array([1]))
+    save_labels(tmp_path / "labels.npz", vectors)
     assignment = {f"a{i}": "train" for i in range(4)}
     save_split(tmp_path / "split.json",
                SplitResult(assignment=assignment, sizes={"train": 4}))
@@ -394,6 +392,57 @@ def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, capsys,
     assert str(bad) in capsys.readouterr().err
 
 
+# Ways to spoil one array of a valid .npz artifact.
+ARRAY_SPOILERS = {
+    "fewer-rows": lambda a: a[:-1],
+    "more-rows": lambda a: np.concatenate([a, a[:1]]),
+    "first-row-only": lambda a: a[0],
+    "one-column-less": lambda a: a[:, :-1],
+}
+
+
+# (subcommand, flag, artifact, array to spoil or None for the first, spoiler)
+MALFORMED_ARRAYS = [
+    ("eval", "--labels", "labels.npz", "bits", "fewer-rows"),
+    ("eval", "--labels", "labels.npz", "bits", "more-rows"),
+    ("eval", "--probs", "probs.npz", "probs", "fewer-rows"),
+    ("eval", "--probs", "probs.npz", "probs", "more-rows"),
+    ("train", "--labels", "labels.npz", "admission_ids", "more-rows"),
+    ("train", "--tensors", "tensors.npz", "values", "fewer-rows"),
+    ("train", "--tensors", "tensors.npz", "mask", "more-rows"),
+    ("train", "--tensors", "tensors.npz", "mask", "one-column-less"),
+    ("predict", "--tensors", "tensors.npz", "values", "more-rows"),
+    ("score-notes", "--params", "scorer.npz", "bias", "fewer-rows"),
+    ("score-notes", "--params", "scorer.npz", "weights", "first-row-only"),
+    ("aggregate", "--scores", "scores.npz", None, "one-column-less"),
+]
+
+
+@pytest.mark.parametrize("subcommand,flag,artifact,array,spoiler",
+                         MALFORMED_ARRAYS)
+def test_malformed_array_exits_4(chain, cli_dataset, tmp_path, capsys,
+                                 subcommand, flag, artifact, array, spoiler):
+    with np.load(chain / artifact) as data:
+        arrays = dict(data)
+    name = array or next(iter(arrays))
+    arrays[name] = ARRAY_SPOILERS[spoiler](arrays[name])
+    bad = tmp_path / artifact
+    np.savez(bad, **arrays)
+    argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
+    assert main(argv) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_preprocess_checks_its_out_dir_before_reading_input(
+        chain, cli_dataset, tmp_path, capsys):
+    blocked = tmp_path / "file"
+    blocked.write_text("not a directory\n")
+    argv = _with(_argv(chain, cli_dataset, "preprocess"), "--out", blocked)
+    argv = _with(argv, "--chartevents", tmp_path / "missing.csv")
+    assert main(argv) == 4
+    assert str(blocked) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand,flag", [
     ("preprocess", "--chartevents"),
     ("preprocess", "--admissions"),
@@ -478,11 +527,11 @@ def test_aggregate_of_empty_scores_exits_4(tmp_path):
 
 
 def test_train_without_labelled_tensors_exits_4(chain, tmp_path):
-    from ehrpipe.labels import LabelVector, save_labels
+    from ehrpipe.labels import LabelMatrix, save_labels
 
-    vectors = [LabelVector(f"other{i}", np.array([True, False]))
-               for i in range(3)]
-    save_labels(tmp_path / "labels.npz", vectors, [1, 2])
+    vectors = LabelMatrix(np.array([f"other{i}" for i in range(3)]),
+                          np.array([[True, False]] * 3), np.array([1, 2]))
+    save_labels(tmp_path / "labels.npz", vectors)
     assert main([
         "train", "--tensors", str(chain / "tensors.npz"),
         "--labels", str(tmp_path / "labels.npz"),

@@ -14,7 +14,7 @@ from ehrpipe.errors import (
 from ehrpipe.labels import (
     binary_labels,
     encode_labels,
-    LabelVector,
+    LabelMatrix,
     load_crosswalk,
     load_labels,
     save_labels,
@@ -79,37 +79,37 @@ class TestCrosswalk:
 class TestEncodeLabels:
     def test_two_codes_same_category_set_one_bit(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
-        vectors, unknown = encode_labels({"A": ["4019", "4011"]}, xwalk)
-        assert vectors[0].bits.sum() == 1
+        labels, unknown = encode_labels({"A": ["4019", "4011"]}, xwalk)
+        assert labels.bits[0].sum() == 1
         assert not unknown
 
     def test_no_codes_all_false(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
-        vectors, _ = encode_labels({"A": []}, xwalk)
-        assert not vectors[0].bits.any()
+        labels, _ = encode_labels({"A": []}, xwalk)
+        assert not labels.bits[0].any()
 
     def test_mapping_example(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
-        vectors, _ = encode_labels(
+        labels, _ = encode_labels(
             {"A": ["0010"], "B": ["0010", "25000"]}, xwalk
         )
-        a, b = vectors
-        assert set(np.flatnonzero(a.bits)) == {0}
-        assert set(np.flatnonzero(b.bits)) == {0, 1}
+        a, b = labels.bits
+        assert set(np.flatnonzero(a)) == {0}
+        assert set(np.flatnonzero(b)) == {0, 1}
 
     def test_unknown_codes_counted_not_fatal(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
-        vectors, unknown = encode_labels(
+        labels, unknown = encode_labels(
             {"A": ["9999", "4019", "9999"]}, xwalk
         )
         assert unknown == {"9999": 2}
-        assert vectors[0].bits.sum() == 1
+        assert labels.bits[0].sum() == 1
 
     def test_code_order_irrelevant(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
         first, _ = encode_labels({"A": ["4019", "0010", "25000"]}, xwalk)
         second, _ = encode_labels({"A": ["25000", "4019", "0010"]}, xwalk)
-        np.testing.assert_array_equal(first[0].bits, second[0].bits)
+        np.testing.assert_array_equal(first.bits[0], second.bits[0])
 
     def test_positive_counts_match_brute_force(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
@@ -120,8 +120,8 @@ class TestEncodeLabels:
                         for _ in range(rng.randrange(0, 5))]
             for i in range(80)
         }
-        vectors, _ = encode_labels(diagnoses, xwalk)
-        counts = np.stack([v.bits for v in vectors]).sum(axis=0)
+        labels, _ = encode_labels(diagnoses, xwalk)
+        counts = labels.bits.sum(axis=0)
         for idx, cat in enumerate(xwalk.categories):
             brute = sum(
                 1 for codes_ in diagnoses.values()
@@ -132,10 +132,10 @@ class TestEncodeLabels:
 
 class TestBinaryAndUndersample:
     def _vectors(self, flags):
-        return [
-            LabelVector(f"a{i}", np.array([f, False]))
-            for i, f in enumerate(flags)
-        ]
+        return LabelMatrix(
+            np.array([f"a{i}" for i in range(len(flags))]),
+            np.array([[f, False] for f in flags]), np.array([1, 2]),
+        )
 
     def test_projection(self):
         vectors = self._vectors([True, False, True])
@@ -170,14 +170,15 @@ class TestBinaryAndUndersample:
 
 
 def test_label_persistence_roundtrip(tmp_path):
-    vectors = [
-        LabelVector("a1", np.array([True, False, True])),
-        LabelVector("a2", np.array([False, False, False])),
-    ]
+    labels = LabelMatrix(
+        np.array(["a1", "a2"]),
+        np.array([[True, False, True], [False, False, False]]),
+        np.array([1, 49, 98]),
+    )
     path = tmp_path / "labels.npz"
-    save_labels(path, vectors, [1, 49, 98])
-    loaded, categories = load_labels(path)
-    assert categories == [1, 49, 98]
-    for a, b in zip(vectors, loaded):
-        assert a.admission_id == b.admission_id
-        np.testing.assert_array_equal(a.bits, b.bits)
+    save_labels(path, labels)
+    loaded = load_labels(path)
+    assert loaded.categories.tolist() == [1, 49, 98]
+    for a, b in zip(labels.admission_ids, loaded.admission_ids):
+        assert a == b
+    np.testing.assert_array_equal(labels.bits, loaded.bits)

@@ -1,5 +1,8 @@
-"""run_pipeline: its config's stage seeds, and the bytes and failures of
-its table transform and output directory."""
+"""run_pipeline: its config's stage seeds, the bytes and failures of its
+table transform and output directory, and the bytes the subcommands write
+for the same stages."""
+
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +85,67 @@ def test_output_dir_blocked_by_a_file_exits_4(config_path, tmp_path, where):
     (tmp_path / "file").write_text("not a directory\n")
     assert main(["pipeline", "--config", str(config_path),
                  "--output-dir", str(tmp_path / where)]) == 4
+
+
+# What run_pipeline writes and the subcommands write too, under one name.
+SHARED_ARTIFACTS = (
+    "labels.npz", "split.json", "tensors.npz", "chart_stats.json",
+    "chart_model.npz", "chart_training_log.json", "chart_probs.npz",
+    "chart_metrics.json", "chunks.json", "note_scorer.npz",
+    "chunk_scores.npz", "note_admission_probs.npz", "note_metrics.json",
+)
+
+
+def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
+    demo = Path(__file__).resolve().parent.parent / "demo.ini"
+    config = load_config(demo)
+    pipe, out = tmp_path / "pipeline", tmp_path / "cli"
+    assert main(["pipeline", "--config", str(demo),
+                 "--output-dir", str(pipe)]) == 0
+    data, model, scorer = pipe / "data", config.chart_model, config.scorer
+    labelled = ["--labels", out / "labels.npz", "--split", out / "split.json"]
+    test_partition = [*labelled, "--partition", "test",
+                      "--target", config.recall_target]
+    steps = [
+        ["labels", "--diagnoses", data / "diagnoses_icd.csv",
+         "--crosswalk", data / "ccs_crosswalk.csv",
+         "--admissions", data / "admissions.csv",
+         "--out", out / "labels.npz"],
+        ["split", "--labels", out / "labels.npz", "--out", out / "split.json",
+         "--ratios", *config.split.ratios, "--seed", config.split.seed],
+        ["preprocess", "--chartevents", pipe / "fhir" / "chartevents.json.gz",
+         "--admissions", data / "admissions.csv", "--out", out,
+         "--split", out / "split.json",
+         "--numeric-fraction", config.numeric_fraction],
+        ["train", "--tensors", out / "tensors.npz", *labelled,
+         "--out", out / "chart_model.npz",
+         "--log", out / "chart_training_log.json",
+         "--variant", model.variant, "--hidden", model.hidden_size,
+         "--epochs", model.epochs, "--batch-size", model.batch_size,
+         "--lr", model.lr, "--dropout", model.dropout,
+         "--conv-filters", model.conv_filters,
+         "--rnn-hidden", model.rnn_hidden, "--seed", model.seed],
+        ["predict", "--model", out / "chart_model.npz",
+         "--tensors", out / "tensors.npz", "--out", out / "chart_probs.npz"],
+        ["eval", "--probs", out / "chart_probs.npz", *test_partition,
+         "--out", out / "chart_metrics.json"],
+        ["notes-prep", "--notes", data / "noteevents.csv",
+         "--admissions", data / "admissions.csv", "--subset", config.subset,
+         "--max-len", config.max_len, "--out", out / "chunks.json"],
+        ["score-notes", "--chunks", out / "chunks.json", *labelled,
+         "--fit-out", out / "note_scorer.npz",
+         "--out", out / "chunk_scores.npz",
+         "--feature-dim", scorer.feature_dim, "--epochs", scorer.epochs,
+         "--batch-size", scorer.batch_size, "--lr", scorer.lr,
+         "--seed", scorer.seed],
+        ["aggregate", "--scores", out / "chunk_scores.npz",
+         "--scale-c", config.aggregation_c,
+         "--out", out / "note_admission_probs.npz"],
+        ["eval", "--probs", out / "note_admission_probs.npz",
+         *test_partition, "--out", out / "note_metrics.json"],
+    ]
+    out.mkdir()
+    for argv in steps:
+        assert main([str(a) for a in argv]) == 0, argv[0]
+    for name in SHARED_ARTIFACTS:
+        assert (out / name).read_bytes() == (pipe / name).read_bytes(), name

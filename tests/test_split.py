@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehrpipe.errors import InvalidSpec
-from ehrpipe.labels import LabelVector
+from ehrpipe.labels import LabelMatrix
 from ehrpipe.split import (
     iterative_stratified_split,
     load_split,
@@ -16,10 +16,9 @@ from ehrpipe.split import (
 
 
 def _vectors(bit_rows):
-    return [
-        LabelVector(f"a{i}", np.asarray(row, dtype=bool))
-        for i, row in enumerate(bit_rows)
-    ]
+    bits = np.asarray(bit_rows, dtype=bool)
+    return LabelMatrix(np.array([f"a{i}" for i in range(len(bits))]), bits,
+                       np.arange(bits.shape[1]))
 
 
 def _largest_remainder_oracle(total, ratios):
@@ -99,7 +98,7 @@ class TestSmallExamples:
         bits = rng.random((50, 4)) < 0.3
         vectors = _vectors(bits)
         result = iterative_stratified_split(vectors, SplitSpec(seed=3))
-        assert set(result.assignment) == {v.admission_id for v in vectors}
+        assert set(result.assignment) == set(vectors.admission_ids.tolist())
         assert sum(result.sizes.values()) == 50
 
     def test_deterministic_per_seed(self):
