@@ -9,6 +9,12 @@ the earlier (lower-index) bin. Cell values are means of the contributing
 measurements, z-normalized per type with statistics fitted on the training
 partition; empty cells are 0 (the per-type mean in z-space). ChartTensors
 holds N admissions' matrices stacked, as the arrays tensors.npz stores.
+
+The readers stream events as EventBlocks: a block of input rows at a time,
+held as numpy columns of admission index, type index, value and charttime.
+bin_events reduces those blocks with numpy. It keeps 16 bytes per event
+that can reach a cell, so memory grows with the events, slowly, and not
+with the size of the input text.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -26,7 +34,6 @@ from . import fhir_etl
 from .errors import (
     CatalogMismatch,
     EmptyType,
-    EventAfterDischarge,
     IoFailure,
     SchemaMismatch,
 )
@@ -43,7 +50,7 @@ from .tables import (
 )
 
 N_BINS = 4
-_BIN_EDGE_HOURS = (24.0, 16.0, 8.0)  # offsets before discharge
+_BIN_EDGE_SECONDS = (86400, 57600, 28800)  # 24, 16 and 8 h before discharge
 
 #: Fraction of a type's values that must parse as numbers for the type to
 #: be kept; rows of a retained type that still fail to parse are dropped.
@@ -55,13 +62,25 @@ _CHART_COLUMNS = ("hadm_id", "itemid", "charttime", "valuenum", "value")
 _COLLECTION_NAME = partial(attribute_name, TableKind.CHARTEVENTS)
 _COLLECTION_ATTRIBUTES = frozenset(map(_COLLECTION_NAME, _CHART_COLUMNS))
 
+# CSV rows per EventBlock; a collection is cut into blocks by fhir_etl.
+_BLOCK_ROWS = 1 << 12
+
 
 @dataclass
-class ObservationEvent:
-    admission_id: str
-    observation_type_id: str
-    value: object  # raw string before filtering, float afterwards
-    charttime: datetime
+class EventBlock:
+    """Chart events of a block of input rows, as columns.
+
+    admission and type index into admission_ids and type_ids, which map
+    each id text to its index in order of first appearance. The blocks of
+    one reader share those two dicts, and later blocks only add to them.
+    """
+
+    admission: np.ndarray  # int32 (n,)
+    type: np.ndarray  # int32 (n,)
+    value: np.ndarray  # float64 (n,): NaN where no finite number parses
+    charttime: np.ndarray  # int64 (n,): whole seconds since 1970-01-01
+    admission_ids: dict[str, int]
+    type_ids: dict[str, int]
 
 
 @dataclass
@@ -82,123 +101,9 @@ class NormalizationStats:
     count: np.ndarray  # int64 (n_types,)
 
 
-def _parse_number(raw) -> Optional[float]:
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-        return value if math.isfinite(value) else None
-    try:
-        value = float(str(raw).strip())
-    except (TypeError, ValueError):
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _catalog_sort_key(type_id: str):
     text = str(type_id)
     return (0, int(text), "") if text.isdigit() else (1, 0, text)
-
-
-def filter_numeric(
-    events: Iterable[ObservationEvent],
-    numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
-) -> tuple[list[ObservationEvent], list[str]]:
-    """Keep only events of numeric observation types.
-
-    A type is numeric when at least numeric_fraction of its values parse as
-    finite numbers. Returns the retained events (values as floats) and the
-    catalog of retained type ids in stable sorted order.
-    """
-    events = list(events)
-    values = [_parse_number(ev.value) for ev in events]
-    numeric_counts: dict[str, int] = {}
-    total_counts: dict[str, int] = {}
-    for ev, value in zip(events, values):
-        tid = str(ev.observation_type_id)
-        total_counts[tid] = total_counts.get(tid, 0) + 1
-        if value is not None:
-            numeric_counts[tid] = numeric_counts.get(tid, 0) + 1
-    catalog = sorted(
-        (
-            tid
-            for tid, total in total_counts.items()
-            if numeric_counts.get(tid, 0) >= numeric_fraction * total
-            and numeric_counts.get(tid, 0) > 0
-        ),
-        key=_catalog_sort_key,
-    )
-    keep = set(catalog)
-    retained = []
-    for ev, value in zip(events, values):
-        tid = str(ev.observation_type_id)
-        if tid not in keep or value is None:
-            continue
-        retained.append(
-            ObservationEvent(
-                admission_id=str(ev.admission_id),
-                observation_type_id=tid,
-                value=value,
-                charttime=ev.charttime,
-            )
-        )
-    return retained, catalog
-
-
-def assign_bin(charttime: datetime, discharge_time: datetime) -> int:
-    """Time bin of an observation relative to discharge (see module doc)."""
-    if charttime > discharge_time:
-        raise EventAfterDischarge(
-            f"event at {charttime} is after discharge {discharge_time}"
-        )
-    offset_hours = (discharge_time - charttime).total_seconds() / 3600.0
-    if offset_hours >= _BIN_EDGE_HOURS[0]:
-        return 0
-    if offset_hours >= _BIN_EDGE_HOURS[1]:
-        return 1
-    if offset_hours >= _BIN_EDGE_HOURS[2]:
-        return 2
-    return 3
-
-
-def aggregate_bins(
-    events: Iterable[ObservationEvent],
-    catalog: list[str],
-    discharge_times: dict[str, datetime],
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-admission raw (types x 4) mean matrix plus contribution mask.
-
-    Events of admissions without a discharge time or stamped after discharge
-    are dropped (rejection at ingest). Cell contributions are sorted before
-    summation, so event order never affects the result, not even in the last
-    float bit.
-    """
-    index = {tid: i for i, tid in enumerate(catalog)}
-    cells: dict[str, dict[tuple[int, int], list[float]]] = {}
-    for ev in events:
-        tid = str(ev.observation_type_id)
-        pos = index.get(tid)
-        if pos is None:
-            continue
-        adm = str(ev.admission_id)
-        disch = discharge_times.get(adm)
-        if disch is None or ev.charttime > disch:
-            continue
-        b = assign_bin(ev.charttime, disch)
-        cells.setdefault(adm, {}).setdefault((pos, b), []).append(
-            float(ev.value)
-        )
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for adm, adm_cells in cells.items():
-        values = np.zeros((len(catalog), N_BINS))
-        mask = np.zeros((len(catalog), N_BINS), dtype=bool)
-        for (pos, b), contributions in adm_cells.items():
-            contributions.sort()
-            if contributions[0] == contributions[-1]:
-                values[pos, b] = contributions[0]  # exact mean idempotence
-            else:
-                values[pos, b] = sum(contributions) / len(contributions)
-            mask[pos, b] = True
-        out[adm] = (values, mask)
-    return out
 
 
 def fit_normalization(
@@ -258,44 +163,158 @@ def _text(cell) -> str:
     return "" if cell is None else str(cell).strip()
 
 
-def _chart_events(rows, name) -> Iterator[ObservationEvent]:
-    """Events out of chartevents rows; each cell is row.get(name(column)).
+def _number(valuenum, value) -> float:
+    """valuenum as a float, or value when valuenum is null or blank; NaN
+    when that does not parse (the caller also maps inf to NaN)."""
+    if type(valuenum) is float:
+        return valuenum
+    raw = valuenum if _text(valuenum) else value
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+# Equal cells of these types have equal texts, which 1, 1.0 and True, or
+# 0.0 and -0.0, do not.
+_TEXT_KEYS = frozenset((str, int, type(None)))
+
+
+def _codes(cells, index: dict[str, int]) -> np.ndarray:
+    """index[_text(cell)] per cell, adding texts index does not hold yet in
+    order of first appearance."""
+    if _TEXT_KEYS.issuperset(map(type, cells)):
+        code = {cell: index.setdefault(_text(cell), len(index))
+                for cell in dict.fromkeys(cells)}
+        codes = map(code.__getitem__, cells)
+    else:
+        codes = (index.setdefault(text, len(index))
+                 for text in map(_text, cells))
+    return np.fromiter(codes, dtype=np.int32, count=len(cells))
+
+
+_NO_TIME = -(1 << 62)  # no parseable time; far below any event
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
+_STAMP = "0000-00-00 00:00:00"  # the canonical shape, T or space at 10
+_DIGITS = [i for i, char in enumerate(_STAMP) if char == "0"]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _seconds(when: datetime) -> int:
+    """Whole seconds from 1970-01-01 to when."""
+    return ((when.toordinal() - _EPOCH_ORDINAL) * 86400 + when.hour * 3600
+            + when.minute * 60 + when.second)
+
+
+def _epoch_seconds(cells) -> np.ndarray:
+    """_seconds(parse_timestamp(_text(cell))) per cell, _NO_TIME for None.
+
+    Strings of the canonical shape YYYY-MM-DD[T ]HH:MM:SS in ASCII digits
+    with fields in range, which parse_timestamp reads to the same time, are
+    converted together: digit and separator checks on their characters,
+    then days from the civil date. Every other cell takes parse_timestamp.
+    """
+    texts = [cell if type(cell) is str else "" for cell in cells]
+    n = len(texts)
+    chars = np.array(texts, dtype=f"U{len(_STAMP)}").view(np.uint32)
+    chars = chars.reshape(n, len(_STAMP))
+    digit = chars[:, _DIGITS].astype(np.int64) - ord("0")
+    year = (digit[:, 0] * 1000 + digit[:, 1] * 100 + digit[:, 2] * 10
+            + digit[:, 3])
+    month, day, hour, minute, second = (digit[:, i] * 10 + digit[:, i + 1]
+                                        for i in range(4, 14, 2))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    canonical = (
+        (np.fromiter(map(len, texts), dtype=np.int64, count=n) == len(_STAMP))
+        & ((digit >= 0) & (digit <= 9)).all(axis=1)
+        & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
+        & ((chars[:, 10] == ord(" ")) | (chars[:, 10] == ord("T")))
+        & (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":"))
+        & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+        & (day <= month_days) & (hour <= 23) & (minute <= 59)
+        & (second <= 59))
+    # Days from the civil date (proleptic Gregorian), counted from March so
+    # that a leap day ends its year.
+    y = year - (month <= 2)
+    era, year_of_era = np.divmod(y, 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146097 + year_of_era * 365 + year_of_era // 4
+            - year_of_era // 100 + day_of_year - 719468)
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    for i in np.flatnonzero(~canonical).tolist():
+        when = parse_timestamp(_text(cells[i]))
+        seconds[i] = _NO_TIME if when is None else _seconds(when)
+    return seconds
+
+
+def _event_blocks(row_blocks: Iterable[list[tuple]]) -> Iterator[EventBlock]:
+    """EventBlocks out of lists of (hadm_id, itemid, charttime, valuenum,
+    value) cells.
 
     valuenum is preferred when it is neither null nor blank; otherwise the
-    raw value is kept for the numeric-type filter to judge. Rows without a
-    parseable charttime are dropped.
+    raw value is judged. Rows without a parseable charttime are dropped.
+    Values are canonicalized with + 0.0, so -0.0 counts as 0.0.
     """
-    hadm_id, itemid, charttime, valuenum, value = map(name, _CHART_COLUMNS)
-    for row in rows:
-        when = parse_timestamp(_text(row.get(charttime)))
-        if when is None:
+    admission_ids: dict[str, int] = {}
+    type_ids: dict[str, int] = {}
+    for rows in row_blocks:
+        if not rows:
             continue
-        raw = row.get(valuenum)
-        yield ObservationEvent(
-            admission_id=_text(row.get(hadm_id)),
-            observation_type_id=_text(row.get(itemid)),
-            value=raw if _text(raw) else row.get(value),
-            charttime=when,
-        )
+        hadm_id, itemid, charttime, valuenum, value = zip(*rows)
+        seconds = _epoch_seconds(charttime)
+        timed = seconds != _NO_TIME
+        if not timed.all():
+            seconds = seconds[timed]
+            hadm_id, itemid, valuenum, value = (
+                list(compress(column, timed.tolist()))
+                for column in (hadm_id, itemid, valuenum, value))
+        number = np.fromiter(map(_number, valuenum, value),
+                             dtype=np.float64, count=len(seconds))
+        number[~np.isfinite(number)] = np.nan
+        yield EventBlock(_codes(hadm_id, admission_ids),
+                         _codes(itemid, type_ids), number + 0.0, seconds,
+                         admission_ids, type_ids)
 
 
-def read_chart_events(path) -> Iterator[ObservationEvent]:
-    """Stream chart events from a chartevents CSV (plain or gzip)."""
-    yield from _chart_events(iter_csv_rows(path, _CHART_COLUMNS), str)
+def read_chart_events(path) -> Iterator[EventBlock]:
+    """EventBlocks out of a chartevents CSV (plain or gzip), streamed."""
+
+    def row_builder(keys: list[str]):
+        last = {key: index for index, key in enumerate(keys)}
+        return itemgetter(*(last[column] for column in _CHART_COLUMNS))
+
+    rows = iter_csv_rows(path, _CHART_COLUMNS, row_builder)
+    yield from _event_blocks(iter(lambda: list(islice(rows, _BLOCK_ROWS)),
+                                  []))
 
 
-def read_chart_events_from_collection(path) -> Iterator[ObservationEvent]:
-    """Chart events out of a chartevents collection file, read whole.
+def read_chart_events_from_collection(path) -> Iterator[EventBlock]:
+    """EventBlocks out of a chartevents collection file, streamed a block of
+    records at a time (fhir_etl.iter_collection_blocks).
 
     Every record must carry the attributes the events are built from, null
     or not; any other kind of collection raises SchemaMismatch.
     """
-    records = fhir_etl.read_collection(path)
-    for index, record in enumerate(records):
-        if not record.keys() >= _COLLECTION_ATTRIBUTES:
-            missing = sorted(_COLLECTION_ATTRIBUTES - record.keys())
-            raise SchemaMismatch(f"{path}: record {index} lacks {missing}")
-    yield from _chart_events(records, _COLLECTION_NAME)
+    cells = itemgetter(*map(_COLLECTION_NAME, _CHART_COLUMNS))
+
+    def row_blocks() -> Iterator[list[tuple]]:
+        start = 0
+        for records in fhir_etl.iter_collection_blocks(path):
+            try:
+                rows = list(map(cells, records))
+            except KeyError:
+                index, missing = next(
+                    (i, sorted(_COLLECTION_ATTRIBUTES - record.keys()))
+                    for i, record in enumerate(records)
+                    if not record.keys() >= _COLLECTION_ATTRIBUTES)
+                raise SchemaMismatch(
+                    f"{path}: record {start + index} lacks {missing}"
+                ) from None
+            start += len(records)
+            yield rows
+
+    yield from _event_blocks(row_blocks())
 
 
 # --- persistence -----------------------------------------------------------
@@ -333,23 +352,124 @@ def load_stats(path) -> NormalizationStats:
         )
 
 
+def _fill_cells(cell: np.ndarray, value: np.ndarray, values: np.ndarray,
+                mask: np.ndarray) -> None:
+    """values[c] = the mean of the values of cell c, and mask[c] = True, for
+    each distinct c in cell (flat indices into values and mask).
+
+    A cell's values are sorted and summed strictly left to right, so the
+    order of the events never changes a bit; a cell whose values are all
+    equal takes that value exactly (mean idempotence).
+    """
+    if not len(cell):
+        return
+    order = np.lexsort((value, cell))
+    cell, value = cell[order], value[order]
+    del order
+    start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    count = np.diff(start, append=len(value))
+    # Longest cells first, so that the cells longer than k lead.
+    longest = np.argsort(-count, kind="stable")
+    cell, start, count = cell[start[longest]], start[longest], count[longest]
+    del longest
+    fewer = -count
+    total = value[start]
+    for k in range(1, int(count[0])):
+        m = np.searchsorted(fewer, -k)
+        total[:m] += value[start[:m] + k]
+    del fewer
+    total /= count
+    first = value[start]
+    np.copyto(total, first, where=first == value[start + count - 1])
+    values[cell] = total
+    mask[cell] = True
+
+
+def bin_events(
+    blocks: Iterable[EventBlock],
+    discharge_times: dict[str, datetime],
+    numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
+) -> tuple[ChartTensors, list[str]]:
+    """Raw (types x 4) mean matrices of one reader's EventBlocks, per
+    admission with at least one cell, and the catalog of their types.
+
+    A type is numeric when at least numeric_fraction of its values parse
+    as finite numbers; the catalog lists those types in stable sorted
+    order. Events of admissions without a discharge time, stamped after
+    discharge, of other types or without a number are dropped.
+    """
+    admission_ids: dict[str, int] = {}
+    type_ids: dict[str, int] = {}
+    total = numeric = np.zeros(0, dtype=np.int64)  # events per type index
+    discharge = np.zeros(0, dtype=np.int64)  # per admission index
+    # (admission, type * 4 + bin, value) of the events that can reach a cell
+    kept = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
+    for block in blocks:
+        admission_ids, type_ids = block.admission_ids, block.type_ids
+        n_types = len(type_ids)
+        parsed = ~np.isnan(block.value)
+        total = np.bincount(block.type, minlength=n_types) + np.pad(
+            total, (0, n_types - len(total)))
+        numeric = np.bincount(block.type[parsed], minlength=n_types) + np.pad(
+            numeric, (0, n_types - len(numeric)))
+        new = islice(admission_ids, len(discharge), None)
+        discharge = np.concatenate([discharge, np.fromiter(
+            (_seconds(discharge_times[a]) if a in discharge_times else _NO_TIME
+             for a in new), dtype=np.int64)])
+        offset = discharge[block.admission] - block.charttime
+        keep = parsed & (offset >= 0)
+        offset = offset[keep]
+        time_bin = N_BINS - 1 - sum(offset >= edge
+                                    for edge in _BIN_EDGE_SECONDS)
+        kept.append((block.admission[keep],
+                     (block.type[keep] * N_BINS + time_bin).astype(np.int32),
+                     block.value[keep]))
+
+    catalog = sorted(
+        (tid for tid, n, all_n in zip(type_ids, numeric.tolist(),
+                                      total.tolist())
+         if n >= numeric_fraction * all_n and n > 0),
+        key=_catalog_sort_key,
+    )
+    position = np.full(len(type_ids), -1, dtype=np.int64)
+    position[[type_ids[tid] for tid in catalog]] = np.arange(len(catalog))
+    admission, type_bin, value = map(np.concatenate, zip(*kept))
+    del kept
+    cell_type = position[type_bin >> 2]
+    retained = cell_type >= 0
+    admission, value = admission[retained], value[retained]
+    cell_type = cell_type[retained] * N_BINS + (type_bin[retained] & 3)
+
+    # Admissions with a retained event, in order of their first one, then
+    # sorted (a stable sort, as the per-admission dict it replaces was).
+    present, first = np.unique(admission, return_index=True)
+    names = list(admission_ids)
+    adm_index = sorted(present[np.argsort(first)].tolist(),
+                       key=lambda i: _catalog_sort_key(names[i]))
+    row = np.zeros(len(names), dtype=np.int64)
+    row[adm_index] = np.arange(len(adm_index))
+    shape = (len(adm_index), len(catalog), N_BINS)
+    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    _fill_cells(row[admission] * (len(catalog) * N_BINS) + cell_type, value,
+                values.reshape(-1), mask.reshape(-1))
+    adm_ids = np.array([names[i] for i in adm_index], dtype=str)
+    return ChartTensors(adm_ids, values, mask), catalog
+
+
 def preprocess_admissions(
-    events: Iterable[ObservationEvent],
+    blocks: Iterable[EventBlock],
     discharge_times: dict[str, datetime],
     fit_ids: Optional[set[str]] = None,
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
 ) -> tuple[ChartTensors, list[str], NormalizationStats]:
-    """Full preprocessing: filter, bin, fit stats (on fit_ids only when
+    """Full preprocessing: bin_events, fit stats (on fit_ids only when
     given), then normalize every admission with those statistics."""
-    retained, catalog = filter_numeric(events, numeric_fraction)
-    raw = aggregate_bins(retained, catalog, discharge_times)
-    adm_ids = sorted(raw, key=_catalog_sort_key)
-    fit_set = [a for a in adm_ids if fit_ids is None or a in fit_ids]
-    stats = fit_normalization([raw[a] for a in fit_set], catalog)
-    shape = (len(adm_ids), len(catalog), N_BINS)
-    values, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
-    for row, adm in enumerate(adm_ids):
-        values[row], mask[row] = raw.pop(adm)
-    tensors = ChartTensors(np.array(adm_ids, dtype=str),
-                           apply_normalization(values, mask, stats), mask)
+    raw, catalog = bin_events(blocks, discharge_times, numeric_fraction)
+    fit_set = [(values, mask) for adm, values, mask
+               in zip(raw.admission_ids.tolist(), raw.values, raw.mask)
+               if fit_ids is None or adm in fit_ids]
+    stats = fit_normalization(fit_set, catalog)
+    tensors = ChartTensors(raw.admission_ids,
+                           apply_normalization(raw.values, raw.mask, stats),
+                           raw.mask)
     return tensors, catalog, stats

@@ -56,10 +56,6 @@ class InvalidConfig(ConfigError):
 
 # --- chart preprocessing --------------------------------------------------
 
-class EventAfterDischarge(DataError):
-    """Observation time-stamped after the admission's discharge."""
-
-
 class EmptyType(DataError):
     """A catalog observation type has no contributing cells in the fit set."""
 

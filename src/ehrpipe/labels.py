@@ -22,6 +22,7 @@ from .errors import (
     CategoryOutOfRange,
     DegenerateClassBalance,
     DuplicateIcdCode,
+    IoFailure,
     MalformedCrosswalk,
 )
 from .tables import (
@@ -174,4 +175,10 @@ def save_labels(path, labels: LabelMatrix) -> Path:
 
 
 def load_labels(path) -> LabelMatrix:
-    return LabelMatrix(**load_admission_npz(path, ("bits",), ("categories",)))
+    """labels.npz, checked to hold one bits column per category."""
+    arrays = load_admission_npz(path, ("bits",), ("categories",))
+    if arrays["bits"].shape[1:] != arrays["categories"].shape:
+        raise IoFailure(f"{path}: bits of shape {arrays['bits'].shape} do not"
+                        f" have one column per category of"
+                        f" {arrays['categories'].shape}")
+    return LabelMatrix(**arrays)

@@ -86,12 +86,12 @@ def preprocess_chart(
     """
     name = str(chartevents)
     if name.endswith(".json") or name.endswith(".json.gz"):
-        events = chart.read_chart_events_from_collection(chartevents)
+        blocks = chart.read_chart_events_from_collection(chartevents)
     else:
-        events = chart.read_chart_events(chartevents)
+        blocks = chart.read_chart_events(chartevents)
     times = read_admission_times(admissions)
     discharge = {adm: t[1] for adm, t in times.items()}
-    return chart.preprocess_admissions(events, discharge, fit_ids=fit_ids,
+    return chart.preprocess_admissions(blocks, discharge, fit_ids=fit_ids,
                                        numeric_fraction=numeric_fraction)
 
 

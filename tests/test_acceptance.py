@@ -46,6 +46,7 @@ from ehrpipe.tables import (
     read_admission_times,
 )
 
+from conftest import write_csv
 from test_metrics import concordance_oracle
 from test_nn import check_layer_gradients, numeric_grad, rel_error
 from test_split import make_structured_labels
@@ -138,15 +139,33 @@ class TestA1FhirMapping:
 
 
 class TestA2Binning:
-    def test_a2(self):
+    def test_a2(self, tmp_path):
         with criterion("A2", "bin assignment and hand-computed means", 1):
             discharge = datetime(2130, 1, 10, 12, 0, 0)
+            columns = list(TABLE_COLUMNS[TableKind.CHARTEVENTS])
+
+            def row(adm, tid, before, value):
+                cells = dict.fromkeys(columns, "")
+                when = discharge - before
+                cells.update(hadm_id=adm, itemid=tid, valuenum=str(value),
+                             charttime=f"{when:%Y-%m-%d %H:%M:%S}")
+                return list(cells.values())
+
+            def binned(rows, discharge_times):
+                path = write_csv(tmp_path / "chartevents.csv", columns, rows)
+                return chart.bin_events(chart.read_chart_events(path),
+                                        discharge_times)
+
+            # one admission per minute, each with one event of type 1
+            minutes = range(0, 40 * 60 + 1)
+            raw, _ = binned(
+                [row(str(m), "1", timedelta(minutes=m), 1.0) for m in minutes],
+                {str(m): discharge for m in minutes})
+            assert raw.admission_ids.tolist() == [str(m) for m in minutes]
             seen = set()
-            for minute in range(0, 40 * 60 + 1):
+            for minute, mask in zip(minutes, raw.mask):
                 offset_h = minute / 60.0
-                got = chart.assign_bin(
-                    discharge - timedelta(minutes=minute), discharge
-                )
+                got = int(np.flatnonzero(mask[0])[0])
                 if offset_h >= 24:
                     expected = 0
                 elif offset_h >= 16:
@@ -160,9 +179,7 @@ class TestA2Binning:
             assert seen == {0, 1, 2, 3}
 
             def ev(tid, hours, value):
-                return chart.ObservationEvent(
-                    "A", tid, value, discharge - timedelta(hours=hours)
-                )
+                return row("A", tid, timedelta(hours=hours), value)
 
             fixture = [
                 ev("1", 30, 10.0), ev("1", 26, 14.0), ev("1", 20, 5.0),
@@ -170,9 +187,9 @@ class TestA2Binning:
                 ev("1", 0, 11.0),
                 ev("2", 40, 100.0), ev("2", 12, 50.0), ev("2", 4, 60.0),
             ]
-            out = chart.aggregate_bins(fixture, ["1", "2"],
-                                       {"A": discharge})
-            values, mask = out["A"]
+            raw, catalog = binned(fixture, {"A": discharge})
+            assert catalog == ["1", "2"]
+            values, mask = raw.values[0], raw.mask[0]
             np.testing.assert_array_equal(
                 values, [[12.0, 6.0, 3.0, 10.0], [100.0, 0.0, 50.0, 60.0]]
             )

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, chained workflows, manifests, isolation."""
 
+import gzip
 import hashlib
 import json
 from pathlib import Path
@@ -405,6 +406,9 @@ ARRAY_SPOILERS = {
 MALFORMED_ARRAYS = [
     ("eval", "--labels", "labels.npz", "bits", "fewer-rows"),
     ("eval", "--labels", "labels.npz", "bits", "more-rows"),
+    ("eval", "--labels", "labels.npz", "bits", "one-column-less"),
+    ("eval", "--labels", "labels.npz", "categories", "fewer-rows"),
+    ("eval", "--labels", "labels.npz", "bits", "first-row-only"),
     ("eval", "--probs", "probs.npz", "probs", "fewer-rows"),
     ("eval", "--probs", "probs.npz", "probs", "more-rows"),
     ("train", "--labels", "labels.npz", "admission_ids", "more-rows"),
@@ -514,6 +518,69 @@ def test_malformed_collection_exits_4(chain, cli_dataset, tmp_path, text):
     argv = _with(_argv(chain, cli_dataset, "preprocess"), "--chartevents",
                  bad)
     assert main(argv) == 4
+
+
+@pytest.fixture
+def chart_collection(cli_dataset, tmp_path, monkeypatch, capsys):
+    """The chartevents collection in the writer's layout, read in blocks of
+    about 2 KiB, some ten records each."""
+    from ehrpipe import fhir_etl
+
+    monkeypatch.setattr(fhir_etl, "_BLOCK_CHARS", 2048)
+    collection = tmp_path / "chartevents.json"
+    assert main(["transform", "--table", "chartevents",
+                 str(cli_dataset / "chartevents.csv"), str(collection)]) == 0
+    capsys.readouterr()
+    return collection
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda r: r.pop("encounter"), "lacks ['encounter']"),
+    (lambda r: r.update(code=[1]), "attribute 'code' is nested"),
+    (lambda r: r.update(resource_type="foo"), "has resource_type 'foo'"),
+])
+def test_bad_record_in_a_later_block_names_its_index(
+        chain, cli_dataset, chart_collection, capsys, spoil, message):
+    lines = chart_collection.read_text(encoding="utf-8").split("\n")
+    index = 57  # line 0 is "["
+    record = json.loads(lines[index + 1].strip().rstrip(","))
+    spoil(record)
+    lines[index + 1] = " " + json.dumps(record) + ","
+    chart_collection.write_text("\n".join(lines), encoding="utf-8")
+    argv = _with(_argv(chain, cli_dataset, "preprocess"), "--chartevents",
+                 chart_collection)
+    assert main(argv) == 4
+    assert f"{chart_collection}: record {index} {message}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+def test_collection_cut_mid_block_exits_4(chain, cli_dataset, chart_collection,
+                                          tmp_path, packed):
+    text = chart_collection.read_bytes()
+    if packed:
+        bad = tmp_path / "cut.json.gz"
+        full = gzip.compress(text)
+        bad.write_bytes(full[:len(full) // 2])
+    else:
+        bad = tmp_path / "cut.json"
+        bad.write_bytes(text[:len(text) // 2])
+    argv = _with(_argv(chain, cli_dataset, "preprocess"), "--chartevents",
+                 bad)
+    assert main(argv) == 4
+
+
+def test_csv_and_collection_give_the_same_tensors(chain, cli_dataset,
+                                                  chart_collection, tmp_path):
+    argv = _argv(chain, cli_dataset, "preprocess") + [
+        "--split", chain / "split.json"]
+    for source, out in ((cli_dataset / "chartevents.csv", "csv"),
+                        (chart_collection, "collection")):
+        assert main(_with(_with(argv, "--chartevents", source),
+                          "--out", tmp_path / out)) == 0
+    for name in ("tensors.npz", "chart_stats.json"):
+        assert (tmp_path / "collection" / name).read_bytes() == (
+            tmp_path / "csv" / name).read_bytes(), name
 
 
 def test_aggregate_of_empty_scores_exits_4(tmp_path):

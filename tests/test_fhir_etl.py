@@ -7,7 +7,10 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ehrpipe import fhir_etl
 from ehrpipe.errors import (
     IoFailure,
     MalformedJson,
@@ -17,6 +20,7 @@ from ehrpipe.errors import (
     UnmappedTable,
 )
 from ehrpipe.fhir_etl import (
+    iter_collection_blocks,
     iter_records,
     read_collection,
     transform,
@@ -241,6 +245,90 @@ class TestRoundtrip:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(records))
         with pytest.raises(MalformedJson, match=message):
+            read_collection(bad)
+
+
+def _writer_layout(records) -> str:
+    """The text transform writes for records."""
+    if not records:
+        return "[]\n"
+    lines = ",\n ".join(json.dumps(r, ensure_ascii=False) for r in records)
+    return f"[\n {lines}\n]\n"
+
+
+_records = st.lists(st.fixed_dictionaries(
+    {"resource_type": st.sampled_from(["observation", "patient"])},
+    optional={"id": st.integers(), "x": st.text(max_size=30),
+              "y": st.none() | st.booleans() | st.floats(allow_nan=False)}),
+    max_size=40)
+
+
+class TestBlockReader:
+    """The collection reader decodes the writer's layout a block at a time
+    and must read exactly what json.load reads, whatever the layout."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(records=_records, block=st.sampled_from([1, 7, 64, 1 << 20]),
+           layout=st.sampled_from(["writer", "one-line", "indent",
+                                   "crlf", "padded"]))
+    def test_every_layout_reads_as_json_load(self, tmp_path_factory,
+                                             records, block, layout):
+        text = {"writer": _writer_layout(records),
+                "one-line": json.dumps(records),
+                "indent": json.dumps(records, indent=2),
+                "crlf": _writer_layout(records).replace("\n", "\r\n"),
+                "padded": "\n\t " + _writer_layout(records) + " \n\n",
+                }[layout]
+        path = tmp_path_factory.mktemp("blocks") / "c.json"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fhir_etl, "_BLOCK_CHARS", block)
+            assert read_collection(path) == json.loads(text) == records
+
+    def test_writer_layout_is_decoded_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_CHARS", 64)
+        records = [{"resource_type": "patient", "id": i} for i in range(50)]
+        path = tmp_path / "c.json"
+        path.write_text(_writer_layout(records))
+        blocks = list(iter_collection_blocks(path))
+        assert len(blocks) > 10
+        assert [r for block in blocks for r in block] == records
+
+    @pytest.mark.parametrize("text", [
+        '[\n {"resource_type": "patient"},\n]\n',  # trailing comma
+        '[\n {"resource_type": "patient"},\n {"resource_type": "patient"}'
+        ',\n]\n',
+        '[\n {"resource_type": "patient"}\n {"resource_type": "patient"}'
+        '\n]\n',  # no comma between records
+        '[\n {"resource_type": "patient"},\n {"resource_type": "patient"}'
+        '\n',  # no closing bracket
+        '[\n {"resource_type": "patient"}\n]\n]\n',  # extra data
+        '[\n {"resource_type": "patient"}\n]x\n',
+        '[\n {"resource_type": "patient"},\n,\n {"resource_type": "a"}'
+        '\n]\n',  # empty element
+        '\x0c[\n {"resource_type": "patient"}\n]\n',  # not JSON space
+    ], ids=["trailing-comma", "trailing-comma-2", "missing-comma",
+            "unclosed", "extra-bracket", "extra-data", "empty-element",
+            "form-feed"])
+    @pytest.mark.parametrize("block", [1, 16, 1 << 20])
+    def test_invalid_text_is_malformed(self, tmp_path, monkeypatch, text,
+                                       block):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_CHARS", block)
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(MalformedJson):
+            read_collection(bad)
+
+    def test_later_block_errors_name_the_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_CHARS", 64)
+        records = [{"resource_type": "patient", "id": i} for i in range(50)]
+        records[37]["id"] = {"nested": 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(_writer_layout(records))
+        with pytest.raises(MalformedJson,
+                           match="record 37 attribute 'id' is nested"):
             read_collection(bad)
 
 
