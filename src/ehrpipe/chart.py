@@ -102,8 +102,10 @@ class NormalizationStats:
 
 
 def _catalog_sort_key(type_id: str):
+    """Numeric ids first, by value and then by text ("07" before "7"), then
+    the rest by text. isdecimal is what int() accepts; isdigit is not."""
     text = str(type_id)
-    return (0, int(text), "") if text.isdigit() else (1, 0, text)
+    return (0, int(text), text) if text.isdecimal() else (1, 0, text)
 
 
 def fit_normalization(

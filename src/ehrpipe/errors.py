@@ -74,14 +74,6 @@ class MalformedCrosswalk(DataError):
     """Crosswalk file yields no parseable code/category rows."""
 
 
-class CategoryOutOfRange(DataError):
-    """Requested category index is outside 0..C-1."""
-
-
-class DegenerateClassBalance(DataError):
-    """Binary label set has an empty class, so it cannot be balanced."""
-
-
 # --- split ----------------------------------------------------------------
 
 class InvalidSpec(ConfigError):

@@ -11,7 +11,6 @@ label bits (N, C), as the arrays labels.npz stores.
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -19,8 +18,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
-    CategoryOutOfRange,
-    DegenerateClassBalance,
     DuplicateIcdCode,
     IoFailure,
     MalformedCrosswalk,
@@ -129,43 +126,6 @@ def encode_labels(
     ids = np.array([str(adm) for adm in diagnoses], dtype=str)
     categories = np.asarray(xwalk.categories, dtype=np.int64)
     return LabelMatrix(ids, bits, categories), unknown
-
-
-def binary_labels(
-    labels: LabelMatrix, category: int
-) -> list[tuple[str, bool]]:
-    """Project one category column as (admission_id, flag) pairs."""
-    n_categories = labels.bits.shape[1]
-    if not 0 <= category < n_categories:
-        raise CategoryOutOfRange(
-            f"category {category} not in 0..{n_categories - 1}"
-        )
-    return list(zip(labels.admission_ids.tolist(),
-                    labels.bits[:, category].tolist()))
-
-
-def undersample(
-    pairs: list[tuple[str, bool]], seed: int
-) -> list[tuple[str, bool]]:
-    """Balance a binary label set by dropping majority samples at random.
-
-    Every minority sample is retained; majority samples are kept uniformly
-    at random (without replacement) under the seed. Output preserves the
-    input's relative order.
-    """
-    positives = [i for i, (_, flag) in enumerate(pairs) if flag]
-    negatives = [i for i, (_, flag) in enumerate(pairs) if not flag]
-    if not positives or not negatives:
-        raise DegenerateClassBalance("need at least one sample of each class")
-    minority, majority = (
-        (positives, negatives)
-        if len(positives) <= len(negatives)
-        else (negatives, positives)
-    )
-    rng = random.Random(seed)
-    kept_majority = rng.sample(majority, len(minority))
-    kept = sorted(minority + kept_majority)
-    return [pairs[i] for i in kept]
 
 
 # --- persistence -----------------------------------------------------------

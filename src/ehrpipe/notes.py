@@ -9,11 +9,13 @@ per-category probabilities; the default is a signed-hash bag-of-words linear
 classifier trained with the shared BCE/Adam kernel (feature hashing as in
 Weinberger et al., ICML 2009). Hashed chunks are held sparsely, as CSR rows
 of sorted unique slots and summed signs, never as a dense (chunks x
-feature_dim) matrix: training updates only the columns its chunks touch,
-and scoring is a blocked gather-sum over the weight columns. Chunk
-probabilities are combined per admission as (P_max + P_mean * n/c) /
-(1 + n/c), which leans on the best chunk while the mean term attenuates
-noise as chunks accumulate.
+feature_dim) matrix. The scorer keeps only the columns its training
+chunks touch, as their sorted slots and a (categories x slots) weight
+matrix, in training, in its checkpoint and in scoring. A slot it was not
+trained on weighs 0, and scoring is a blocked gather-sum over the weight
+columns. Chunk probabilities are combined per admission as (P_max + P_mean
+* n/c) / (1 + n/c), which leans on the best chunk while the mean term
+attenuates noise as chunks accumulate.
 """
 
 from __future__ import annotations
@@ -85,12 +87,10 @@ class AggregationParams:
 
 @dataclass
 class LinearClassifierParams:
-    weights: np.ndarray  # (C, feature_dim)
+    slots: np.ndarray  # int64 (S,): the trained columns, sorted and unique
+    weights: np.ndarray  # (C, S): column j weighs slot slots[j]
     bias: np.ndarray  # (C,)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[1]
+    feature_dim: int  # slots hash into [0, feature_dim)
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,19 @@ def _logits(indptr: np.ndarray, slots: np.ndarray, values: np.ndarray,
             params: LinearClassifierParams) -> np.ndarray:
     """W f + b for every CSR row, as a gather-sum over the weight columns.
 
-    Rows go in blocks whose gathered (nonzeros x categories) weights fit
-    _SCORE_BLOCK_BYTES, so memory does not grow with the number of chunks;
-    a row larger than that is a block of its own. A block first copies the
-    distinct columns it touches, so that the per-nonzero gather reads
-    contiguous rows.
+    Every slot is first mapped to its row of the slot-major weights, or to
+    a row of zeros if the scorer was not trained on it. Rows go in blocks
+    whose gathered (nonzeros x categories) weights fit _SCORE_BLOCK_BYTES,
+    so memory does not grow with the number of chunks; a row larger than
+    that is a block of its own.
     """
     n_rows = indptr.size - 1
-    n_categories = params.weights.shape[0]
+    n_categories, n_slots = params.weights.shape
+    table = np.zeros((n_slots + 1, n_categories))
+    table[:n_slots] = params.weights.T
+    position = np.searchsorted(params.slots, slots)
+    # position n_slots, past the last slot, is the row of zeros
+    position[np.append(params.slots, -1)[position] != slots] = n_slots
     out = np.zeros((n_rows, n_categories))
     budget = max(1, _SCORE_BLOCK_BYTES // (8 * n_categories))
     start = 0
@@ -266,9 +271,7 @@ def _logits(indptr: np.ndarray, slots: np.ndarray, values: np.ndarray,
         # and keeps its zero.
         filled = np.flatnonzero(np.diff(indptr[start:stop + 1])) + start
         if filled.size:
-            touched, position = np.unique(slots[lo:hi], return_inverse=True)
-            columns = np.ascontiguousarray(params.weights[:, touched].T)
-            gathered = columns[position]
+            gathered = table[position[lo:hi]]
             gathered *= values[lo:hi, None]
             out[filled] = np.add.reduceat(gathered, indptr[filled] - lo)
         start = stop
@@ -307,11 +310,11 @@ def train_scorer(
 
     Deterministic per seed; returns the parameters and a per-epoch loss log.
     Only the active columns, the slots the training chunks hash to, can get
-    a gradient. A column outside them has Adam moments of 0 at every step,
-    so a dense Adam would leave it at its Glorot init bit for bit. Training
-    therefore runs a DenseLayer over the active columns alone, on batches
-    densified to (batch, active), and scatters its weights back into the
-    full (categories, feature_dim) init.
+    a gradient, so training runs a DenseLayer over them alone, on batches
+    densified to (batch, active), and the parameters are those columns.
+    Their init is the full (categories, feature_dim) Glorot draw's active
+    columns, drawn a row at a time so that the full matrix is never held:
+    the row draws give the same numbers as the one full draw.
     """
     config.validate()
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
@@ -325,12 +328,15 @@ def train_scorer(
 
     rng = np.random.default_rng([config.seed, 0])
     init_rng = np.random.default_rng([config.seed, 1])
-    weights = glorot_uniform(init_rng, config.feature_dim, n_categories,
-                             (n_categories, config.feature_dim))
     indptr, slots, values = _hash_rows(usable, config.feature_dim)
     active, columns = np.unique(slots, return_inverse=True)
+    init = np.stack([
+        glorot_uniform(init_rng, config.feature_dim, n_categories,
+                       (config.feature_dim,))[active]
+        for _ in range(n_categories)
+    ])
     layer = DenseLayer(active.size, n_categories, init_rng)
-    layer.weights[...] = weights[:, active]  # replaces the layer's own draw
+    layer.weights[...] = init  # replaces the layer's own draw
     optimizer = Adam(layer.params(), lr=config.lr)
     history: dict = {"train_loss": []}
     for _ in range(config.epochs):
@@ -348,8 +354,9 @@ def train_scorer(
             total_loss += loss * y.size
             total_cells += y.size
         history["train_loss"].append(total_loss / total_cells)
-    weights[:, active] = layer.weights
-    params = LinearClassifierParams(weights=weights, bias=layer.bias)
+    params = LinearClassifierParams(slots=active, weights=layer.weights,
+                                    bias=layer.bias,
+                                    feature_dim=config.feature_dim)
     return params, history
 
 
@@ -419,16 +426,34 @@ def load_chunks(path) -> list[ChunkTokenSequence]:
 
 
 def save_scorer(path, params: LinearClassifierParams) -> Path:
-    return save_npz(path, {"weights": params.weights, "bias": params.bias})
+    return save_npz(path, vars(params))
 
 
 def load_scorer(path) -> LinearClassifierParams:
+    """note_scorer.npz, checked to weigh sorted unique slots in
+    [0, feature_dim) with one weight column per slot and one bias per
+    weight row."""
     with reading(path), np.load(path, allow_pickle=False) as data:
-        weights, bias = data["weights"], data["bias"]
-        if weights.ndim != 2 or bias.shape != weights.shape[:1]:
+        slots, weights, bias, dim = (data[name] for name in (
+            "slots", "weights", "bias", "feature_dim"))
+        if slots.ndim != 1 or slots.dtype.kind not in "iu" or (
+                dim.ndim != 0 or dim.dtype.kind not in "iu" or dim < 1):
+            raise ValueError(f"slots {slots.shape} {slots.dtype} and"
+                             f" feature_dim {dim.shape} {dim.dtype} are not"
+                             " integer slots and a positive integer")
+        if slots.size and not (np.all(slots[1:] > slots[:-1])
+                               and 0 <= int(slots[0])
+                               and int(slots[-1]) < int(dim)):
+            raise ValueError("slots are not sorted, unique and in"
+                             f" [0, {dim})")
+        if (weights.ndim != 2 or weights.shape[1:] != slots.shape
+                or bias.shape != weights.shape[:1]):
             raise ValueError(f"weights {weights.shape} and bias {bias.shape}"
-                             " are not a (C, dim) matrix and a (C,) vector")
-        return LinearClassifierParams(weights=weights, bias=bias)
+                             " are not a (C, slots) matrix and a (C,)"
+                             " vector")
+        return LinearClassifierParams(slots=slots.astype(np.int64),
+                                      weights=weights, bias=bias,
+                                      feature_dim=int(dim))
 
 
 def save_score_matrices(path, matrices: list[ChunkScoreMatrix]) -> Path:

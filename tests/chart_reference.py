@@ -3,8 +3,10 @@ core in ehrpipe.chart replaced: one ObservationEvent per row, a second copy
 in filter_numeric and a Python list per cell in aggregate_bins.
 
 The bit-identity tests in test_chart.py hold the columnar core to this
-reference. Its only departure from the old code is that it leaves the
-signed-zero fix to its callers (see preprocess_admissions below). Python's
+reference. It departs from the old code in two ways: it leaves the
+signed-zero fix to its callers (see preprocess_admissions below), and its
+catalog and admission order breaks a tie of numeric value ("06" and "6")
+by the id text, as ehrpipe.chart does, not by input order. Python's
 sum adds strictly left to right up to 3.11, which is what the columnar core
 does; 3.12 made sum compensated.
 """
@@ -55,7 +57,7 @@ def _parse_number(raw) -> Optional[float]:
 
 def _catalog_sort_key(type_id: str):
     text = str(type_id)
-    return (0, int(text), "") if text.isdigit() else (1, 0, text)
+    return (0, int(text), text) if text.isdecimal() else (1, 0, text)
 
 
 def filter_numeric(

@@ -204,8 +204,9 @@ def test_score_notes_with_saved_params(cli_dataset, tmp_path):
     ])
     from ehrpipe.notes import LinearClassifierParams, save_scorer
 
-    params = LinearClassifierParams(weights=np.zeros((6, 1024)),
-                                    bias=np.zeros(6))
+    params = LinearClassifierParams(slots=np.arange(1024),
+                                    weights=np.zeros((6, 1024)),
+                                    bias=np.zeros(6), feature_dim=1024)
     scorer_path = tmp_path / "scorer.npz"
     save_scorer(scorer_path, params)
     scores_path = tmp_path / "scores.npz"
@@ -399,6 +400,11 @@ ARRAY_SPOILERS = {
     "more-rows": lambda a: np.concatenate([a, a[:1]]),
     "first-row-only": lambda a: a[0],
     "one-column-less": lambda a: a[:, :-1],
+    "reversed": lambda a: a[::-1],
+    "first-repeated": lambda a: np.concatenate([a[:1], a[:-1]]),
+    "last-past-any-dim": lambda a: np.concatenate([a[:-1], [2 ** 40]]),
+    "first-negative": lambda a: np.concatenate([[-1], a[1:]]),
+    "dropped": lambda a: None,
 }
 
 
@@ -418,6 +424,12 @@ MALFORMED_ARRAYS = [
     ("predict", "--tensors", "tensors.npz", "values", "more-rows"),
     ("score-notes", "--params", "scorer.npz", "bias", "fewer-rows"),
     ("score-notes", "--params", "scorer.npz", "weights", "first-row-only"),
+    ("score-notes", "--params", "scorer.npz", "slots", "reversed"),
+    ("score-notes", "--params", "scorer.npz", "slots", "first-repeated"),
+    ("score-notes", "--params", "scorer.npz", "slots", "last-past-any-dim"),
+    ("score-notes", "--params", "scorer.npz", "slots", "first-negative"),
+    ("score-notes", "--params", "scorer.npz", "weights", "one-column-less"),
+    ("score-notes", "--params", "scorer.npz", "slots", "dropped"),
     ("aggregate", "--scores", "scores.npz", None, "one-column-less"),
 ]
 
@@ -430,6 +442,8 @@ def test_malformed_array_exits_4(chain, cli_dataset, tmp_path, capsys,
         arrays = dict(data)
     name = array or next(iter(arrays))
     arrays[name] = ARRAY_SPOILERS[spoiler](arrays[name])
+    if arrays[name] is None:
+        del arrays[name]
     bad = tmp_path / artifact
     np.savez(bad, **arrays)
     argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
@@ -695,6 +709,40 @@ def test_event_row_order_does_not_change_artifacts(chain, cli_dataset,
     for name in ("tensors.npz", "chart_stats.json", "chunks.json",
                  "scorer.npz", "scores.npz"):
         assert (d / name).read_bytes() == (chain / name).read_bytes(), name
+
+
+def _preprocess_rows(out: Path, itemids_and_values) -> int:
+    """preprocess over one admission and one chartevents row per
+    (itemid, value), written in the given order."""
+    from conftest import write_csv
+    from ehrpipe.tables import TABLE_COLUMNS, TableKind
+
+    header = list(TABLE_COLUMNS[TableKind.CHARTEVENTS])
+    rows = []
+    for itemid, value in itemids_and_values:
+        cells = dict.fromkeys(header, "")
+        cells.update(row_id="1", subject_id="1", hadm_id="1", itemid=itemid,
+                     charttime="2130-01-10 00:00:00", valuenum=str(value))
+        rows.append([cells[col] for col in header])
+    out.mkdir()
+    write_csv(out / "chartevents.csv", header, rows)
+    write_csv(out / "admissions.csv", ["hadm_id", "admittime", "dischtime"],
+              [["1", "2130-01-01 00:00:00", "2130-01-10 12:00:00"]])
+    return main(["preprocess", "--chartevents", str(out / "chartevents.csv"),
+                 "--admissions", str(out / "admissions.csv"),
+                 "--out", str(out)])
+
+
+def test_item_ids_of_one_value_keep_one_catalog_order(tmp_path):
+    rows = [("07", 1.0), ("7", 2.0)]
+    assert _preprocess_rows(tmp_path / "forward", rows) == 0
+    assert _preprocess_rows(tmp_path / "reversed", rows[::-1]) == 0
+    assert (tmp_path / "forward" / "tensors.npz").read_bytes() == (
+        tmp_path / "reversed" / "tensors.npz").read_bytes()
+
+
+def test_non_decimal_digit_item_id_is_a_type(tmp_path):
+    assert _preprocess_rows(tmp_path / "run", [("²", 1.0)]) == 0
 
 
 # --- config, usage and manifests ---------------------------------------------

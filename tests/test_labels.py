@@ -1,4 +1,4 @@
-"""Crosswalk loading, label encoding and binary-task utilities."""
+"""Crosswalk loading, label encoding and label persistence."""
 
 import random
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from ehrpipe.errors import (
-    CategoryOutOfRange,
-    DegenerateClassBalance,
     DuplicateIcdCode,
     MalformedCrosswalk,
 )
 from ehrpipe.labels import (
-    binary_labels,
     encode_labels,
     LabelMatrix,
     load_crosswalk,
     load_labels,
     save_labels,
-    undersample,
 )
 
 # Layout mirrors the public single-level CCS file: leading description
@@ -128,45 +124,6 @@ class TestEncodeLabels:
                 if any(xwalk.code_to_category[c] == cat for c in codes_)
             )
             assert counts[idx] == brute
-
-
-class TestBinaryAndUndersample:
-    def _vectors(self, flags):
-        return LabelMatrix(
-            np.array([f"a{i}" for i in range(len(flags))]),
-            np.array([[f, False] for f in flags]), np.array([1, 2]),
-        )
-
-    def test_projection(self):
-        vectors = self._vectors([True, False, True])
-        pairs = binary_labels(vectors, 0)
-        assert pairs == [("a0", True), ("a1", False), ("a2", True)]
-        assert all(not f for _, f in binary_labels(vectors, 1))
-
-    def test_out_of_range(self):
-        with pytest.raises(CategoryOutOfRange):
-            binary_labels(self._vectors([True]), 2)
-
-    def test_undersample_balances(self):
-        pairs = [(f"p{i}", True) for i in range(10)] + \
-            [(f"n{i}", False) for i in range(90)]
-        balanced = undersample(pairs, seed=3)
-        assert len(balanced) == 20
-        assert sum(1 for _, f in balanced if f) == 10
-        assert {a for a, f in balanced if f} == {f"p{i}" for i in range(10)}
-
-    def test_already_balanced_is_identity(self):
-        pairs = [("a", True), ("b", False), ("c", True), ("d", False)]
-        assert sorted(undersample(pairs, seed=1)) == sorted(pairs)
-
-    def test_deterministic_per_seed(self):
-        pairs = [(f"p{i}", True) for i in range(5)] + \
-            [(f"n{i}", False) for i in range(50)]
-        assert undersample(pairs, seed=9) == undersample(pairs, seed=9)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateClassBalance):
-            undersample([("a", True), ("b", True)], seed=1)
 
 
 def test_label_persistence_roundtrip(tmp_path):

@@ -139,11 +139,17 @@ class TestChunking:
             chunk_text("A", "x", max_len=1)
 
 
+def _dense_params(weights, bias) -> LinearClassifierParams:
+    """A scorer trained on every slot of a (C, dim) weight matrix."""
+    return LinearClassifierParams(slots=np.arange(weights.shape[1]),
+                                  weights=weights, bias=bias,
+                                  feature_dim=weights.shape[1])
+
+
 class TestScoring:
     def test_zero_parameters_give_half(self):
         chunks = chunk_text("A", "alpha beta gamma", max_len=8)
-        params = LinearClassifierParams(weights=np.zeros((3, 64)),
-                                        bias=np.zeros(3))
+        params = _dense_params(np.zeros((3, 64)), np.zeros(3))
         matrices = score_chunks(chunks, params)
         np.testing.assert_allclose(matrices[0].probabilities, 0.5)
 
@@ -153,8 +159,8 @@ class TestScoring:
             ChunkTokenSequence("A", 1, ["[CLS]", "x", "y"]),
         ]
         rng = np.random.default_rng(0)
-        params = LinearClassifierParams(weights=rng.standard_normal((2, 64)),
-                                        bias=rng.standard_normal(2))
+        params = _dense_params(rng.standard_normal((2, 64)),
+                               rng.standard_normal(2))
         matrix = score_chunks(chunks, params)[0]
         np.testing.assert_array_equal(matrix.probabilities[0],
                                       matrix.probabilities[1])
@@ -297,11 +303,17 @@ class TestSparseFeatures:
     @pytest.mark.parametrize("dim", [16, 2 ** 15])
     @pytest.mark.parametrize("block_bytes", [8 << 20, 8 * 5 * 3])
     def test_score_chunks_matches_dense(self, dim, block_bytes, monkeypatch):
+        """A scorer trained on every other slot against the dense product
+        with zeros in the untrained columns."""
         monkeypatch.setattr(notes, "_SCORE_BLOCK_BYTES", block_bytes)
         chunks = _sparse_case_chunks(dim)
         rng = np.random.default_rng(1)
-        params = LinearClassifierParams(weights=rng.standard_normal((5, dim)),
-                                        bias=rng.standard_normal(5))
+        slots = np.arange(1, dim, 2)
+        params = LinearClassifierParams(
+            slots=slots, weights=rng.standard_normal((5, slots.size)),
+            bias=rng.standard_normal(5), feature_dim=dim)
+        full = np.zeros((5, dim))
+        full[:, slots] = params.weights
         matrices = score_chunks(chunks, params)
         assert [m.admission_id for m in matrices] == list(
             dict.fromkeys(ch.admission_id for ch in chunks))
@@ -310,7 +322,7 @@ class TestSparseFeatures:
                           if ch.admission_id == matrix.admission_id),
                          key=lambda ch: ch.chunk_index)
             dense = np.stack([hash_features(ch.tokens, dim) for ch in own])
-            expected = sigmoid(dense @ params.weights.T + params.bias)
+            expected = sigmoid(dense @ full.T + params.bias)
             np.testing.assert_allclose(matrix.probabilities, expected,
                                        rtol=0, atol=1e-12)
         blank = next(m for m in matrices if m.admission_id == "blank")
@@ -326,21 +338,39 @@ class TestSparseFeatures:
                               lr=0.05, seed=7)
         params, history = train_scorer(chunks, labels, config)
         weights, bias, losses = _dense_train(chunks, labels, config)
-        np.testing.assert_allclose(params.weights, weights, rtol=0,
-                                   atol=1e-12)
+        touched = {_token_slot(token, dim)[0]
+                   for ch in chunks for token in ch.tokens}
+        np.testing.assert_array_equal(params.slots, sorted(touched))
+        assert params.feature_dim == dim
+        np.testing.assert_allclose(params.weights, weights[:, params.slots],
+                                   rtol=0, atol=1e-12)
         np.testing.assert_allclose(params.bias, bias, rtol=0, atol=1e-12)
         np.testing.assert_allclose(history["train_loss"], losses, rtol=0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [16, 2 ** 15])
+    def test_untrained_scorer_is_the_full_draws_columns(self, dim):
+        chunks = _sparse_case_chunks(dim)
+        labels = {ch.admission_id: np.ones(3, dtype=bool) for ch in chunks}
+        config = ScorerConfig(feature_dim=dim, epochs=0, seed=7)
+        params, _ = train_scorer(chunks, labels, config)
         init = glorot_uniform(np.random.default_rng([config.seed, 1]), dim,
                               3, (3, dim))
-        touched = {_token_slot(token, dim)[0]
-                   for ch in chunks for token in ch.tokens}
-        untouched = np.setdiff1d(np.arange(dim), sorted(touched))
-        assert untouched.size > 0 or dim == 16  # 16 slots are all touched
-        np.testing.assert_array_equal(params.weights[:, untouched],
-                                      init[:, untouched])
-        assert not np.array_equal(params.weights, init)
+        np.testing.assert_array_equal(params.weights, init[:, params.slots])
+
+    def test_chunk_of_untrained_slots_scores_the_bias(self):
+        dim = 2 ** 15
+        chunks = _sparse_case_chunks(dim)
+        labels = {ch.admission_id: np.ones(3, dtype=bool) for ch in chunks}
+        params, _ = train_scorer(chunks, labels, ScorerConfig(
+            feature_dim=dim, epochs=1, seed=7))
+        unseen = next(f"u{i}" for i in range(1_000_000)
+                      if _token_slot(f"u{i}", dim)[0] not in params.slots)
+        matrix = score_chunks([ChunkTokenSequence("new", 0, [unseen])],
+                              params)[0]
+        assert not np.all(params.bias == 0)
+        np.testing.assert_array_equal(matrix.probabilities[0],
+                                      sigmoid(params.bias))
 
 
 class TestAggregation:
@@ -406,13 +436,16 @@ class TestPersistence:
 
     def test_scorer_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
-        params = LinearClassifierParams(weights=rng.standard_normal((2, 32)),
-                                        bias=rng.standard_normal(2))
+        params = LinearClassifierParams(
+            slots=np.array([0, 5, 31]), weights=rng.standard_normal((2, 3)),
+            bias=rng.standard_normal(2), feature_dim=32)
         path = tmp_path / "scorer.npz"
         save_scorer(path, params)
         loaded = load_scorer(path)
-        np.testing.assert_array_equal(loaded.weights, params.weights)
-        np.testing.assert_array_equal(loaded.bias, params.bias)
+        for name in ("slots", "weights", "bias"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(params, name))
+        assert loaded.feature_dim == 32
 
     def test_score_matrices_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -138,6 +138,9 @@ def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
          "--feature-dim", scorer.feature_dim, "--epochs", scorer.epochs,
          "--batch-size", scorer.batch_size, "--lr", scorer.lr,
          "--seed", scorer.seed],
+        ["score-notes", "--chunks", out / "chunks.json",
+         "--params", out / "note_scorer.npz",
+         "--out", out / "rescored_chunk_scores.npz"],
         ["aggregate", "--scores", out / "chunk_scores.npz",
          "--scale-c", config.aggregation_c,
          "--out", out / "note_admission_probs.npz"],
@@ -149,3 +152,5 @@ def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
         assert main([str(a) for a in argv]) == 0, argv[0]
     for name in SHARED_ARTIFACTS:
         assert (out / name).read_bytes() == (pipe / name).read_bytes(), name
+    assert (out / "rescored_chunk_scores.npz").read_bytes() == (
+        pipe / "chunk_scores.npz").read_bytes()
