@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage error, 3 configuration error, 4 data/schema
 error, 5 numeric fault, 1 anything unexpected. Every invocation writes a
 run manifest (inputs, outputs, config hash, seed) next to its primary
-output. Subcommands never modify their input files.
+output. Subcommands never modify their input files. A stage's handler maps
+its flags onto the stage's pipeline function, prints what that returns and
+writes the manifest; the function reads and writes the artifacts.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import chart, chart_model, fhir_etl, metrics, runcfg
-from . import labels as labels_mod
+from . import chart, chart_model, fhir_etl
 from . import notes as notes_mod
 from . import pipeline
 from . import split as split_mod
@@ -27,10 +28,10 @@ from .attention import (
     write_alignment_csv,
     write_weights_json,
 )
-from .errors import DataError, PipelineError
+from .errors import PipelineError
 from .runcfg import PipelineConfig, config_hash, load_config, write_run_manifest
 from .synth import SynthConfig, generate
-from .tables import TableKind, make_dir, save_json
+from .tables import TableKind
 
 
 def _args_hash(args: argparse.Namespace) -> str:
@@ -94,33 +95,23 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    runcfg.check_fraction("numeric_fraction", args.numeric_fraction)
-    out = make_dir(args.out)
-    fit_ids = (pipeline.members(split_mod.load_split(args.split), "train")
-               if args.split else None)
-    tensors, catalog, stats = pipeline.preprocess_chart(
-        args.chartevents, args.admissions, fit_ids=fit_ids,
-        numeric_fraction=args.numeric_fraction,
-    )
-    outputs = {
-        "tensors": chart.save_tensors(out / "tensors.npz", tensors, catalog),
-        "stats": chart.save_stats(out / "chart_stats.json", stats),
-    }
-    print(f"{len(tensors)} admission tensors over {len(catalog)} types")
+    tensors, stats, (n_tensors, n_types) = pipeline.preprocess(
+        args.chartevents, args.admissions, args.out, args.split,
+        args.numeric_fraction)
+    print(f"{n_tensors} admission tensors over {n_types} types")
     _emit_manifest(
         args, "preprocess",
         {"chartevents": args.chartevents, "admissions": args.admissions},
-        outputs, seed=0,
+        {"tensors": tensors, "stats": stats}, seed=0,
     )
     return 0
 
 
 def _cmd_labels(args) -> int:
-    labels, unknown = pipeline.label_admissions(
-        args.diagnoses, args.crosswalk, args.admissions)
-    written = labels_mod.save_labels(args.out, labels)
-    print(f"{len(labels)} admissions x {len(labels.categories)} categories; "
-          f"{sum(unknown.values())} unknown code occurrences")
+    written, (n_admissions, n_categories), n_unknown = pipeline.labels(
+        args.diagnoses, args.crosswalk, args.out, args.admissions)
+    print(f"{n_admissions} admissions x {n_categories} categories; "
+          f"{n_unknown} unknown code occurrences")
     _emit_manifest(
         args, "labels",
         {"diagnoses": args.diagnoses, "crosswalk": args.crosswalk},
@@ -130,49 +121,37 @@ def _cmd_labels(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    spec = split_mod.SplitSpec(ratios=tuple(args.ratios), seed=args.seed)
-    result = split_mod.iterative_stratified_split(
-        labels_mod.load_labels(args.labels), spec)
-    split_mod.save_split(args.out, result)
-    print(f"sizes: {result.sizes}")
+    sizes = pipeline.split(
+        args.labels, args.out,
+        split_mod.SplitSpec(ratios=tuple(args.ratios), seed=args.seed))
+    print(f"sizes: {sizes}")
     _emit_manifest(args, "split", {"labels": args.labels},
                    {"split": args.out}, seed=args.seed)
     return 0
 
 
 def _cmd_train(args) -> int:
-    tensors, catalog = chart.load_tensors(args.tensors)
-    labels = labels_mod.load_labels(args.labels)
-    stats_path = Path(args.tensors).parent / "chart_stats.json"
+    log = Path(args.log or f"{args.out}.log.json")
     config = chart_model.ChartModelConfig(
         variant=args.variant, hidden_size=args.hidden, epochs=args.epochs,
         batch_size=args.batch_size, lr=args.lr, dropout=args.dropout,
         conv_filters=args.conv_filters, rnn_hidden=args.rnn_hidden,
         seed=args.seed,
     )
-    trained = pipeline.train_chart(
-        tensors, catalog, labels, split_mod.load_split(args.split), config,
-        stats_ref=stats_path.name if stats_path.exists() else "",
-    )
-    written = chart_model.save_checkpoint(args.out, trained)
-    log_path = save_json(args.log or str(args.out) + ".log.json",
-                         trained.history, indent=1)
-    print(f"train loss per epoch: "
-          f"{[round(x, 6) for x in trained.history['train_loss']]}")
+    written, losses = pipeline.train(args.tensors, args.labels, args.split,
+                                     args.out, log, config)
+    print(f"train loss per epoch: {[round(x, 6) for x in losses]}")
     _emit_manifest(
         args, "train",
         {"tensors": args.tensors, "labels": args.labels, "split": args.split},
-        {"checkpoint": written, "log": log_path}, seed=args.seed,
+        {"checkpoint": written, "log": log}, seed=args.seed,
     )
     return 0
 
 
 def _cmd_predict(args) -> int:
-    trained = chart_model.load_checkpoint(args.model)
-    tensors, catalog = chart.load_tensors(args.tensors)
-    ids, probs = pipeline.predict_chart(trained, tensors, catalog)
-    written = pipeline.save_probs(args.out, ids, probs)
-    print(f"{probs.shape[0]} x {probs.shape[1]} probabilities -> {written}")
+    written, (n, c) = pipeline.predict(args.model, args.tensors, args.out)
+    print(f"{n} x {c} probabilities -> {written}")
     _emit_manifest(args, "predict",
                    {"model": args.model, "tensors": args.tensors},
                    {"probs": written}, seed=0)
@@ -180,10 +159,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_notes_prep(args) -> int:
-    n_admissions, chunks = pipeline.chunk_notes(
-        args.notes, args.admissions, args.subset, args.max_len)
-    notes_mod.save_chunks(args.out, chunks)
-    print(f"{n_admissions} admissions -> {len(chunks)} chunks "
+    n_admissions, n_chunks = pipeline.notes_prep(
+        args.notes, args.admissions, args.out, args.subset, args.max_len)
+    print(f"{n_admissions} admissions -> {n_chunks} chunks "
           f"(subset={args.subset})")
     _emit_manifest(args, "notes-prep",
                    {"notes": args.notes, "admissions": args.admissions},
@@ -192,55 +170,36 @@ def _cmd_notes_prep(args) -> int:
 
 
 def _cmd_score_notes(args) -> int:
-    chunks = notes_mod.load_chunks(args.chunks)
-    outputs = {}
-    if args.params:
-        params = notes_mod.load_scorer(args.params)
-        inputs = {"chunks": args.chunks, "params": args.params}
-    else:
-        if not (args.labels and args.split):
-            raise DataError(
-                "score-notes needs --params, or --labels and --split to fit"
-            )
-        params, history = pipeline.fit_scorer(
-            chunks, labels_mod.load_labels(args.labels),
-            split_mod.load_split(args.split),
-            notes_mod.ScorerConfig(
-                feature_dim=args.feature_dim, epochs=args.epochs,
-                batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-            ),
-        )
-        outputs["scorer"] = notes_mod.save_scorer(
-            args.fit_out or str(args.out) + ".scorer.npz", params)
-        print(f"scorer loss per epoch: "
-              f"{[round(x, 6) for x in history['train_loss']]}")
-        inputs = {"chunks": args.chunks, "labels": args.labels,
-                  "split": args.split}
-    matrices = notes_mod.score_chunks(chunks, params)
-    outputs["scores"] = notes_mod.save_score_matrices(args.out, matrices)
-    print(f"scored {len(matrices)} admissions -> {outputs['scores']}")
+    fit_out = args.fit_out or f"{args.out}.scorer.npz"
+    outputs, losses, n_scored = pipeline.score_notes(
+        args.chunks, args.out, args.params, args.labels, args.split,
+        fit_out, f"{fit_out}.log.json",
+        notes_mod.ScorerConfig(
+            feature_dim=args.feature_dim, epochs=args.epochs,
+            batch_size=args.batch_size, lr=args.lr, seed=args.seed,
+        ),
+    )
+    if losses is not None:
+        print(f"scorer loss per epoch: {[round(x, 6) for x in losses]}")
+    print(f"scored {n_scored} admissions -> {outputs['scores']}")
+    inputs = ({"chunks": args.chunks, "params": args.params} if args.params
+              else {"chunks": args.chunks, "labels": args.labels,
+                    "split": args.split})
     _emit_manifest(args, "score-notes", inputs, outputs, seed=args.seed)
     return 0
 
 
 def _cmd_aggregate(args) -> int:
-    ids, probs = pipeline.aggregate_scores(
-        notes_mod.load_score_matrices(args.scores), args.scale_c)
-    written = pipeline.save_probs(args.out, ids, probs)
-    print(f"aggregated {len(ids)} admissions -> {written}")
+    written, n = pipeline.aggregate(args.scores, args.out, args.scale_c)
+    print(f"aggregated {n} admissions -> {written}")
     _emit_manifest(args, "aggregate", {"scores": args.scores},
                    {"probs": written}, seed=0)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    ids, probs = pipeline.load_probs(args.probs)
-    labels = labels_mod.load_labels(args.labels)
-    keep = None
-    if args.partition:
-        keep = pipeline.members(split_mod.load_split(args.split), args.partition)
-    report = pipeline.evaluate(ids, probs, labels, keep, args.target)
-    metrics.save_report(args.out, report)
+    report = pipeline.evaluate(args.probs, args.labels, args.out, args.split,
+                               args.partition, args.target)
     print(f"micro AU-ROC {report.micro_auroc:.4f}  "
           f"AU-PR {report.micro_aupr:.4f}  "
           f"Recall@Prec80 {report.micro_recall_at_prec80:.4f}  "

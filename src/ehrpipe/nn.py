@@ -65,7 +65,8 @@ class DenseLayer:
         """The parameter half of backward, for a layer fed by the data.
 
         Skips grad @ weights: for the note scorer that is a
-        (batch, categories) x (categories, 2^15) product nobody reads.
+        (batch, categories) x (categories, trained columns) product nobody
+        reads.
         """
         if self._x is None or grad.shape != (self._x.shape[0],
                                              self.weights.shape[0]):
@@ -288,8 +289,9 @@ def bce_loss(probabilities: np.ndarray,
 
 
 # Adam walks each parameter in slices of this many elements, so that all of
-# a step's passes over one slice stay in cache (2^14 to 2^16 measured equally
-# fast on the note scorer's 281 x 2^15 weights; 2^11 and 2^17 slower).
+# a step's passes over one slice stay in cache. 2^14 to 2^16 measured equally
+# fast, and 2^11 and 2^17 slower, on 281 x 2^15 weights: the note scorer's
+# before it kept only its trained columns (about 125 on models-mimic).
 ADAM_SLICE = 2 ** 15
 
 

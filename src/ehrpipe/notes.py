@@ -39,6 +39,7 @@ from .errors import (
 from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
 from .tables import (
     iter_csv_rows,
+    load_admission_npz,
     load_json,
     parse_timestamp,
     reading,
@@ -93,6 +94,11 @@ class LinearClassifierParams:
     feature_dim: int  # slots hash into [0, feature_dim)
 
 
+# _hash_rows' int64 keys chunk * feature_dim + slot cannot wrap under this
+# bound for fewer than 2^31 chunks.
+MAX_FEATURE_DIM = 2 ** 32
+
+
 @dataclass(frozen=True)
 class ScorerConfig:
     feature_dim: int = 2 ** 15
@@ -105,6 +111,8 @@ class ScorerConfig:
         for name in ("feature_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"scorer {name} must be positive")
+        if self.feature_dim > MAX_FEATURE_DIM:
+            raise InvalidConfig("scorer feature_dim must be at most 2^32")
         if self.epochs < 0:
             raise InvalidConfig("scorer epochs must be >= 0")
         if not self.lr > 0:  # also rejects NaN
@@ -431,16 +439,17 @@ def save_scorer(path, params: LinearClassifierParams) -> Path:
 
 def load_scorer(path) -> LinearClassifierParams:
     """note_scorer.npz, checked to weigh sorted unique slots in
-    [0, feature_dim) with one weight column per slot and one bias per
-    weight row."""
+    [0, feature_dim), with feature_dim at most MAX_FEATURE_DIM, one weight
+    column per slot and one bias per weight row."""
     with reading(path), np.load(path, allow_pickle=False) as data:
         slots, weights, bias, dim = (data[name] for name in (
             "slots", "weights", "bias", "feature_dim"))
         if slots.ndim != 1 or slots.dtype.kind not in "iu" or (
-                dim.ndim != 0 or dim.dtype.kind not in "iu" or dim < 1):
+                dim.ndim != 0 or dim.dtype.kind not in "iu"
+                or not 1 <= dim <= MAX_FEATURE_DIM):
             raise ValueError(f"slots {slots.shape} {slots.dtype} and"
                              f" feature_dim {dim.shape} {dim.dtype} are not"
-                             " integer slots and a positive integer")
+                             " integer slots and an integer in [1, 2^32]")
         if slots.size and not (np.all(slots[1:] > slots[:-1])
                                and 0 <= int(slots[0])
                                and int(slots[-1]) < int(dim)):
@@ -457,23 +466,29 @@ def load_scorer(path) -> LinearClassifierParams:
 
 
 def save_score_matrices(path, matrices: list[ChunkScoreMatrix]) -> Path:
+    """The admission ids, their chunk counts and their chunks' rows."""
     return save_npz(path, {
-        f"adm_{m.admission_id}": m.probabilities for m in matrices
+        "admission_ids": np.array([m.admission_id for m in matrices], str),
+        "chunk_counts": np.array([len(m.probabilities) for m in matrices],
+                                 np.int64),
+        "probabilities": np.concatenate([m.probabilities for m in matrices]
+                                        or [np.zeros((0, 0))]),
     })
 
 
 def load_score_matrices(path) -> list[ChunkScoreMatrix]:
-    with reading(path), np.load(path, allow_pickle=False) as data:
-        strays = [name for name in data.files if not name.startswith("adm_")]
-        if strays:
-            raise IoFailure(
-                f"{path}: array(s) {strays} are not chunk scores (adm_<id>)"
-            )
-        matrices = [
-            ChunkScoreMatrix(admission_id=name[len("adm_"):],
-                             probabilities=data[name])
-            for name in data.files
-        ]
-        if len({m.probabilities.shape[1:] for m in matrices}) > 1:
-            raise ValueError("admissions differ in their category counts")
-        return matrices
+    """chunk_scores.npz, checked to hold 2-D probabilities whose rows the
+    chunk counts, each at least 1, cover exactly; each matrix is a view of
+    its admission's rows."""
+    arrays = load_admission_npz(path, ("chunk_counts",), ("probabilities",))
+    counts, probs = arrays["chunk_counts"], arrays["probabilities"]
+    if (probs.ndim != 2 or counts.ndim != 1 or counts.dtype.kind not in "iu"
+            or np.any(counts < 1) or counts.sum() != probs.shape[0]):
+        raise IoFailure(f"{path}: chunk_counts {counts.shape} {counts.dtype}"
+                        " are not counts of at least 1 summing to the rows"
+                        f" of probabilities {probs.shape}")
+    return [
+        ChunkScoreMatrix(admission_id=adm, probabilities=rows)
+        for adm, rows in zip(arrays["admission_ids"].tolist(),
+                             np.split(probs, np.cumsum(counts)[:-1]))
+    ]

@@ -1,13 +1,15 @@
-"""Pipeline stages, and run_pipeline, which chains them end to end.
+"""Pipeline stages, file to file, and run_pipeline, which chains them.
 
-Each stage is one function; the CLI subcommands and run_pipeline call the
-same ones. Chart branch: synth -> transform -> labels -> split -> preprocess
--> train -> predict -> eval. Notes branch (same labels and split):
-notes-prep -> score-notes -> aggregate -> eval. run_pipeline runs them one
-after another in one thread, transform included: it converts the five
-tables in manifest order. All artifacts are plain files under the
-configured output directory; re-running with the same config and seed
-rewrites byte-identical artifacts.
+One function per subcommand stage takes the subcommand's input paths,
+output paths and settings, reads its inputs, computes, writes every
+artifact of the stage and returns only what the CLI prints. The CLI and
+run_pipeline call the same functions, so stages pass data to each other
+only through the files they write. Chart branch: synth -> transform ->
+labels -> split -> preprocess -> train -> predict -> eval. Notes branch
+(same labels and split): notes-prep -> score-notes -> aggregate -> eval.
+run_pipeline runs them one after another in one thread, transform
+included, under the configured output directory; re-running with the
+same config and seed rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -40,27 +42,34 @@ from .tables import (
 )
 
 
-def members(assignment: dict[str, str], partition: str) -> set[str]:
-    """Admission ids the split assignment puts in one partition."""
-    return {adm for adm, tag in assignment.items() if tag == partition}
+def _members(split_path, partition: str) -> set[str]:
+    """Admission ids the split file puts in one partition."""
+    return {adm for adm, tag in split_mod.load_split(split_path).items()
+            if tag == partition}
 
 
-def _labelled(ids: list[str], labels: labels_mod.LabelMatrix,
+def _labelled(ids: list[str], label_matrix: labels_mod.LabelMatrix,
               keep: Optional[set[str]] = None) -> tuple[list[int], list[int]]:
     """Positions in ids of the admissions with labels (and in keep, when
-    given), and their rows in labels."""
-    row_of = dict(zip(labels.admission_ids.tolist(), range(len(labels))))
+    given), and their rows in label_matrix."""
+    row_of = dict(zip(label_matrix.admission_ids.tolist(),
+                      range(len(label_matrix))))
     kept = [i for i, adm in enumerate(ids)
             if adm in row_of and (keep is None or adm in keep)]
     return kept, [row_of[ids[i]] for i in kept]
 
 
+def _save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
+    return save_npz(path, {"admission_ids": np.array(ids), "probs": probs})
+
+
 # --- stages ------------------------------------------------------------------
 
-def label_admissions(
-    diagnoses, crosswalk, admissions=None,
-) -> tuple[labels_mod.LabelMatrix, dict[str, int]]:
-    """CCS labels and counts of uncrosswalked codes.
+def labels(diagnoses, crosswalk, out,
+           admissions=None) -> tuple[Path, tuple[int, int], int]:
+    """CCS labels to out, and unknown_codes.json beside it when a code is
+    missing from the crosswalk; returns the path written, the labels'
+    (admissions, categories) shape and the unknown code occurrences.
 
     With an admissions CSV every admission gets a row, all zeros when it
     has no diagnosis rows; without one only admissions with diagnoses do.
@@ -71,136 +80,175 @@ def label_admissions(
         admission_ids = [row["hadm_id"].strip()
                          for row in iter_csv_rows(admissions, ("hadm_id",))]
         codes = {adm: codes.get(adm, []) for adm in admission_ids}
-    return labels_mod.encode_labels(codes, xwalk)
+    label_matrix, unknown = labels_mod.encode_labels(codes, xwalk)
+    written = labels_mod.save_labels(out, label_matrix)
+    if unknown:
+        save_json(written.parent / "unknown_codes.json", unknown,
+                  sort_keys=True)
+    return written, label_matrix.bits.shape, sum(unknown.values())
 
 
-def preprocess_chart(
-    chartevents,
-    admissions,
-    fit_ids: Optional[set[str]] = None,
-    numeric_fraction: float = chart.DEFAULT_NUMERIC_FRACTION,
-) -> tuple[chart.ChartTensors, list[str], chart.NormalizationStats]:
-    """Admission tensors from a chartevents CSV or observation collection.
+def split(labels_path, out, spec: split_mod.SplitSpec) -> dict[str, int]:
+    """Iterative stratified split to out; returns the partition sizes."""
+    result = split_mod.iterative_stratified_split(
+        labels_mod.load_labels(labels_path), spec)
+    split_mod.save_split(out, result)
+    return result.sizes
 
-    Normalization statistics are fitted on fit_ids only when given.
+
+def preprocess(
+    chartevents, admissions, out, split_path, numeric_fraction: float,
+) -> tuple[Path, Path, tuple[int, int]]:
+    """tensors.npz and chart_stats.json in the directory out, from a
+    chartevents CSV or observation collection; returns the two paths and
+    the numbers of admission tensors and of observation types.
+
+    Normalization statistics are fitted on the split's train admissions
+    when a split is given.
     """
-    name = str(chartevents)
-    if name.endswith(".json") or name.endswith(".json.gz"):
-        blocks = chart.read_chart_events_from_collection(chartevents)
-    else:
-        blocks = chart.read_chart_events(chartevents)
-    times = read_admission_times(admissions)
-    discharge = {adm: t[1] for adm, t in times.items()}
-    return chart.preprocess_admissions(blocks, discharge, fit_ids=fit_ids,
-                                       numeric_fraction=numeric_fraction)
+    check_fraction("numeric_fraction", numeric_fraction)
+    out = make_dir(out)
+    fit_ids = _members(split_path, "train") if split_path else None
+    read = (chart.read_chart_events_from_collection
+            if str(chartevents).endswith((".json", ".json.gz"))
+            else chart.read_chart_events)
+    blocks = read(chartevents)
+    discharge = {adm: t[1]
+                 for adm, t in read_admission_times(admissions).items()}
+    tensors, catalog, stats = chart.preprocess_admissions(
+        blocks, discharge, fit_ids=fit_ids, numeric_fraction=numeric_fraction)
+    return (chart.save_tensors(out / "tensors.npz", tensors, catalog),
+            chart.save_stats(out / "chart_stats.json", stats),
+            (len(tensors), len(catalog)))
 
 
-def train_chart(
-    tensors: chart.ChartTensors,
-    catalog: list[str],
-    labels: labels_mod.LabelMatrix,
-    assignment: dict[str, str],
+def train(
+    tensors_path, labels_path, split_path, out, log_out,
     config: chart_model.ChartModelConfig,
-    stats_ref: str = "",
-) -> chart_model.TrainedModel:
-    """Chart model trained on the tensors that have labels.
+) -> tuple[Path, list[float]]:
+    """Chart model trained on the tensors that have labels to out, and its
+    log to log_out; returns the checkpoint path and the loss per epoch.
 
-    The catalog and the labels replace config's n_types and n_categories.
+    The tensors' catalog and the labels replace config's n_types and
+    n_categories. The checkpoint names chart_stats.json when that file is
+    beside the tensors.
     """
+    tensors, catalog = chart.load_tensors(tensors_path)
+    label_matrix = labels_mod.load_labels(labels_path)
+    assignment = split_mod.load_split(split_path)
     ids = tensors.admission_ids.tolist()
-    kept, rows = _labelled(ids, labels)
+    kept, rows = _labelled(ids, label_matrix)
     if not kept:
         raise EmptyPartition("no admission tensor has a label vector")
+    stats = Path(tensors_path).parent / "chart_stats.json"
     config = replace(config, n_types=len(catalog),
-                     n_categories=labels.bits.shape[1])
-    return chart_model.train(
-        chart_model.build(config), tensors.values[kept], labels.bits[rows],
-        [ids[i] for i in kept], assignment, catalog=catalog,
-        stats_ref=stats_ref,
+                     n_categories=label_matrix.bits.shape[1])
+    trained = chart_model.train(
+        chart_model.build(config), tensors.values[kept],
+        label_matrix.bits[rows], [ids[i] for i in kept], assignment,
+        catalog=catalog, stats_ref=stats.name if stats.exists() else "",
     )
+    written = chart_model.save_checkpoint(out, trained)
+    save_json(log_out, trained.history, indent=1)
+    return written, trained.history["train_loss"]
 
 
-def predict_chart(
-    trained: chart_model.TrainedModel,
-    tensors: chart.ChartTensors,
-    catalog: list[str],
-) -> tuple[list[str], np.ndarray]:
-    """Admission ids and their (N, C) probabilities.
+def predict(model, tensors_path, out) -> tuple[Path, tuple[int, int]]:
+    """(N, C) probabilities of the tensors' admissions to out; returns the
+    path written and the shape.
 
     CatalogMismatch when the checkpoint records a catalog other than the
     tensors' one.
     """
+    trained = chart_model.load_checkpoint(model)
+    tensors, catalog = chart.load_tensors(tensors_path)
     if trained.catalog and trained.catalog != catalog:
         raise CatalogMismatch(
             "the tensors' observation types differ from the checkpoint's")
-    return (tensors.admission_ids.tolist(),
-            chart_model.predict(trained.model, tensors.values))
+    probs = chart_model.predict(trained.model, tensors.values)
+    return (_save_probs(out, tensors.admission_ids.tolist(), probs),
+            probs.shape)
 
 
-def chunk_notes(
-    notes, admissions, subset: str, max_len: int,
-) -> tuple[int, list[notes_mod.ChunkTokenSequence]]:
-    """Chunks of one note subset, admission by admission in id order.
-
-    Returns the number of admissions with notes in the subset and the chunks.
-    """
+def notes_prep(notes, admissions, out, subset: str,
+               max_len: int) -> tuple[int, int]:
+    """Chunks of one note subset, admission by admission in id order, to
+    out; returns the numbers of admissions in the subset and of chunks."""
     texts = notes_mod.build_subset(notes_mod.read_note_events(notes),
                                    read_admission_times(admissions), subset)
     chunks = []
     for adm in sorted(texts):
         chunks.extend(notes_mod.chunk_text(adm, texts[adm], max_len=max_len))
-    return len(texts), chunks
+    notes_mod.save_chunks(out, chunks)
+    return len(texts), len(chunks)
 
 
-def fit_scorer(
-    chunks: list[notes_mod.ChunkTokenSequence],
-    labels: labels_mod.LabelMatrix,
-    assignment: dict[str, str],
-    config: notes_mod.ScorerConfig,
-) -> tuple[notes_mod.LinearClassifierParams, dict]:
-    """Chunk scorer fitted on the chunks of train-partition admissions."""
-    train_ids = members(assignment, "train")
-    train_chunks = [ch for ch in chunks if ch.admission_id in train_ids]
-    bits_of = dict(zip(labels.admission_ids.tolist(), labels.bits))
-    return notes_mod.train_scorer(train_chunks, bits_of, config)
+def score_notes(
+    chunks_path, out, params=None, labels_path=None, split_path=None,
+    fit_out=None, log_out=None,
+    config: notes_mod.ScorerConfig = notes_mod.ScorerConfig(),
+) -> tuple[dict[str, Path], Optional[list[float]], int]:
+    """Chunk scores to out, by the scorer at params or else by one fitted
+    on the split's train admissions, saved to fit_out with its log at
+    log_out. Returns the paths written ("scorer" when fitted, "scores"),
+    the fitted scorer's loss per epoch (or None) and the admissions
+    scored.
+    """
+    chunks = notes_mod.load_chunks(chunks_path)
+    written: dict[str, Path] = {}
+    losses = None
+    if params:
+        scorer = notes_mod.load_scorer(params)
+    elif not (labels_path and split_path):
+        raise DataError(
+            "score-notes needs --params, or --labels and --split to fit")
+    else:
+        label_matrix = labels_mod.load_labels(labels_path)
+        train_ids = _members(split_path, "train")
+        bits_of = dict(zip(label_matrix.admission_ids.tolist(),
+                           label_matrix.bits))
+        scorer, log = notes_mod.train_scorer(
+            [ch for ch in chunks if ch.admission_id in train_ids], bits_of,
+            config)
+        written["scorer"] = notes_mod.save_scorer(fit_out, scorer)
+        save_json(log_out, log, indent=1)
+        losses = log["train_loss"]
+    matrices = notes_mod.score_chunks(chunks, scorer)
+    written["scores"] = notes_mod.save_score_matrices(out, matrices)
+    return written, losses, len(matrices)
 
 
-def aggregate_scores(
-    matrices: list[notes_mod.ChunkScoreMatrix], c: float,
-) -> tuple[list[str], np.ndarray]:
-    """Admission ids and their aggregated (N, C) probabilities."""
+def aggregate(scores, out, c: float) -> tuple[Path, int]:
+    """(N, C) admission probabilities of the chunk scores to out; returns
+    the path written and N."""
     params = notes_mod.AggregationParams(c=c)
     params.validate()
+    matrices = notes_mod.load_score_matrices(scores)
     if not matrices:
         raise EmptyChunkSet("no scored admissions to aggregate")
-    ids = [m.admission_id for m in matrices]
-    return ids, np.stack([notes_mod.aggregate(m, params) for m in matrices])
+    probs = np.stack([notes_mod.aggregate(m, params) for m in matrices])
+    return (_save_probs(out, [m.admission_id for m in matrices], probs),
+            len(matrices))
 
 
 def evaluate(
-    ids: list[str],
-    probs: np.ndarray,
-    labels: labels_mod.LabelMatrix,
-    keep: Optional[set[str]] = None,
-    target: float = PipelineConfig.recall_target,
+    probs_path, labels_path, out, split_path, partition: Optional[str],
+    target: float,
 ) -> metrics.MetricReport:
-    """Metric report over the admissions with both probabilities and labels,
-    restricted to keep when given."""
+    """Metric report to out over the admissions with probabilities and
+    labels, in one partition of the split when given; returns it."""
     check_fraction("recall_target", target)
-    kept, rows = _labelled(ids, labels, keep)
+    arrays = load_admission_npz(probs_path, ("probs",))
+    label_matrix = labels_mod.load_labels(labels_path)
+    keep = _members(split_path, partition) if partition else None
+    kept, rows = _labelled(arrays["admission_ids"].tolist(), label_matrix,
+                           keep)
     if not kept:
         raise DataError("no admissions to evaluate")
-    return metrics.micro_average(probs[kept], labels.bits[rows],
-                                 target=target)
-
-
-def save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
-    return save_npz(path, {"admission_ids": np.array(ids), "probs": probs})
-
-
-def load_probs(path) -> tuple[list[str], np.ndarray]:
-    arrays = load_admission_npz(path, ("probs",))
-    return arrays["admission_ids"].tolist(), arrays["probs"]
+    report = metrics.micro_average(arrays["probs"][kept],
+                                   label_matrix.bits[rows], target=target)
+    metrics.save_report(out, report)
+    return report
 
 
 # --- end to end ----------------------------------------------------------------
@@ -208,12 +256,10 @@ def load_probs(path) -> tuple[list[str], np.ndarray]:
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     config.validate()
     out = make_dir(config.output_dir)
-    artifacts: dict[str, Path] = {}
-
     manifest = generate(config.synth, out / "data")
-    table_paths = {kind: path for kind, path, _ in manifest.tables}
-    admissions = table_paths[TableKind.ADMISSIONS]
-    artifacts["synth_manifest"] = manifest.manifest_path
+    tables = {kind: path for kind, path, _ in manifest.tables}
+    admissions = tables[TableKind.ADMISSIONS]
+    artifacts = {"synth_manifest": manifest.manifest_path}
 
     make_dir(out / "fhir")
     for kind, path, _ in manifest.tables:
@@ -221,71 +267,46 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         fhir_etl.transform(path, target, kind)
         artifacts[f"fhir_{kind.value}"] = target
 
-    labels, unknown = label_admissions(
-        table_paths[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
-        admissions,
-    )
-    artifacts["labels"] = labels_mod.save_labels(out / "labels.npz", labels)
-    if unknown:
-        save_json(out / "unknown_codes.json", unknown, sort_keys=True)
-
-    split_result = split_mod.iterative_stratified_split(labels, config.split)
-    assignment = split_result.assignment
-    artifacts["split"] = split_mod.save_split(out / "split.json", split_result)
-    test_ids = members(assignment, "test")
+    # Each stage artifact is named by its file's stem.
+    files = {Path(name).stem: out / name for name in (
+        "labels.npz", "split.json", "tensors.npz", "chart_stats.json",
+        "chart_model.npz", "chart_training_log.json", "chart_probs.npz",
+        "chart_metrics.json", "chunks.json", "note_scorer.npz",
+        "note_training_log.json", "chunk_scores.npz",
+        "note_admission_probs.npz", "note_metrics.json",
+    )}
+    labels(tables[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
+           files["labels"], admissions)
+    split(files["labels"], files["split"], config.split)
 
     # --- chart branch ---------------------------------------------------------
-    tensors, catalog, stats = preprocess_chart(
-        artifacts["fhir_chartevents"], admissions,
-        fit_ids=members(assignment, "train"),
-        numeric_fraction=config.numeric_fraction,
-    )
-    artifacts["tensors"] = chart.save_tensors(out / "tensors.npz", tensors,
-                                              catalog)
-    artifacts["chart_stats"] = chart.save_stats(out / "chart_stats.json",
-                                                stats)
-    trained = train_chart(tensors, catalog, labels, assignment,
-                          config.chart_model,
-                          stats_ref=artifacts["chart_stats"].name)
-    artifacts["chart_model"] = chart_model.save_checkpoint(
-        out / "chart_model.npz", trained)
-    artifacts["chart_training_log"] = save_json(
-        out / "chart_training_log.json", trained.history, indent=1)
-    ids, probs = predict_chart(trained, tensors, catalog)
-    artifacts["chart_probs"] = save_probs(out / "chart_probs.npz", ids, probs)
-    artifacts["chart_metrics"] = metrics.save_report(
-        out / "chart_metrics.json",
-        evaluate(ids, probs, labels, test_ids, config.recall_target),
-    )
+    preprocess(artifacts["fhir_chartevents"], admissions, out, files["split"],
+               config.numeric_fraction)
+    train(files["tensors"], files["labels"], files["split"],
+          files["chart_model"], files["chart_training_log"],
+          config.chart_model)
+    predict(files["chart_model"], files["tensors"], files["chart_probs"])
+    evaluate(files["chart_probs"], files["labels"], files["chart_metrics"],
+             files["split"], "test", config.recall_target)
 
     # --- notes branch -----------------------------------------------------------
-    _, chunks = chunk_notes(table_paths[TableKind.NOTEEVENTS], admissions,
-                            config.subset, config.max_len)
-    artifacts["chunks"] = notes_mod.save_chunks(out / "chunks.json", chunks)
-    scorer, scorer_log = fit_scorer(chunks, labels, assignment, config.scorer)
-    artifacts["note_scorer"] = notes_mod.save_scorer(out / "note_scorer.npz",
-                                                     scorer)
-    artifacts["note_training_log"] = save_json(
-        out / "note_training_log.json", scorer_log, indent=1)
-    matrices = notes_mod.score_chunks(chunks, scorer)
-    artifacts["chunk_scores"] = notes_mod.save_score_matrices(
-        out / "chunk_scores.npz", matrices)
-    ids, probs = aggregate_scores(matrices, config.aggregation_c)
-    artifacts["note_admission_probs"] = save_probs(
-        out / "note_admission_probs.npz", ids, probs)
-    artifacts["note_metrics"] = metrics.save_report(
-        out / "note_metrics.json",
-        evaluate(ids, probs, labels, test_ids, config.recall_target),
-    )
+    notes_prep(tables[TableKind.NOTEEVENTS], admissions, files["chunks"],
+               config.subset, config.max_len)
+    score_notes(files["chunks"], files["chunk_scores"],
+                labels_path=files["labels"], split_path=files["split"],
+                fit_out=files["note_scorer"],
+                log_out=files["note_training_log"], config=config.scorer)
+    aggregate(files["chunk_scores"], files["note_admission_probs"],
+              config.aggregation_c)
+    evaluate(files["note_admission_probs"], files["labels"],
+             files["note_metrics"], files["split"], "test",
+             config.recall_target)
 
-    manifest_path = out / "run_manifest_pipeline.json"
-    write_run_manifest(
-        manifest_path,
-        "pipeline",
+    artifacts |= files
+    artifacts["run_manifest"] = write_run_manifest(
+        out / "run_manifest_pipeline.json", "pipeline",
         inputs={"config": "inline"},
         outputs={name: str(path) for name, path in artifacts.items()},
-        cfg_hash=config_hash(config),
-        seed=config.seed,
+        cfg_hash=config_hash(config), seed=config.seed,
     )
-    artifacts["run_manifest"] = manifest_path
     return artifacts

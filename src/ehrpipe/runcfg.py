@@ -195,7 +195,7 @@ def write_run_manifest(
     outputs: dict[str, str],
     cfg_hash: str,
     seed: int,
-):
+) -> Path:
     payload = {
         "subcommand": subcommand,
         "created_utc": datetime.now(timezone.utc).isoformat(
@@ -206,4 +206,4 @@ def write_run_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    save_json(path, payload, indent=1)
+    return save_json(path, payload, indent=1)

@@ -215,8 +215,7 @@ def test_score_notes_with_saved_params(cli_dataset, tmp_path):
         "--params", str(scorer_path), "--out", str(scores_path),
     ]) == 0
     with np.load(scores_path, allow_pickle=False) as data:
-        sample = data[data.files[0]]
-        np.testing.assert_allclose(sample, 0.5)
+        np.testing.assert_allclose(data["probabilities"], 0.5)
 
 
 def test_score_notes_without_params_or_labels_exits_4(tmp_path):
@@ -404,11 +403,13 @@ ARRAY_SPOILERS = {
     "first-repeated": lambda a: np.concatenate([a[:1], a[:-1]]),
     "last-past-any-dim": lambda a: np.concatenate([a[:-1], [2 ** 40]]),
     "first-negative": lambda a: np.concatenate([[-1], a[1:]]),
+    "first-zero-sum-kept": lambda a: np.concatenate([[0, a[0] + a[1]],
+                                                     a[2:]]),
     "dropped": lambda a: None,
 }
 
 
-# (subcommand, flag, artifact, array to spoil or None for the first, spoiler)
+# (subcommand, flag, artifact, array to spoil, spoiler)
 MALFORMED_ARRAYS = [
     ("eval", "--labels", "labels.npz", "bits", "fewer-rows"),
     ("eval", "--labels", "labels.npz", "bits", "more-rows"),
@@ -430,7 +431,14 @@ MALFORMED_ARRAYS = [
     ("score-notes", "--params", "scorer.npz", "slots", "first-negative"),
     ("score-notes", "--params", "scorer.npz", "weights", "one-column-less"),
     ("score-notes", "--params", "scorer.npz", "slots", "dropped"),
-    ("aggregate", "--scores", "scores.npz", None, "one-column-less"),
+    ("aggregate", "--scores", "scores.npz", "chunk_counts", "fewer-rows"),
+    ("aggregate", "--scores", "scores.npz", "chunk_counts", "more-rows"),
+    ("aggregate", "--scores", "scores.npz", "probabilities", "fewer-rows"),
+    ("aggregate", "--scores", "scores.npz", "probabilities",
+     "first-row-only"),
+    ("aggregate", "--scores", "scores.npz", "chunk_counts",
+     "first-zero-sum-kept"),
+    ("aggregate", "--scores", "scores.npz", "chunk_counts", "dropped"),
 ]
 
 
@@ -440,10 +448,9 @@ def test_malformed_array_exits_4(chain, cli_dataset, tmp_path, capsys,
                                  subcommand, flag, artifact, array, spoiler):
     with np.load(chain / artifact) as data:
         arrays = dict(data)
-    name = array or next(iter(arrays))
-    arrays[name] = ARRAY_SPOILERS[spoiler](arrays[name])
-    if arrays[name] is None:
-        del arrays[name]
+    arrays[array] = ARRAY_SPOILERS[spoiler](arrays[array])
+    if arrays[array] is None:
+        del arrays[array]
     bad = tmp_path / artifact
     np.savez(bad, **arrays)
     argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
@@ -607,6 +614,34 @@ def test_aggregate_of_empty_scores_exits_4(tmp_path):
     ]) == 4
 
 
+def test_chunk_scores_of_one_array_per_admission_exit_4(tmp_path, capsys):
+    old = tmp_path / "scores.npz"
+    np.savez(old, adm_1=np.full((2, 3), 0.5), adm_2=np.full((1, 3), 0.5))
+    assert main(["aggregate", "--scores", str(old),
+                 "--out", str(tmp_path / "agg.npz")]) == 4
+    assert str(old) in capsys.readouterr().err
+
+
+# A scorer this wide used to wrap _hash_rows' int64 keys and exit 1.
+@pytest.mark.parametrize("feature_dim,code", [
+    (2 ** 32, 0), (2 ** 32 + 1, 4), (2 ** 62, 4),
+])
+def test_scorer_feature_dim_above_2_to_the_32_exits_4(tmp_path, capsys,
+                                                      feature_dim, code):
+    from ehrpipe.notes import LinearClassifierParams, save_scorer
+
+    chunks = tmp_path / "chunks.json"
+    chunks.write_text(json.dumps({"1": [["[CLS]", "a"], ["[CLS]", "b"]],
+                                  "2": [["[CLS]", "c"], ["[CLS]", "d"]]}))
+    scorer = save_scorer(tmp_path / "scorer.npz", LinearClassifierParams(
+        slots=np.array([5]), weights=np.ones((1, 1)), bias=np.zeros(1),
+        feature_dim=feature_dim))
+    assert main(["score-notes", "--chunks", str(chunks),
+                 "--params", str(scorer),
+                 "--out", str(tmp_path / "s.npz")]) == code
+    assert (str(scorer) in capsys.readouterr().err) == bool(code)
+
+
 def test_train_without_labelled_tensors_exits_4(chain, tmp_path):
     from ehrpipe.labels import LabelMatrix, save_labels
 
@@ -763,8 +798,8 @@ def test_unknown_config_key_or_section_exits_3(tmp_path, text):
 # Each of these used to crash (exit 1), train nothing (exit 0) or fault on
 # NaN weights (exit 5).
 BAD_SCORER_SETTINGS = [("batch_size", "0"), ("batch_size", "-1"),
-                       ("feature_dim", "0"), ("epochs", "-1"), ("lr", "0"),
-                       ("lr", "nan")]
+                       ("feature_dim", "0"), ("feature_dim", "4294967297"),
+                       ("epochs", "-1"), ("lr", "0"), ("lr", "nan")]
 
 
 @pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)

@@ -2,6 +2,7 @@
 table transform and output directory, and the bytes the subcommands write
 for the same stages."""
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -154,3 +155,36 @@ def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
         assert (out / name).read_bytes() == (pipe / name).read_bytes(), name
     assert (out / "rescored_chunk_scores.npz").read_bytes() == (
         pipe / "chunk_scores.npz").read_bytes()
+    # score-notes writes the fitted scorer's log beside it
+    assert (out / "note_scorer.npz.log.json").read_bytes() == (
+        pipe / "note_training_log.json").read_bytes()
+
+
+def test_labels_writes_the_unknown_codes_the_pipeline_writes(
+    config_path, tmp_path, monkeypatch,
+):
+    generate = pipeline.generate
+
+    def generate_with_unknown_code(config, out):
+        manifest = generate(config, out)
+        diagnoses = out / "diagnoses_icd.csv"
+        with open(diagnoses, newline="", encoding="utf-8") as handle:
+            header, first = list(csv.reader(handle))[:2]
+        row = dict(zip(header, first), icd9_code="ZZZ99")
+        with open(diagnoses, "a", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerow(
+                [row[column] for column in header])
+        return manifest
+
+    monkeypatch.setattr(pipeline, "generate", generate_with_unknown_code)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    run, cli = tmp_path / "run", tmp_path / "cli"
+    data = run / "data"
+    cli.mkdir()
+    assert main(["labels", "--diagnoses", str(data / "diagnoses_icd.csv"),
+                 "--crosswalk", str(data / "ccs_crosswalk.csv"),
+                 "--admissions", str(data / "admissions.csv"),
+                 "--out", str(cli / "labels.npz")]) == 0
+    assert b'"ZZZ99": 1' in (run / "unknown_codes.json").read_bytes()
+    assert (cli / "unknown_codes.json").read_bytes() == (
+        run / "unknown_codes.json").read_bytes()
