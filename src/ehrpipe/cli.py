@@ -5,7 +5,8 @@ error, 5 numeric fault, 1 anything unexpected. Every invocation writes a
 run manifest (inputs, outputs, config hash, seed) next to its primary
 output. Subcommands never modify their input files. A stage's handler maps
 its flags onto the stage's pipeline function, prints what that returns and
-writes the manifest; the function reads and writes the artifacts.
+writes the manifest; the function reads and writes the artifacts. The flags
+of a config dataclass are named once, in its {field: flag} table.
 """
 
 from __future__ import annotations
@@ -55,6 +56,52 @@ def _emit_manifest(args, subcommand: str, inputs: dict, outputs: dict,
     )
 
 
+# --- config flags ------------------------------------------------------------
+
+# One {field: flag} table per config that a subcommand builds from its flags.
+SYNTH_FLAGS = {
+    "seed": "--seed", "n_patients": "--patients",
+    "n_admissions": "--admissions", "n_observation_types": "--types",
+    "n_ccs_categories": "--categories",
+    "positive_rate_target": "--positive-rate", "signal_strength": "--signal",
+    "notes_min": "--notes-min", "notes_max": "--notes-max",
+    "vocabulary_size": "--vocab", "n_planted": "--planted",
+    "events_min": "--events-min", "events_max": "--events-max",
+}
+MODEL_FLAGS = {
+    "variant": "--variant", "hidden_size": "--hidden", "epochs": "--epochs",
+    "batch_size": "--batch-size", "lr": "--lr", "dropout": "--dropout",
+    "conv_filters": "--conv-filters", "rnn_hidden": "--rnn-hidden",
+    "seed": "--seed",
+}
+SCORER_FLAGS = {
+    "feature_dim": "--feature-dim", "epochs": "--epochs",
+    "batch_size": "--batch-size", "lr": "--lr", "seed": "--seed",
+}
+
+
+def _add_config_flags(parser, cls, flags: dict[str, str],
+                      choices: dict | None = None) -> None:
+    """One flag per entry of flags, stored under its field's name, with the
+    type and default of that field in cls(). A field in choices takes one
+    of them, as given; any other shows the metavar argparse derives from
+    its flag."""
+    defaults = cls()
+    for name, flag in flags.items():
+        default = getattr(defaults, name)
+        if choices and name in choices:
+            kind = {"choices": choices[name]}
+        else:
+            kind = {"type": type(default),
+                    "metavar": flag[2:].replace("-", "_").upper()}
+        parser.add_argument(flag, dest=name, default=default, **kind)
+
+
+def _config(cls, flags: dict[str, str], args: argparse.Namespace):
+    """cls built from the parsed values of its flags."""
+    return cls(**{name: getattr(args, name) for name in flags})
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_transform(args) -> int:
@@ -68,20 +115,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        seed=args.seed,
-        n_patients=args.patients,
-        n_admissions=args.admissions,
-        n_observation_types=args.types,
-        n_ccs_categories=args.categories,
-        positive_rate_target=args.positive_rate,
-        signal_strength=args.signal,
-        notes_per_admission=(args.notes_min, args.notes_max),
-        vocabulary_size=args.vocab,
-        n_planted=args.planted,
-        events_per_admission=(args.events_min, args.events_max),
-    )
-    manifest = generate(config, args.out)
+    manifest = generate(_config(SynthConfig, SYNTH_FLAGS, args), args.out)
     for kind, path, count in manifest.tables:
         print(f"{kind.value}: {count} rows -> {path}")
     _emit_manifest(
@@ -132,14 +166,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     log = Path(args.log or f"{args.out}.log.json")
-    config = chart_model.ChartModelConfig(
-        variant=args.variant, hidden_size=args.hidden, epochs=args.epochs,
-        batch_size=args.batch_size, lr=args.lr, dropout=args.dropout,
-        conv_filters=args.conv_filters, rnn_hidden=args.rnn_hidden,
-        seed=args.seed,
-    )
-    written, losses = pipeline.train(args.tensors, args.labels, args.split,
-                                     args.out, log, config)
+    written, losses = pipeline.train(
+        args.tensors, args.labels, args.split, args.out, log,
+        _config(chart_model.ChartModelConfig, MODEL_FLAGS, args))
     print(f"train loss per epoch: {[round(x, 6) for x in losses]}")
     _emit_manifest(
         args, "train",
@@ -174,11 +203,7 @@ def _cmd_score_notes(args) -> int:
     outputs, losses, n_scored = pipeline.score_notes(
         args.chunks, args.out, args.params, args.labels, args.split,
         fit_out, f"{fit_out}.log.json",
-        notes_mod.ScorerConfig(
-            feature_dim=args.feature_dim, epochs=args.epochs,
-            batch_size=args.batch_size, lr=args.lr, seed=args.seed,
-        ),
-    )
+        _config(notes_mod.ScorerConfig, SCORER_FLAGS, args))
     if losses is not None:
         print(f"scorer loss per epoch: {[round(x, 6) for x in losses]}")
     print(f"scored {n_scored} admissions -> {outputs['scores']}")
@@ -261,27 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.set_defaults(func=_cmd_transform)
 
-    synth = SynthConfig()
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=synth.seed)
-    p.add_argument("--patients", type=int, default=synth.n_patients)
-    p.add_argument("--admissions", type=int, default=synth.n_admissions)
-    p.add_argument("--types", type=int, default=synth.n_observation_types)
-    p.add_argument("--categories", type=int, default=synth.n_ccs_categories)
-    p.add_argument("--positive-rate", type=float,
-                   default=synth.positive_rate_target)
-    p.add_argument("--signal", type=float, default=synth.signal_strength)
-    p.add_argument("--notes-min", type=int,
-                   default=synth.notes_per_admission[0])
-    p.add_argument("--notes-max", type=int,
-                   default=synth.notes_per_admission[1])
-    p.add_argument("--vocab", type=int, default=synth.vocabulary_size)
-    p.add_argument("--planted", type=int, default=synth.n_planted)
-    p.add_argument("--events-min", type=int,
-                   default=synth.events_per_admission[0])
-    p.add_argument("--events-max", type=int,
-                   default=synth.events_per_admission[1])
+    _add_config_flags(p, SynthConfig, SYNTH_FLAGS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("preprocess", help="chart events -> admission tensors")
@@ -316,17 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    model = chart_model.ChartModelConfig()
-    p.add_argument("--variant", choices=chart_model.VARIANTS,
-                   default=model.variant)
-    p.add_argument("--hidden", type=int, default=model.hidden_size)
-    p.add_argument("--epochs", type=int, default=model.epochs)
-    p.add_argument("--batch-size", type=int, default=model.batch_size)
-    p.add_argument("--lr", type=float, default=model.lr)
-    p.add_argument("--dropout", type=float, default=model.dropout)
-    p.add_argument("--conv-filters", type=int, default=model.conv_filters)
-    p.add_argument("--rnn-hidden", type=int, default=model.rnn_hidden)
-    p.add_argument("--seed", type=int, default=model.seed)
+    _add_config_flags(p, chart_model.ChartModelConfig, MODEL_FLAGS,
+                      choices={"variant": chart_model.VARIANTS})
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="probabilities from a checkpoint")
@@ -352,12 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="labels npz, to fit a new scorer")
     p.add_argument("--split", help="split json, to fit a new scorer")
     p.add_argument("--fit-out", help="where to store the fitted scorer")
-    scorer = notes_mod.ScorerConfig()
-    p.add_argument("--feature-dim", type=int, default=scorer.feature_dim)
-    p.add_argument("--epochs", type=int, default=scorer.epochs)
-    p.add_argument("--batch-size", type=int, default=scorer.batch_size)
-    p.add_argument("--lr", type=float, default=scorer.lr)
-    p.add_argument("--seed", type=int, default=scorer.seed)
+    _add_config_flags(p, notes_mod.ScorerConfig, SCORER_FLAGS)
     p.set_defaults(func=_cmd_score_notes)
 
     p = sub.add_parser("aggregate", help="chunk scores -> admission scores")

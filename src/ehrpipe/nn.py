@@ -12,10 +12,8 @@ Layer protocol: forward(x, train=False) caches what backward needs;
 backward(grad) returns the input gradient and writes parameter gradients
 into the arrays grads() returns, aligned with params(). Those arrays are
 allocated once and overwritten by every backward, so a caller that keeps a
-gradient across batches copies it. A first layer's input gradient has no
-reader: DenseLayer.backward_params(grad) fills grads() without computing it.
-Adam updates parameters and its moments in place, slice by slice, and
-allocates nothing per step.
+gradient across batches copies it. Adam updates parameters and its moments
+in place, slice by slice, and allocates nothing per step.
 """
 
 from __future__ import annotations
@@ -58,21 +56,12 @@ class DenseLayer:
         return _ensure_finite("dense output", x @ self.weights.T + self.bias)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.backward_params(grad)
-        return grad @ self.weights
-
-    def backward_params(self, grad: np.ndarray) -> None:
-        """The parameter half of backward, for a layer fed by the data.
-
-        Skips grad @ weights: for the note scorer that is a
-        (batch, categories) x (categories, trained columns) product nobody
-        reads.
-        """
         if self._x is None or grad.shape != (self._x.shape[0],
                                              self.weights.shape[0]):
             raise ShapeMismatch(f"dense backward got {grad.shape}")
         np.matmul(grad.T, self._x, out=self.d_weights)
         np.sum(grad, axis=0, out=self.d_bias)
+        return grad @ self.weights
 
     def params(self):
         return [self.weights, self.bias]
@@ -288,10 +277,12 @@ def bce_loss(probabilities: np.ndarray,
     return loss, (p - y) / cells
 
 
-# Adam walks each parameter in slices of this many elements, so that all of
-# a step's passes over one slice stay in cache. 2^14 to 2^16 measured equally
-# fast, and 2^11 and 2^17 slower, on 281 x 2^15 weights: the note scorer's
-# before it kept only its trained columns (about 125 on models-mimic).
+# Adam walks each parameter in slices of this many elements, with its
+# temporaries in two scratch slices, because whole-array expressions allocate
+# parameter-sized temporaries on every step: they raised the models-mimic
+# benchmark's peak RSS from 70.4-74.6 to 78.2-79.5 MiB (2-vCPU VM, six
+# alternating pairs, seeds 701-706). 2^14 to 2^16 measured equally fast,
+# and 2^11 and 2^17 slower, on 281 x 2^15 weights.
 ADAM_SLICE = 2 ** 15
 
 

@@ -171,6 +171,13 @@ def build_subset(
     }
 
 
+def check_max_len(max_len: int) -> None:
+    """InvalidConfig unless a chunk of max_len tokens holds the marker and
+    at least one token."""
+    if max_len < 2:
+        raise InvalidConfig("max_len must be at least 2 (marker + 1 token)")
+
+
 def chunk_text(
     admission_id: str,
     text: str,
@@ -178,8 +185,7 @@ def chunk_text(
     marker: str = DEFAULT_MARKER,
 ) -> list[ChunkTokenSequence]:
     """Greedy whitespace chunking to max_len tokens including the marker."""
-    if max_len < 2:
-        raise InvalidConfig("max_len must be at least 2 (marker + 1 token)")
+    check_max_len(max_len)
     tokens = text.split()
     if not tokens:
         return []
@@ -357,7 +363,7 @@ def train_scorer(
             y = targets[rows]
             probs = sigmoid(layer.forward(x, train=True))
             loss, grad_logits = bce_loss(probs, y)
-            layer.backward_params(grad_logits)
+            layer.backward(grad_logits)
             optimizer.step(layer.grads())
             total_loss += loss * y.size
             total_cells += y.size

@@ -67,9 +67,10 @@ def _save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
 
 def labels(diagnoses, crosswalk, out,
            admissions=None) -> tuple[Path, tuple[int, int], int]:
-    """CCS labels to out, and unknown_codes.json beside it when a code is
-    missing from the crosswalk; returns the path written, the labels'
-    (admissions, categories) shape and the unknown code occurrences.
+    """CCS labels to out, and beside it unknown_codes.json, the occurrences
+    of each code missing from the crosswalk ({} when there are none);
+    returns the path written, the labels' (admissions, categories) shape
+    and the unknown code occurrences.
 
     With an admissions CSV every admission gets a row, all zeros when it
     has no diagnosis rows; without one only admissions with diagnoses do.
@@ -82,9 +83,7 @@ def labels(diagnoses, crosswalk, out,
         codes = {adm: codes.get(adm, []) for adm in admission_ids}
     label_matrix, unknown = labels_mod.encode_labels(codes, xwalk)
     written = labels_mod.save_labels(out, label_matrix)
-    if unknown:
-        save_json(written.parent / "unknown_codes.json", unknown,
-                  sort_keys=True)
+    save_json(written.parent / "unknown_codes.json", unknown, sort_keys=True)
     return written, label_matrix.bits.shape, sum(unknown.values())
 
 
@@ -174,6 +173,7 @@ def notes_prep(notes, admissions, out, subset: str,
                max_len: int) -> tuple[int, int]:
     """Chunks of one note subset, admission by admission in id order, to
     out; returns the numbers of admissions in the subset and of chunks."""
+    notes_mod.check_max_len(max_len)
     texts = notes_mod.build_subset(notes_mod.read_note_events(notes),
                                    read_admission_times(admissions), subset)
     chunks = []

@@ -24,6 +24,7 @@ from .notes import (
     SUBSET_KINDS,
     AggregationParams,
     ScorerConfig,
+    check_max_len,
 )
 from .split import PARTITIONS, SplitSpec
 from .synth import SynthConfig
@@ -67,8 +68,7 @@ class PipelineConfig:
         self.chart_model.validate()
         if self.subset not in SUBSET_KINDS:
             raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
-        if self.max_len < 2:
-            raise InvalidConfig("max_len must be at least 2 (marker + 1 token)")
+        check_max_len(self.max_len)
         AggregationParams(c=self.aggregation_c).validate()
         self.scorer.validate()
         check_fraction("recall_target", self.recall_target)
@@ -94,6 +94,12 @@ def _section(parser, section: str, defaults: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     return values
+
+
+def _fields(config, *skip: str) -> dict:
+    """A dataclass's fields and their values, without those in skip."""
+    return {key: value for key, value in asdict(config).items()
+            if key not in skip}
 
 
 _SECTIONS = ("run", "synth", "split", "chart", "chart_model", "notes",
@@ -127,30 +133,17 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
                                    "output_dir": base.output_dir})
     seed = run["seed"] if seed_override is None else seed_override
 
-    # The two (min, max) synth fields are one INI key per end.
-    synth = asdict(base.synth)
-    del synth["seed"]
-    notes_min, notes_max = synth.pop("notes_per_admission")
-    events_min, events_max = synth.pop("events_per_admission")
-    synth = _section(parser, "synth", dict(
-        synth, notes_min=notes_min, notes_max=notes_max,
-        events_min=events_min, events_max=events_max,
-    ))
-    notes_per_admission = (synth.pop("notes_min"), synth.pop("notes_max"))
-    events_per_admission = (synth.pop("events_min"), synth.pop("events_max"))
-
+    # The stage seeds come from [run]'s, n_types and n_categories from the
+    # data.
+    synth = _section(parser, "synth", _fields(base.synth, "seed"))
     ratios = _section(parser, "split", dict(zip(PARTITIONS, base.split.ratios)))
     chart = _section(parser, "chart",
                      {"numeric_fraction": base.numeric_fraction})
-    # n_types and n_categories come from the data, the seed from [run].
-    model = _section(parser, "chart_model", {
-        key: value for key, value in asdict(base.chart_model).items()
-        if key not in ("n_types", "n_categories", "seed")
-    })
+    model = _section(parser, "chart_model", _fields(
+        base.chart_model, "n_types", "n_categories", "seed"))
 
     # [notes] holds PipelineConfig fields and the ScorerConfig fields.
-    scorer = asdict(base.scorer)
-    del scorer["seed"]
+    scorer = _fields(base.scorer, "seed")
     notes = _section(parser, "notes", {
         "subset": base.subset, "max_len": base.max_len,
         "aggregation_c": base.aggregation_c, **scorer,
@@ -161,9 +154,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     config = PipelineConfig(
         seed=seed,
         output_dir=run["output_dir"],
-        synth=SynthConfig(seed=derive_seed(seed, "synth"),
-                          notes_per_admission=notes_per_admission,
-                          events_per_admission=events_per_admission, **synth),
+        synth=SynthConfig(seed=derive_seed(seed, "synth"), **synth),
         split=SplitSpec(ratios=tuple(ratios[tag] for tag in PARTITIONS),
                         seed=derive_seed(seed, "split")),
         chart_model=ChartModelConfig(seed=derive_seed(seed, "chart_model"),
@@ -178,14 +169,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
 def config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(asdict(config), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def write_run_manifest(

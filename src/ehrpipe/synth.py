@@ -39,13 +39,16 @@ class SynthConfig:
     n_ccs_categories: int = 281
     positive_rate_target: float = 0.043
     signal_strength: float = 0.0
-    notes_per_admission: tuple[int, int] = (1, 3)
+    # notes per admission, drawn uniformly from [notes_min, notes_max]
+    notes_min: int = 1
+    notes_max: int = 3
     vocabulary_size: int = 200
     # Generation-size knobs beyond the core contract, with conservative
     # defaults: how many planted category signals and how many background
-    # chart events per admission.
+    # chart events per admission (from [events_min, events_max]).
     n_planted: int = 3
-    events_per_admission: tuple[int, int] = (40, 80)
+    events_min: int = 40
+    events_max: int = 80
 
     def validate(self) -> None:
         if self.n_patients < 1 or self.n_admissions < self.n_patients:
@@ -54,12 +57,10 @@ class SynthConfig:
             raise InvalidConfig("positive_rate_target must be in (0,1)")
         if not self.signal_strength >= 0:  # also rejects NaN
             raise InvalidConfig("signal_strength must be non-negative")
-        lo, hi = self.notes_per_admission
-        if lo < 1 or hi < lo:
-            raise InvalidConfig("notes_per_admission must satisfy 1 <= lo <= hi")
-        elo, ehi = self.events_per_admission
-        if elo < 1 or ehi < elo:
-            raise InvalidConfig("events_per_admission must satisfy 1 <= lo <= hi")
+        if not 1 <= self.notes_min <= self.notes_max:
+            raise InvalidConfig("need 1 <= notes_min <= notes_max")
+        if not 1 <= self.events_min <= self.events_max:
+            raise InvalidConfig("need 1 <= events_min <= events_max")
         if self.vocabulary_size < 10:
             raise InvalidConfig("vocabulary_size must be >= 10")
         if self.n_observation_types < 1 or self.n_ccs_categories < 1:
@@ -223,10 +224,9 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
              "", ""]
         )
 
-    elo, ehi = config.events_per_admission
     for a in range(n_adm):
         span = int(los_seconds[a])
-        n_ev = int(rng.integers(elo, ehi + 1))
+        n_ev = int(rng.integers(config.events_min, config.events_max + 1))
         ev_types = rng.integers(0, n_types, size=n_ev)
         ev_offsets = rng.integers(0, span + 1, size=n_ev)
         ev_noise = rng.standard_normal(n_ev)
@@ -290,13 +290,12 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
 
     note_rows = []
     note_row_id = 0
-    nlo, nhi = config.notes_per_admission
     for a in range(n_adm):
         markers = [
             s.marker_token for s in planted if labels[a, s.category_index]
         ]
         span_hours = int(los_seconds[a]) // 3600
-        n_notes = int(rng.integers(nlo, nhi + 1))
+        n_notes = int(rng.integers(config.notes_min, config.notes_max + 1))
         for k in range(n_notes):
             if k == 0:
                 off_h = int(rng.integers(0, 48))  # guaranteed early note

@@ -34,10 +34,10 @@ def small_dataset(tmp_path_factory):
         n_ccs_categories=8,
         positive_rate_target=0.1,
         signal_strength=3.0,
-        notes_per_admission=(1, 3),
+        notes_min=1, notes_max=3,
         vocabulary_size=80,
         n_planted=2,
-        events_per_admission=(15, 30),
+        events_min=15, events_max=30,
     )
     manifest = generate(config, out)
     return manifest

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance and runtime budget is asserted here, not deferred.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -34,7 +35,7 @@ from ehrpipe.nn import (
     SimpleRnnLayer,
     TimeConvLayer,
 )
-from ehrpipe.runcfg import PipelineConfig, file_sha256
+from ehrpipe.runcfg import PipelineConfig
 from ehrpipe.pipeline import run_pipeline
 from ehrpipe.split import SplitSpec
 from ehrpipe.synth import SynthConfig, generate
@@ -50,6 +51,10 @@ from conftest import write_csv
 from test_metrics import concordance_oracle
 from test_nn import check_layer_gradients, numeric_grad, rel_error
 from test_split import make_structured_labels
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @contextmanager
@@ -275,7 +280,7 @@ class TestA5ChartModelLearnability:
                 seed=42, n_patients=400, n_admissions=1000,
                 n_observation_types=40, n_ccs_categories=20,
                 positive_rate_target=0.043, signal_strength=3.0,
-                n_planted=3, events_per_admission=(30, 60),
+                n_planted=3, events_min=30, events_max=60,
             )
             _, paths, xwalk, vectors, result = _prepared_dataset(
                 tmp_path, config, split_seed=1
@@ -328,8 +333,8 @@ class TestA6NotePipelineLearnability:
                 seed=24, n_patients=300, n_admissions=700,
                 n_observation_types=10, n_ccs_categories=16,
                 positive_rate_target=0.05, signal_strength=3.0,
-                n_planted=3, events_per_admission=(5, 10),
-                notes_per_admission=(2, 4), vocabulary_size=150,
+                n_planted=3, events_min=5, events_max=10,
+                notes_min=2, notes_max=4, vocabulary_size=150,
             )
             manifest, paths, xwalk, vectors, result = _prepared_dataset(
                 tmp_path, config, split_seed=3
@@ -615,7 +620,7 @@ class TestA11PipelineReproducibility:
                     seed=99, n_patients=60, n_admissions=150,
                     n_observation_types=15, n_ccs_categories=10,
                     positive_rate_target=0.08, signal_strength=3.0,
-                    n_planted=2, events_per_admission=(15, 30),
+                    n_planted=2, events_min=15, events_max=30,
                 ),
                 chart_model=chart_model.ChartModelConfig(
                     hidden_size=32, epochs=2, lr=3e-3, conv_filters=4,

@@ -3,12 +3,18 @@
 import gzip
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ehrpipe import cli, pipeline
+from ehrpipe.chart_model import ChartModelConfig
 from ehrpipe.cli import main
+from ehrpipe.notes import ScorerConfig
+from ehrpipe.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -923,3 +929,83 @@ def test_manifest_records_the_npz_path_written(chain, tmp_path):
     )
     assert manifest["outputs"]["probs"] == str(tmp_path / "probs.npz")
     assert (tmp_path / "probs.npz").exists()
+
+
+def test_notes_prep_checks_max_len_before_reading(cli_dataset, tmp_path):
+    notes = tmp_path / "noteevents.csv"
+    with open(cli_dataset / "noteevents.csv", encoding="utf-8") as handle:
+        notes.write_text(handle.readline(), encoding="utf-8")
+    out = tmp_path / "chunks.json"
+    assert main(["notes-prep", "--notes", str(notes),
+                 "--admissions", str(cli_dataset / "admissions.csv"),
+                 "--max-len", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+# Each subcommand's inputs, every flag of its config at a value that is
+# neither the field's default nor any other flag's value, and the config
+# those flags build.
+CONFIG_FLAG_CASES = {
+    "synth": (
+        [],
+        ["--seed", "7", "--patients", "11", "--admissions", "13",
+         "--types", "17", "--categories", "19", "--positive-rate", "0.25",
+         "--signal", "1.5", "--notes-min", "2", "--notes-max", "5",
+         "--vocab", "23", "--planted", "4", "--events-min", "6",
+         "--events-max", "9"],
+        SynthConfig(seed=7, n_patients=11, n_admissions=13,
+                    n_observation_types=17, n_ccs_categories=19,
+                    positive_rate_target=0.25, signal_strength=1.5,
+                    notes_min=2, notes_max=5, vocabulary_size=23,
+                    n_planted=4, events_min=6, events_max=9),
+    ),
+    "train": (
+        ["--tensors", "t.npz", "--labels", "l.npz", "--split", "s.json"],
+        ["--variant", "rnn", "--hidden", "21", "--epochs", "2",
+         "--batch-size", "5", "--lr", "0.125", "--dropout", "0.375",
+         "--conv-filters", "3", "--rnn-hidden", "6", "--seed", "8"],
+        ChartModelConfig(variant="rnn", hidden_size=21, epochs=2,
+                         batch_size=5, lr=0.125, dropout=0.375,
+                         conv_filters=3, rnn_hidden=6, seed=8),
+    ),
+    "score-notes": (
+        ["--chunks", "c.json"],
+        ["--feature-dim", "64", "--epochs", "4", "--batch-size", "9",
+         "--lr", "0.5", "--seed", "10"],
+        ScorerConfig(feature_dim=64, epochs=4, batch_size=9, lr=0.5,
+                     seed=10),
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(CONFIG_FLAG_CASES))
+def test_each_config_flag_sets_its_own_field(subcommand, tmp_path,
+                                             monkeypatch):
+    inputs, flags, expected = CONFIG_FLAG_CASES[subcommand]
+    defaults = type(expected)()
+    changed = [f.name for f in fields(expected)
+               if getattr(expected, f.name) != getattr(defaults, f.name)]
+    values = [getattr(expected, name) for name in changed]
+    assert len(changed) == len(flags) // 2 and len(set(values)) == len(values)
+
+    out = tmp_path / "out"
+    built = []
+
+    def fake_generate(config, _):
+        built.append(config)
+        return SimpleNamespace(tables=[], crosswalk_path=out,
+                               manifest_path=out)
+
+    def fake_stage(*args):  # the config is the stage's last argument
+        built.append(args[-1])
+        if subcommand == "score-notes":
+            return {"scores": out}, None, 0
+        return out, [0.5]
+
+    monkeypatch.setattr(cli, "generate", fake_generate)
+    monkeypatch.setattr(pipeline, "train", fake_stage)
+    monkeypatch.setattr(pipeline, "score_notes", fake_stage)
+    assert main([subcommand, *inputs, "--out", str(out), *flags]) == 0
+    (config,) = built
+    for f in fields(expected):
+        assert getattr(config, f.name) == getattr(expected, f.name), f.name

@@ -316,7 +316,7 @@ class TestAdamMatchesFrozen:
 
 
 class TestGradientBuffers:
-    def test_dense_backward_params_writes_in_place(self):
+    def test_dense_backward_writes_in_place(self):
         rng = np.random.default_rng(5)
         layer = DenseLayer(40, 7, rng)
         d_weights, d_bias = layer.grads()
@@ -324,7 +324,7 @@ class TestGradientBuffers:
             x = rng.standard_normal((6, 40))
             g = rng.standard_normal((6, 7))
             layer.forward(x, train=True)
-            assert layer.backward_params(g) is None
+            assert np.array_equal(layer.backward(g), g @ layer.weights)
         assert layer.grads()[0] is d_weights
         assert layer.grads()[1] is d_bias
         assert np.array_equal(d_weights, g.T @ x)

@@ -274,7 +274,7 @@ def _dense_train(chunks, labels_by_admission, config):
             rows = order[start:start + config.batch_size]
             probs = sigmoid(layer.forward(features[rows], train=True))
             loss, grad = bce_loss(probs, targets[rows])
-            layer.backward_params(grad)
+            layer.backward(grad)
             optimizer.step(layer.grads())
             total += loss * grad.size
         losses.append(total / targets.size)

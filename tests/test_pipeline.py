@@ -3,6 +3,7 @@ table transform and output directory, and the bytes the subcommands write
 for the same stages."""
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -90,9 +91,9 @@ def test_output_dir_blocked_by_a_file_exits_4(config_path, tmp_path, where):
 
 # What run_pipeline writes and the subcommands write too, under one name.
 SHARED_ARTIFACTS = (
-    "labels.npz", "split.json", "tensors.npz", "chart_stats.json",
-    "chart_model.npz", "chart_training_log.json", "chart_probs.npz",
-    "chart_metrics.json", "chunks.json", "note_scorer.npz",
+    "labels.npz", "unknown_codes.json", "split.json", "tensors.npz",
+    "chart_stats.json", "chart_model.npz", "chart_training_log.json",
+    "chart_probs.npz", "chart_metrics.json", "chunks.json", "note_scorer.npz",
     "chunk_scores.npz", "note_admission_probs.npz", "note_metrics.json",
 )
 
@@ -103,11 +104,21 @@ def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
     pipe, out = tmp_path / "pipeline", tmp_path / "cli"
     assert main(["pipeline", "--config", str(demo),
                  "--output-dir", str(pipe)]) == 0
-    data, model, scorer = pipe / "data", config.chart_model, config.scorer
+    data, synth = pipe / "data", config.synth
+    model, scorer = config.chart_model, config.scorer
     labelled = ["--labels", out / "labels.npz", "--split", out / "split.json"]
     test_partition = [*labelled, "--partition", "test",
                       "--target", config.recall_target]
     steps = [
+        ["synth", "--out", out / "data", "--seed", synth.seed,
+         "--patients", synth.n_patients, "--admissions", synth.n_admissions,
+         "--types", synth.n_observation_types,
+         "--categories", synth.n_ccs_categories,
+         "--positive-rate", synth.positive_rate_target,
+         "--signal", synth.signal_strength, "--notes-min", synth.notes_min,
+         "--notes-max", synth.notes_max, "--vocab", synth.vocabulary_size,
+         "--planted", synth.n_planted, "--events-min", synth.events_min,
+         "--events-max", synth.events_max],
         ["labels", "--diagnoses", data / "diagnoses_icd.csv",
          "--crosswalk", data / "ccs_crosswalk.csv",
          "--admissions", data / "admissions.csv",
@@ -153,11 +164,26 @@ def test_subcommands_write_the_bytes_the_pipeline_writes(tmp_path):
         assert main([str(a) for a in argv]) == 0, argv[0]
     for name in SHARED_ARTIFACTS:
         assert (out / name).read_bytes() == (pipe / name).read_bytes(), name
+    tables = sorted(path.name for path in data.iterdir())
+    assert len(tables) == 7  # five tables, the crosswalk and the manifest
+    for name in tables:
+        assert (out / "data" / name).read_bytes() == (
+            data / name).read_bytes(), name
     assert (out / "rescored_chunk_scores.npz").read_bytes() == (
         pipe / "chunk_scores.npz").read_bytes()
     # score-notes writes the fitted scorer's log beside it
     assert (out / "note_scorer.npz.log.json").read_bytes() == (
         pipe / "note_training_log.json").read_bytes()
+
+
+def _append_unknown_code(diagnoses: Path) -> None:
+    """A copy of the first diagnosis row, with code ZZZ99, at the end."""
+    with open(diagnoses, newline="", encoding="utf-8") as handle:
+        header, first = list(csv.reader(handle))[:2]
+    row = dict(zip(header, first), icd9_code="ZZZ99")
+    with open(diagnoses, "a", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(
+            [row[column] for column in header])
 
 
 def test_labels_writes_the_unknown_codes_the_pipeline_writes(
@@ -167,13 +193,7 @@ def test_labels_writes_the_unknown_codes_the_pipeline_writes(
 
     def generate_with_unknown_code(config, out):
         manifest = generate(config, out)
-        diagnoses = out / "diagnoses_icd.csv"
-        with open(diagnoses, newline="", encoding="utf-8") as handle:
-            header, first = list(csv.reader(handle))[:2]
-        row = dict(zip(header, first), icd9_code="ZZZ99")
-        with open(diagnoses, "a", newline="", encoding="utf-8") as handle:
-            csv.writer(handle, lineterminator="\n").writerow(
-                [row[column] for column in header])
+        _append_unknown_code(out / "diagnoses_icd.csv")
         return manifest
 
     monkeypatch.setattr(pipeline, "generate", generate_with_unknown_code)
@@ -188,3 +208,19 @@ def test_labels_writes_the_unknown_codes_the_pipeline_writes(
     assert b'"ZZZ99": 1' in (run / "unknown_codes.json").read_bytes()
     assert (cli / "unknown_codes.json").read_bytes() == (
         run / "unknown_codes.json").read_bytes()
+
+
+def test_labels_rerun_rewrites_unknown_codes(small_dataset, tmp_path):
+    """A rerun without unknown codes leaves {}, not the codes of the run
+    before, in unknown_codes.json."""
+    data = small_dataset.manifest_path.parent
+    diagnoses = tmp_path / "diagnoses_icd.csv"
+    diagnoses.write_bytes((data / "diagnoses_icd.csv").read_bytes())
+    _append_unknown_code(diagnoses)
+    unknown = tmp_path / "unknown_codes.json"
+    for source, expected in ((diagnoses, {"ZZZ99": 1}),
+                             (data / "diagnoses_icd.csv", {})):
+        assert main(["labels", "--diagnoses", str(source),
+                     "--crosswalk", str(small_dataset.crosswalk_path),
+                     "--out", str(tmp_path / "labels.npz")]) == 0
+        assert json.loads(unknown.read_text()) == expected

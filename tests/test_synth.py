@@ -41,7 +41,7 @@ def test_fmt_time_matches_strftime(ts):
 def test_determinism(tmp_path):
     config = SynthConfig(seed=7, n_patients=10, n_admissions=12,
                          n_observation_types=6, n_ccs_categories=5,
-                         events_per_admission=(5, 10))
+                         events_min=5, events_max=10)
     first = generate(config, tmp_path / "a")
     second = generate(config, tmp_path / "b")
     assert _hashes(first) == _hashes(second)
@@ -49,7 +49,7 @@ def test_determinism(tmp_path):
 
 def test_different_seeds_differ(tmp_path):
     base = dict(n_patients=10, n_admissions=12, n_observation_types=6,
-                n_ccs_categories=5, events_per_admission=(5, 10))
+                n_ccs_categories=5, events_min=5, events_max=10)
     first = generate(SynthConfig(seed=7, **base), tmp_path / "a")
     second = generate(SynthConfig(seed=8, **base), tmp_path / "b")
     assert _hashes(first) != _hashes(second)
@@ -85,7 +85,7 @@ def test_positive_rate_tracks_target(tmp_path):
     config = SynthConfig(seed=3, n_patients=200, n_admissions=500,
                          n_observation_types=4, n_ccs_categories=10,
                          positive_rate_target=0.043, n_planted=1,
-                         events_per_admission=(1, 2))
+                         events_min=1, events_max=2)
     manifest = generate(config, tmp_path / "rate")
     paths = {kind: path for kind, path, _ in manifest.tables}
     xwalk = load_crosswalk(manifest.crosswalk_path)
@@ -102,7 +102,7 @@ def test_zero_signal_is_uncorrelated(tmp_path):
     config = SynthConfig(seed=5, n_patients=150, n_admissions=400,
                          n_observation_types=8, n_ccs_categories=6,
                          positive_rate_target=0.2, signal_strength=0.0,
-                         n_planted=1, events_per_admission=(8, 12))
+                         n_planted=1, events_min=8, events_max=12)
     manifest = generate(config, tmp_path / "zero")
     paths = {kind: path for kind, path, _ in manifest.tables}
     signal = manifest.planted[0]
@@ -179,11 +179,11 @@ def test_crosswalk_covers_all_emitted_codes(small_dataset):
         dict(positive_rate_target=0.0),
         dict(positive_rate_target=1.0),
         dict(signal_strength=-1.0),
-        dict(notes_per_admission=(0, 2)),
-        dict(notes_per_admission=(3, 2)),
+        dict(notes_min=0, notes_max=2),
+        dict(notes_min=3, notes_max=2),
         dict(vocabulary_size=3),
         dict(n_planted=100),
-        dict(events_per_admission=(0, 5)),
+        dict(events_min=0, events_max=5),
     ],
 )
 def test_invalid_configs(tmp_path, bad):
