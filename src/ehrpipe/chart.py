@@ -40,7 +40,7 @@ from .errors import (
 from .tables import (
     TableKind,
     attribute_name,
-    iter_csv_rows,
+    iter_csv_blocks,
     load_admission_npz,
     load_json,
     parse_timestamp,
@@ -282,13 +282,12 @@ def _event_blocks(row_blocks: Iterable[list[tuple]]) -> Iterator[EventBlock]:
 def read_chart_events(path) -> Iterator[EventBlock]:
     """EventBlocks out of a chartevents CSV (plain or gzip), streamed."""
 
-    def row_builder(keys: list[str]):
-        last = {key: index for index, key in enumerate(keys)}
-        return itemgetter(*(last[column] for column in _CHART_COLUMNS))
+    def row_blocks() -> Iterator[list[tuple]]:
+        for keys, rows in iter_csv_blocks(path, _CHART_COLUMNS, _BLOCK_ROWS):
+            last = {key: index for index, key in enumerate(keys)}
+            yield list(map(itemgetter(*map(last.get, _CHART_COLUMNS)), rows))
 
-    rows = iter_csv_rows(path, _CHART_COLUMNS, row_builder)
-    yield from _event_blocks(iter(lambda: list(islice(rows, _BLOCK_ROWS)),
-                                  []))
+    yield from _event_blocks(row_blocks())
 
 
 def read_chart_events_from_collection(path) -> Iterator[EventBlock]:

@@ -73,10 +73,13 @@ class ChartModelConfig:
 class ChartModel:
     """Layer stack producing logits; sigmoid turns them into probabilities."""
 
-    def __init__(self, config: ChartModelConfig):
+    def __init__(self, config: ChartModelConfig, initialize: bool = True):
+        """Layers for config, Glorot-initialized from its seed; with
+        initialize False every parameter is zero, for a checkpoint to fill."""
         config.validate()
         self.config = config
-        init_rng = np.random.default_rng([config.seed, 0])
+        init_rng = (np.random.default_rng([config.seed, 0]) if initialize
+                    else None)
         drop_rng = np.random.default_rng([config.seed, 1])
         t, h, c = config.n_types, config.hidden_size, config.n_categories
 
@@ -251,7 +254,7 @@ def load_checkpoint(path) -> TrainedModel:
         if meta["version"] != _CHECKPOINT_VERSION:
             raise IoFailure(f"{path}: unsupported checkpoint version")
         config = ChartModelConfig(**meta["config"])
-    model = build(config)
+    model = ChartModel(config, initialize=False)
     params = model.params()
     if len(params) != len(arrays):
         raise ShapeMismatch(

@@ -5,10 +5,11 @@ source table survives the many-to-one table->resource mapping and the files
 stay lossless), then one scalar attribute per source column in header order
 (string / integer / finite decimal / ISO timestamp / null). A collection
 file is a JSON array of records, written one record per line; transform
-streams it. iter_collection_blocks streams it back as the same dicts, a
-block of lines at a time, and checks that every record is flat;
-read_collection gathers those blocks into one list. A file in any other
-valid JSON layout is read whole. Paths ending in ".gz" are read/written
+writes it a block of CSV rows at a time, turning each column of a block
+straight into JSON text. iter_collection_blocks streams it back as the
+same dicts, a block of lines at a time, and checks that every record is
+flat; read_collection gathers those blocks into one list. A file in any
+other valid JSON layout is read whole. Paths ending in ".gz" are read/written
 gzip-compressed, at zlib's default level 6, and an output file appears only
 once it is complete.
 """
@@ -16,7 +17,12 @@ once it is complete.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator
+import math
+import re
+from collections import deque
+from datetime import datetime
+from json.encoder import encode_basestring
+from typing import Iterator
 
 from .errors import MalformedJson, UnknownResourceType, UnmappedTable
 from .tables import (
@@ -24,11 +30,11 @@ from .tables import (
     TABLE_COLUMNS,
     TableKind,
     attribute_name,
-    cell_converter,
-    iter_csv_rows,
+    iter_csv_blocks,
     map_table_kind,
     open_atomic,
     open_text_auto,
+    parse_timestamp,
     reading,
 )
 
@@ -46,66 +52,149 @@ _BLOCK_CHARS = 1 << 18
 # Whitespace as JSON defines it; str.strip would take more.
 _JSON_SPACE = " \t\n\r"
 
-# json.dumps builds a new encoder per call unless every option is default.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# CSV rows that transform converts at a time.
+_BLOCK_ROWS = 1 << 8
+
+# Stamps YYYY-MM-DD HH:MM:SS in ASCII digits, the hour in 00-23 as
+# parse_timestamp holds it, one per line: the shape transform writes
+# without parsing.
+_STAMP = r"[0-9]{4}-[0-9]{2}-[0-9]{2} (?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}"
+_STAMP_LINES = re.compile(rf"{_STAMP}(?:\n{_STAMP})*")
 
 
-def _header_fields(
-    table: TableKind, keys: list[str],
-) -> list[tuple[str, int, Callable[[str], Scalar]]]:
-    """(attribute, field index, converter) for each distinct header column.
+def _int_text(raw: str) -> str:
+    try:
+        return repr(int(raw))
+    except ValueError:
+        return encode_basestring(raw)
 
-    Columns keep header order; a repeated column keeps its first position
-    and reads its last field, as dict(zip(keys, row)) would.
+
+def _float_text(raw: str) -> str:
+    try:
+        value = float(raw)
+    except ValueError:
+        return encode_basestring(raw)
+    return repr(value) if math.isfinite(value) else encode_basestring(raw)
+
+
+def _time_text(raw: str) -> str:
+    when = parse_timestamp(raw)
+    if when is None:
+        return encode_basestring(raw)
+    return f'"{when.isoformat(sep="T", timespec="seconds")}"'
+
+
+def _int_texts(cells) -> list[str]:
+    try:
+        return list(map(repr, map(int, cells)))
+    except ValueError:
+        return list(map(_int_text, cells))
+
+
+def _float_texts(cells) -> list[str]:
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return list(map(_float_text, cells))
+    if all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return list(map(_float_text, cells))
+
+
+def _time_texts(cells) -> list[str]:
+    """A column whose every cell is a stamp YYYY-MM-DD HH:MM:SS that
+    fromisoformat reads, and so parse_timestamp reads the same, only gets
+    its T put in; any other column takes parse_timestamp cell by cell."""
+    text = "\n".join(cells)
+    # n stamps of 19 characters joined by n - 1 newlines: no cell holds a
+    # newline of its own.
+    if len(text) == 20 * len(cells) - 1 and _STAMP_LINES.fullmatch(text):
+        try:
+            deque(map(datetime.fromisoformat, cells), 0)
+        except ValueError:
+            pass  # an impossible date such as 2130-02-30
+        else:
+            text = text.replace(" ", "T").replace("\n", '"\n"')
+            return f'"{text}"'.split("\n")
+    return list(map(_time_text, cells))
+
+
+def _str_texts(cells) -> list[str]:
+    return list(map(encode_basestring, cells))
+
+
+# JSON text of a column of non-empty cells, by column kind.
+_TEXTS = {"int": _int_texts, "float": _float_texts, "time": _time_texts,
+          "str": _str_texts}
+
+
+def _json_texts(kind: str, cells: tuple[str, ...]) -> list[str]:
+    """The JSON text of each cell of a column: null when it is empty;
+    otherwise the number or ISO timestamp it holds for a column of that
+    kind, or else its raw string."""
+    texts = _TEXTS.get(kind, _str_texts)
+    if "" not in cells:
+        return texts(cells)
+    if not any(cells):
+        return ["null"] * len(cells)
+    filled = iter(texts([cell for cell in cells if cell]))
+    return [next(filled) if cell else "null" for cell in cells]
+
+
+def _record_template(table: TableKind, resource_type: str,
+                     keys: list[str]) -> tuple[str, list[tuple[int, str]]]:
+    """The % template of one record of a CSV with header keys, and the
+    (field index, column kind) that fills each of its %s in turn.
+
+    The record is the dict resource_type, mimic_source_table, then one
+    attribute per distinct column in header order; as in a dict, a
+    repeated column keeps its first position and reads its last field, and
+    so does an attribute name that two columns map to.
     """
     schema = TABLE_COLUMNS[table]
+    slots: dict[str, object] = {"resource_type": resource_type,
+                                "mimic_source_table": table.value}
     last = {col: index for index, col in enumerate(keys)}
-    return [
-        (attribute_name(table, col), index, cell_converter(schema.get(col, "str")))
-        for col, index in last.items()
-    ]
-
-
-def iter_records(input_path, table: TableKind) -> Iterator[Record]:
-    """Stream records from a CSV file, one source row at a time.
-
-    Each record is the dict that is written: resource_type,
-    mimic_source_table, then the attributes in header order. Every schema
-    column must be in the header; extra columns are carried through as
-    mimic_<name>. Column names and converters are resolved once per file.
-    """
-    resource_type = map_table_kind(table)
-    if resource_type is None:
-        raise UnmappedTable(f"no FHIR resource type for table {table.value}")
-
-    def row_builder(keys: list[str]) -> Callable[[list[str]], Record]:
-        fields = _header_fields(table, keys)
-
-        def record(row: list[str]) -> Record:
-            rec: Record = {"resource_type": resource_type,
-                           "mimic_source_table": table.value}
-            for name, index, convert in fields:
-                rec[name] = convert(row[index])
-            return rec
-
-        return record
-
-    yield from iter_csv_rows(input_path, TABLE_COLUMNS[table], row_builder)
+    for col, index in last.items():
+        slots[attribute_name(table, col)] = (index, schema.get(col, "str"))
+    parts, fields = [], []
+    for name, slot in slots.items():
+        if isinstance(slot, str):
+            value = encode_basestring(slot).replace("%", "%%")
+        else:
+            value = "%s"
+            fields.append(slot)
+        parts.append(f"{encode_basestring(name).replace('%', '%%')}: {value}")
+    return "{" + ", ".join(parts) + "}", fields
 
 
 def transform(input_path, output_path, table: TableKind) -> int:
     """Convert one table CSV into a flat FHIR collection file.
 
-    Streams records to output_path (gzip when the name ends in .gz), one
-    per line in source-row order, without holding them in memory; returns
-    the record count.
+    Every schema column must be in the header; extra columns are carried
+    through as mimic_<name>. Reads the CSV a block of rows at a time and
+    writes each block's records to output_path (gzip when the name ends in
+    .gz), one per line in source-row order, converting a column of the
+    block at a time straight to JSON text; returns the record count.
     """
+    resource_type = map_table_kind(table)
+    if resource_type is None:
+        raise UnmappedTable(f"no FHIR resource type for table {table.value}")
     count = 0
+    template = None
     with open_atomic(output_path) as handle:
         handle.write("[")
-        for count, record in enumerate(iter_records(input_path, table), 1):
-            handle.write(",\n " if count > 1 else "\n ")
-            handle.write(_ENCODER.encode(record))
+        for keys, rows in iter_csv_blocks(input_path, TABLE_COLUMNS[table],
+                                          _BLOCK_ROWS):
+            if template is None:
+                template, fields = _record_template(table, resource_type,
+                                                    keys)
+            columns = list(zip(*rows))
+            texts = [_json_texts(kind, columns[index])
+                     for index, kind in fields]
+            handle.write(",\n " if count else "\n ")
+            handle.write(",\n ".join(map(template.__mod__, zip(*texts))))
+            count += len(rows)
         handle.write("\n]\n" if count else "]\n")
     return count
 

@@ -37,11 +37,20 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _initial(rng: np.random.Generator | None, fan_in: int, fan_out: int,
+             shape: tuple[int, ...]) -> np.ndarray:
+    """A Glorot draw from rng; without one, zeros for a checkpoint to fill."""
+    if rng is None:
+        return np.zeros(shape)
+    return glorot_uniform(rng, fan_in, fan_out, shape)
+
+
 class DenseLayer:
     """Affine map y = x W^T + b with W of shape (out, in)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
-        self.weights = glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim))
+    def __init__(self, in_dim: int, out_dim: int,
+                 rng: np.random.Generator | None):
+        self.weights = _initial(rng, in_dim, out_dim, (out_dim, in_dim))
         self.bias = np.zeros(out_dim)
         self._x: np.ndarray | None = None
         self.d_weights = np.zeros_like(self.weights)
@@ -149,9 +158,9 @@ class TimeConvLayer:
     x[b, t, k] + bias[f].
     """
 
-    def __init__(self, n_filters: int, rng: np.random.Generator):
-        self.filters = glorot_uniform(rng, N_BINS, n_filters,
-                                      (n_filters, 1, N_BINS))
+    def __init__(self, n_filters: int, rng: np.random.Generator | None):
+        self.filters = _initial(rng, N_BINS, n_filters,
+                                (n_filters, 1, N_BINS))
         self.bias = np.zeros(n_filters)
         self._x: np.ndarray | None = None
         self.d_filters = np.zeros_like(self.filters)
@@ -187,11 +196,11 @@ class SimpleRnnLayer:
     (B, n_types) slice of bin k.
     """
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        self.input_weights = glorot_uniform(rng, in_dim, hidden,
-                                            (hidden, in_dim))
-        self.recurrent_weights = glorot_uniform(rng, hidden, hidden,
-                                                (hidden, hidden))
+    def __init__(self, in_dim: int, hidden: int,
+                 rng: np.random.Generator | None):
+        self.input_weights = _initial(rng, in_dim, hidden, (hidden, in_dim))
+        self.recurrent_weights = _initial(rng, hidden, hidden,
+                                          (hidden, hidden))
         self.bias = np.zeros(hidden)
         self._x: np.ndarray | None = None
         self._states: list[np.ndarray] = []

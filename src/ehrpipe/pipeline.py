@@ -4,12 +4,13 @@ One function per subcommand stage takes the subcommand's input paths,
 output paths and settings, reads its inputs, computes, writes every
 artifact of the stage and returns only what the CLI prints. The CLI and
 run_pipeline call the same functions, so stages pass data to each other
-only through the files they write. Chart branch: synth -> transform ->
-labels -> split -> preprocess -> train -> predict -> eval. Notes branch
-(same labels and split): notes-prep -> score-notes -> aggregate -> eval.
-run_pipeline runs them one after another in one thread, transform
-included, under the configured output directory; re-running with the
-same config and seed rewrites byte-identical artifacts.
+only through the files they write. run_pipeline runs synth -> labels ->
+split, then two branches at once, under the configured output directory:
+the chart branch (transform chartevents -> preprocess -> train -> predict
+-> eval) in the calling process and the notes branch (transform of the
+other tables -> notes-prep -> score-notes -> aggregate -> eval) in one
+forked worker process. Re-running with the same config and seed rewrites
+byte-identical artifacts, on one CPU or two.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def train(
     n_categories. The checkpoint names chart_stats.json when that file is
     beside the tensors.
     """
+    config.validate()
     tensors, catalog = chart.load_tensors(tensors_path)
     label_matrix = labels_mod.load_labels(labels_path)
     assignment = split_mod.load_split(split_path)
@@ -194,6 +196,7 @@ def score_notes(
     the fitted scorer's loss per epoch (or None) and the admissions
     scored.
     """
+    config.validate()
     chunks = notes_mod.load_chunks(chunks_path)
     written: dict[str, Path] = {}
     losses = None
@@ -253,35 +256,16 @@ def evaluate(
 
 # --- end to end ----------------------------------------------------------------
 
-def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
-    config.validate()
-    out = make_dir(config.output_dir)
-    manifest = generate(config.synth, out / "data")
-    tables = {kind: path for kind, path, _ in manifest.tables}
-    admissions = tables[TableKind.ADMISSIONS]
-    artifacts = {"synth_manifest": manifest.manifest_path}
-
-    make_dir(out / "fhir")
-    for kind, path, _ in manifest.tables:
-        target = out / "fhir" / f"{kind.value}.json.gz"
-        fhir_etl.transform(path, target, kind)
-        artifacts[f"fhir_{kind.value}"] = target
-
-    # Each stage artifact is named by its file's stem.
-    files = {Path(name).stem: out / name for name in (
-        "labels.npz", "split.json", "tensors.npz", "chart_stats.json",
-        "chart_model.npz", "chart_training_log.json", "chart_probs.npz",
-        "chart_metrics.json", "chunks.json", "note_scorer.npz",
-        "note_training_log.json", "chunk_scores.npz",
-        "note_admission_probs.npz", "note_metrics.json",
-    )}
-    labels(tables[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
-           files["labels"], admissions)
-    split(files["labels"], files["split"], config.split)
-
-    # --- chart branch ---------------------------------------------------------
-    preprocess(artifacts["fhir_chartevents"], admissions, out, files["split"],
-               config.numeric_fraction)
+def _chart_branch(config: PipelineConfig, tables: dict[TableKind, Path],
+                  collections: dict[TableKind, Path],
+                  files: dict[str, Path]) -> None:
+    """transform chartevents -> preprocess -> train -> predict -> eval."""
+    fhir_etl.transform(tables[TableKind.CHARTEVENTS],
+                       collections[TableKind.CHARTEVENTS],
+                       TableKind.CHARTEVENTS)
+    preprocess(collections[TableKind.CHARTEVENTS],
+               tables[TableKind.ADMISSIONS], files["tensors"].parent,
+               files["split"], config.numeric_fraction)
     train(files["tensors"], files["labels"], files["split"],
           files["chart_model"], files["chart_training_log"],
           config.chart_model)
@@ -289,9 +273,17 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     evaluate(files["chart_probs"], files["labels"], files["chart_metrics"],
              files["split"], "test", config.recall_target)
 
-    # --- notes branch -----------------------------------------------------------
-    notes_prep(tables[TableKind.NOTEEVENTS], admissions, files["chunks"],
-               config.subset, config.max_len)
+
+def _notes_branch(config: PipelineConfig, tables: dict[TableKind, Path],
+                  collections: dict[TableKind, Path],
+                  files: dict[str, Path]) -> None:
+    """transform of every other table, then notes-prep -> score-notes ->
+    aggregate -> eval."""
+    for kind, path in tables.items():
+        if kind != TableKind.CHARTEVENTS:
+            fhir_etl.transform(path, collections[kind], kind)
+    notes_prep(tables[TableKind.NOTEEVENTS], tables[TableKind.ADMISSIONS],
+               files["chunks"], config.subset, config.max_len)
     score_notes(files["chunks"], files["chunk_scores"],
                 labels_path=files["labels"], split_path=files["split"],
                 fit_out=files["note_scorer"],
@@ -302,6 +294,48 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
              files["note_metrics"], files["split"], "test",
              config.recall_target)
 
+
+def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
+    """Every stage under config.output_dir; returns the artifacts by name.
+
+    synth, labels and split run first. Then a forked worker process runs
+    the notes branch while this one runs the chart branch, and the run
+    manifest is written once both are done. A branch's error is raised
+    once both have ended; when both fail, the chart branch's.
+    """
+    # Imported here: every other subcommand would pay some 20 ms of
+    # start-up for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    config.validate()
+    out = make_dir(config.output_dir)
+    manifest = generate(config.synth, out / "data")
+    tables = {kind: path for kind, path, _ in manifest.tables}
+    fhir = make_dir(out / "fhir")
+    collections = {kind: fhir / f"{kind.value}.json.gz" for kind in tables}
+    # Each stage artifact is named by its file's stem.
+    files = {Path(name).stem: out / name for name in (
+        "labels.npz", "split.json", "tensors.npz", "chart_stats.json",
+        "chart_model.npz", "chart_training_log.json", "chart_probs.npz",
+        "chart_metrics.json", "chunks.json", "note_scorer.npz",
+        "note_training_log.json", "chunk_scores.npz",
+        "note_admission_probs.npz", "note_metrics.json",
+    )}
+    labels(tables[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
+           files["labels"], tables[TableKind.ADMISSIONS])
+    split(files["labels"], files["split"], config.split)
+
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as worker:
+        notes = worker.submit(_notes_branch, config, tables, collections,
+                              files)
+        _chart_branch(config, tables, collections, files)
+        notes.result()
+
+    artifacts = {"synth_manifest": manifest.manifest_path}
+    artifacts |= {f"fhir_{kind.value}": path
+                  for kind, path in collections.items()}
     artifacts |= files
     artifacts["run_manifest"] = write_run_manifest(
         out / "run_manifest_pipeline.json", "pipeline",

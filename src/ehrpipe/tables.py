@@ -10,7 +10,7 @@ truth for that convention.
 The module also holds the one write path and the one read-error mapping
 that every artifact goes through (open_atomic, reading), the one reader of
 admission-keyed .npz archives (load_admission_npz), and the one reader of
-CSV tables (iter_csv_rows).
+CSV tables (iter_csv_blocks, and iter_csv_rows on top of it).
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ import csv
 import gzip
 import io
 import json
-import math
 import os
 import re
 import zipfile
 from contextlib import ExitStack, contextmanager
 from datetime import datetime
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -359,48 +359,6 @@ def parse_timestamp(raw: str) -> Optional[datetime]:
     return None
 
 
-def _to_int(raw: str):
-    if raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def _to_float(raw: str):
-    if raw == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return raw
-    return value if math.isfinite(value) else raw  # JSON has no NaN or inf
-
-
-def _to_time(raw: str):
-    if raw == "":
-        return None
-    ts = parse_timestamp(raw)
-    return ts.isoformat(sep="T", timespec="seconds") if ts else raw
-
-
-def _to_str(raw: str):
-    return None if raw == "" else raw
-
-
-_CONVERTERS = {_ID: _to_int, _F: _to_float, _T: _to_time, _S: _to_str}
-
-
-def cell_converter(kind: str) -> Callable[[str], object]:
-    """The cell conversion of a column kind, to look up once per column.
-
-    Empty cells become None. A cell that does not parse, or a number that
-    is not finite, stays its raw string, so no input is ever lost.
-    """
-    return _CONVERTERS.get(kind, _to_str)
-
-
 def open_text_auto(path, newline: Optional[str] = None):
     """Open a text file for reading, gunzipping it when the name ends in .gz."""
     if str(path).endswith(".gz"):
@@ -528,22 +486,19 @@ def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
     return times
 
 
-def iter_csv_rows(
-    path,
-    required: Iterable[str] = (),
-    row_builder: Optional[Callable[[list[str]], Callable]] = None,
-) -> Iterator:
-    """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts.
+def iter_csv_blocks(
+    path, required: Iterable[str] = (), block_rows: int = 1 << 12,
+) -> Iterator[tuple[list[str], list[list[str]]]]:
+    """Stream a (possibly gzipped) CSV a block of rows at a time.
 
-    The header must name every required column, and every later line, a
-    blank one included, must have as many fields as the header; otherwise
-    SchemaMismatch or MalformedRow (with the row number). Parsing is strict,
-    so a quoted field cut off by the end of the file raises IoFailure
-    instead of yielding a shortened last row.
-
-    With row_builder, each row is yielded as row_builder(keys)(fields)
-    instead, where keys is the lowercased header and fields the row's list
-    of strings: the caller resolves its columns once per file.
+    Yields (keys, rows) per block of up to block_rows rows, where keys is
+    the header, stripped and lowercased (the same list for every block),
+    and rows the block's rows as lists of strings. The header must name
+    every required column, and every later line, a blank one included,
+    must have as many fields as the header; otherwise SchemaMismatch or
+    MalformedRow (with the row number). Parsing is strict, so a quoted
+    field cut off by the end of the file raises IoFailure instead of
+    yielding a shortened last row.
     """
     with reading(path), open_text_auto(path, newline="") as handle:
         reader = csv.reader(handle, strict=True)
@@ -556,11 +511,24 @@ def iter_csv_rows(
             raise SchemaMismatch(
                 f"{path}: header lacks column(s) {sorted(missing)}"
             )
-        build = row_builder(keys) if row_builder else None
-        for number, row in enumerate(reader, start=1):
-            if len(row) != len(keys):
+        width = len(keys)
+        done = 0
+        while rows := list(islice(reader, block_rows)):
+            if set(map(len, rows)) != {width}:
+                number, row = next((number, row) for number, row
+                                   in enumerate(rows, done + 1)
+                                   if len(row) != width)
                 raise MalformedRow(
                     f"{path}: row {number} has {len(row)} fields, "
-                    f"header has {len(keys)}"
+                    f"header has {width}"
                 )
-            yield build(row) if build else dict(zip(keys, row))
+            yield keys, rows
+            done += len(rows)
+
+
+def iter_csv_rows(path, required: Iterable[str] = ()) -> Iterator[dict]:
+    """Stream rows of a (possibly gzipped) CSV as lowercase-keyed dicts,
+    read and checked as iter_csv_blocks reads and checks them."""
+    for keys, rows in iter_csv_blocks(path, required):
+        for row in rows:
+            yield dict(zip(keys, row))

@@ -47,6 +47,7 @@ from ehrpipe.tables import (
     read_admission_times,
 )
 
+import fhir_reference as reference
 from conftest import write_csv
 from test_metrics import concordance_oracle
 from test_nn import check_layer_gradients, numeric_grad, rel_error
@@ -140,7 +141,7 @@ class TestA1FhirMapping:
                 written = fhir_etl.transform(src, out, table)
                 assert written == len(rows)  # count preservation
                 read = fhir_etl.read_collection(out)
-                assert read == list(fhir_etl.iter_records(src, table))
+                assert read == list(reference.iter_records(src, table))
 
 
 class TestA2Binning:

@@ -18,6 +18,7 @@ from ehrpipe.errors import (
     EmptyPartition,
     InvalidConfig,
 )
+from ehrpipe import nn
 from ehrpipe.nn import DenseLayer, SimpleRnnLayer, TimeConvLayer
 
 
@@ -169,3 +170,19 @@ class TestCheckpoint:
         x = np.random.default_rng(3).standard_normal((2, 6, 4))
         np.testing.assert_array_equal(predict(model, x),
                                       predict(loaded.model, x))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_load_takes_the_parameters_without_a_glorot_draw(
+            self, tmp_path, monkeypatch, variant):
+        model = build(_small_config(variant))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, TrainedModel(model=model))
+
+        def no_draw(*args):
+            raise AssertionError("glorot_uniform called during a load")
+
+        monkeypatch.setattr(nn, "glorot_uniform", no_draw)
+        loaded = load_checkpoint(path)
+        for stored, param in zip(model.params(), loaded.model.params(),
+                                 strict=True):
+            np.testing.assert_array_equal(stored, param)

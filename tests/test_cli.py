@@ -942,6 +942,23 @@ def test_notes_prep_checks_max_len_before_reading(cli_dataset, tmp_path):
     assert not out.exists()
 
 
+# Every input named is missing, which would exit 4 once read.
+@pytest.mark.parametrize("subcommand,inputs,setting", [
+    ("train", ("--tensors", "--labels", "--split"), ["--lr", "nan"]),
+    ("score-notes", ("--chunks", "--labels", "--split"),
+     ["--batch-size", "0"]),
+    ("score-notes", ("--chunks", "--params"), ["--feature-dim", "0"]),
+], ids=["train", "score-notes-fit", "score-notes-params"])
+def test_train_and_score_notes_check_settings_before_reading(
+        tmp_path, subcommand, inputs, setting):
+    out = tmp_path / "out.npz"
+    argv = [subcommand, "--out", str(out), *setting]
+    for flag in inputs:
+        argv += [flag, str(tmp_path / f"missing{flag}")]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
 # Each subcommand's inputs, every flag of its config at a value that is
 # neither the field's default nor any other flag's value, and the config
 # those flags build.

@@ -1,11 +1,15 @@
-"""Table mapping, streaming transform and collection roundtrips."""
+"""Table mapping, the block-columnar transform (held to the record-at-a-time
+writer in fhir_reference.py) and collection roundtrips."""
 
+import csv
 import gzip
 import json
 import random
 import struct
 import zlib
+from datetime import datetime
 
+import fhir_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,6 @@ from ehrpipe.errors import (
 )
 from ehrpipe.fhir_etl import (
     iter_collection_blocks,
-    iter_records,
     read_collection,
     transform,
 )
@@ -93,7 +96,7 @@ class TestTransform:
         )
         out = tmp_path / "admissions.json"
         count = transform(path, out, TableKind.ADMISSIONS)
-        records = list(iter_records(path, TableKind.ADMISSIONS))
+        records = list(reference.iter_records(path, TableKind.ADMISSIONS))
         assert all(r["resource_type"] == "encounter" for r in records)
         assert count == 3
         assert json.loads(out.read_text()) == records
@@ -122,6 +125,16 @@ class TestTransform:
         path = csv_writer("admissions.csv", ADMISSION_HEADER, rows)
         with pytest.raises(MalformedRow, match="row 2"):
             transform(path, tmp_path / "x.json", TableKind.ADMISSIONS)
+
+    def test_malformed_row_in_a_later_block_reports_its_number(
+            self, csv_writer, tmp_path, monkeypatch):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_ROWS", 2)
+        rows = [_admission_row(i, i, 100 + i) for i in range(1, 8)]
+        rows[4] = rows[4][:-1]
+        path = csv_writer("admissions.csv", ADMISSION_HEADER, rows)
+        with pytest.raises(MalformedRow, match="row 5 has"):
+            transform(path, tmp_path / "x.json", TableKind.ADMISSIONS)
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_input(self, tmp_path):
         with pytest.raises(IoFailure):
@@ -160,7 +173,7 @@ class TestRoundtrip:
         written = transform(path, out, TableKind.ADMISSIONS)
         read = read_collection(out)
         assert written == 3
-        assert read == list(iter_records(path, TableKind.ADMISSIONS))
+        assert read == list(reference.iter_records(path, TableKind.ADMISSIONS))
         for record in read:
             assert record["resource_type"] == "encounter"
             assert record["mimic_source_table"] == "admissions"
@@ -453,7 +466,7 @@ class TestRandomizedRoundtrips:
             written = transform(src, out, table)
             assert written == n_rows  # count preservation
             read = read_collection(out)
-            assert read == list(iter_records(src, table))
+            assert read == list(reference.iter_records(src, table))
 
     def test_flatness_of_serialized_records(self, csv_writer, tmp_path):
         path = csv_writer(
@@ -465,3 +478,95 @@ class TestRandomizedRoundtrips:
         for record in json.loads(out.read_text()):
             for value in record.values():
                 assert not isinstance(value, (dict, list))
+
+
+# Cells for the writer test. Stamps: the canonical shape (leap days
+# included), that shape with impossible fields, and shapes parse_timestamp
+# reads another way or not at all.
+_canonical_stamps = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+).map(lambda when: when.isoformat(sep=" ", timespec="seconds"))
+_stamps = st.one_of(
+    _canonical_stamps,
+    st.tuples(st.integers(0, 9999), *[st.integers(0, 99)] * 5).map(
+        lambda fields: "%04d-%02d-%02d %02d:%02d:%02d" % fields),
+    st.sampled_from([
+        "2132-02-29 00:00:00", "2000-02-29 23:59:59", "2100-02-29 12:00:00",
+        "2130-02-30 10:00:00", "2130-01-01 24:00:00", "2130-01-01 10:00:60",
+        "2130-13-01 00:00:00", "0000-01-01 00:00:00", "2130-1-01 10:00:00",
+        "2130-01-01 1:00:00", "2130-01-01t10:00:00", "2130-01-01T10:00:00",
+        "2130-01-01", "2132-02-29", " 2130-01-01 10:00:00",
+        "2130-01-01  10:00:00", "2130-01-01 10:00", "2130-01-01 10:00:00Z",
+        "２１３０-01-01 10:00:00", "2130-01-01 ١٠:00:00", "21300101 100000",
+    ]),
+)
+_numbers = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "1e400", "-Infinity", "-0", "-0.0",
+                     " 5", "5 ", "1_000", "0123", "+7", "٣", "1.5e3", "5.",
+                     ".5", "0x10", "1e-400"]),
+)
+_characters = st.characters(codec="utf-8", exclude_characters="\x00")
+_texts = st.one_of(
+    st.text(_characters, max_size=12),
+    st.sampled_from(['"', "\\", "\x01\x1f", "%s", "100%", "é", "a\r\nb"]),
+)
+_cells = st.one_of(_stamps, _numbers, _texts)
+# A column draws every cell from one of these, with or without blanks, so
+# that whole columns of canonical stamps or of numbers occur.
+_columns = st.sampled_from([_canonical_stamps, _stamps, _numbers,
+                            st.integers().map(str), _cells])
+# Extra header names: repeats of schema columns (in any case and spacing),
+# a name that maps onto mimic_source_table, and % in a name.
+_extra_names = st.one_of(
+    st.sampled_from(["source_table", "100% o2", "%s", "note%", "%%d",
+                     " Row_ID ", "Extra"]),
+    st.text(_characters, max_size=6),
+)
+_MAPPED = [t for t in TableKind if map_table_kind(t) is not None]
+
+
+class TestBlockWriter:
+    """transform writes the bytes of the record-at-a-time reference."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data(), table=st.sampled_from(_MAPPED),
+           block=st.sampled_from([1, 2, 3, 1 << 8]))
+    def test_writes_the_reference_bytes(self, tmp_path_factory, data, table,
+                                        block):
+        schema = list(TABLE_COLUMNS[table])
+        extra = data.draw(st.lists(st.sampled_from(schema) | _extra_names,
+                                   max_size=3))
+        header = data.draw(st.permutations(schema + extra))
+        n_rows = data.draw(st.integers(0, 7))
+        columns = []
+        for _ in header:
+            cell = data.draw(_columns)
+            cell = data.draw(st.sampled_from([cell, cell | st.just("")]))
+            columns.append(data.draw(st.lists(cell, min_size=n_rows,
+                                              max_size=n_rows)))
+        work = tmp_path_factory.mktemp("writer")
+        src = work / "table.csv"
+        with open(src, "w", encoding="utf-8", newline="") as handle:
+            # Every field quoted, so that a lone \r reads back as itself.
+            writer = csv.writer(handle, lineterminator="\n",
+                                quoting=csv.QUOTE_ALL)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fhir_etl, "_BLOCK_ROWS", block)
+            count = transform(src, work / "new.json", table)
+        assert count == reference.write_collection(
+            src, work / "old.json", table) == n_rows
+        assert (work / "new.json").read_bytes() == (
+            work / "old.json").read_bytes()
+
+    def test_every_etl_table_in_blocks_of_three(self, small_dataset,
+                                                tmp_path, monkeypatch):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_ROWS", 3)
+        for kind, path, _ in small_dataset.tables:
+            new, old = tmp_path / f"{kind}.new.json", tmp_path / f"{kind}.json"
+            assert transform(path, new, kind) == reference.write_collection(
+                path, old, kind)
+            assert new.read_bytes() == old.read_bytes(), kind

@@ -1,15 +1,19 @@
 """run_pipeline: its config's stage seeds, the bytes and failures of its
-table transform and output directory, and the bytes the subcommands write
-for the same stages."""
+table transform and output directory, its notes branch in a forked worker,
+and the bytes the subcommands write for the same stages."""
 
 import csv
 import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
 
 from ehrpipe import pipeline
 from ehrpipe.cli import main
+from ehrpipe.errors import DataError
 from ehrpipe.fhir_etl import transform
 from ehrpipe.runcfg import derive_seed, load_config
 from ehrpipe.tables import TableKind
@@ -62,10 +66,80 @@ def test_malformed_row_exits_4_and_leaves_no_temp_file(
     assert main(["pipeline", "--config", str(config_path)]) == 4
     fhir = tmp_path / "run" / "fhir"
     assert [p.name for p in fhir.iterdir() if p.name.endswith(".tmp")] == []
-    # The first broken table in manifest order is reported; the run stops
-    # there, before noteevents.
+    # labels reads admissions.csv before any transform and before the
+    # notes branch starts, so the run stops there.
     err = capsys.readouterr().err
     assert "admissions.csv" in err and "noteevents" not in err
+
+
+def _no_worker_and_no_temp_file(run: Path) -> bool:
+    """What any run_pipeline leaves: no child process still running and no
+    temporary file under its output directory."""
+    return (multiprocessing.active_children() == []
+            and [p for p in run.rglob("*") if p.name.endswith(".tmp")] == [])
+
+
+def test_notes_branch_runs_in_a_forked_worker(config_path, tmp_path,
+                                              monkeypatch):
+    notes_prep, pids = pipeline.notes_prep, tmp_path / "pids"
+
+    def notes_prep_noting_its_process(*args):
+        pids.write_text(f"{os.getpid()} {os.getppid()}")
+        return notes_prep(*args)
+
+    monkeypatch.setattr(pipeline, "notes_prep", notes_prep_noting_its_process)
+    artifacts = pipeline.run_pipeline(load_config(config_path))
+    assert pids.read_text().split()[1] == str(os.getpid())
+    assert artifacts["note_metrics"].is_file()
+    assert _no_worker_and_no_temp_file(tmp_path / "run")
+
+
+def _fail(message: str, after: Path | None = None, mark: Path | None = None):
+    """A stage that raises DataError(message), once the file after exists
+    (for a minute at most) when given, and leaves the file mark behind when
+    given."""
+
+    def stage(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while (after is not None and not after.exists()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        if mark is not None:
+            mark.touch()
+        raise DataError(message)
+
+    return stage
+
+
+def test_failing_notes_branch_exits_4_with_its_message(
+    config_path, tmp_path, monkeypatch, capsys,
+):
+    monkeypatch.setattr(pipeline, "notes_prep", _fail("the notes broke"))
+    assert main(["pipeline", "--config", str(config_path)]) == 4
+    assert "the notes broke" in capsys.readouterr().err
+    assert _no_worker_and_no_temp_file(tmp_path / "run")
+    # the chart branch ran to its end all the same
+    assert (tmp_path / "run" / "chart_metrics.json").is_file()
+    assert not (tmp_path / "run" / "run_manifest_pipeline.json").exists()
+
+
+@pytest.mark.parametrize("first", ["chart", "notes"])
+def test_chart_error_is_reported_when_both_branches_fail(
+    config_path, tmp_path, monkeypatch, capsys, first,
+):
+    chart_done, notes_done = tmp_path / "chart_done", tmp_path / "notes_done"
+    if first == "chart":
+        chart = _fail("the chart broke", mark=chart_done)
+        notes = _fail("the notes broke", after=chart_done)
+    else:
+        chart = _fail("the chart broke", after=notes_done)
+        notes = _fail("the notes broke", mark=notes_done)
+    monkeypatch.setattr(pipeline, "preprocess", chart)
+    monkeypatch.setattr(pipeline, "notes_prep", notes)
+    with pytest.raises(DataError, match="the chart broke"):
+        pipeline.run_pipeline(load_config(config_path))
+    assert chart_done.exists() or notes_done.exists()
+    assert _no_worker_and_no_temp_file(tmp_path / "run")
 
 
 def test_load_config_derives_every_stage_seed(config_path):
