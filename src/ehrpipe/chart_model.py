@@ -10,6 +10,7 @@ recurrence over the bins (rnn). All variants continue with dropout and two
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -66,8 +67,8 @@ class ChartModelConfig:
             raise InvalidConfig("epochs must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must be in [0,1)")
-        if not self.lr > 0:  # also rejects NaN
-            raise InvalidConfig("lr must be positive")
+        if not 0 < self.lr < math.inf:  # also rejects NaN
+            raise InvalidConfig("lr must be positive and finite")
 
 
 class ChartModel:

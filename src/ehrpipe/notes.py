@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -115,8 +116,8 @@ class ScorerConfig:
             raise InvalidConfig("scorer feature_dim must be at most 2^32")
         if self.epochs < 0:
             raise InvalidConfig("scorer epochs must be >= 0")
-        if not self.lr > 0:  # also rejects NaN
-            raise InvalidConfig("scorer lr must be positive")
+        if not 0 < self.lr < math.inf:  # also rejects NaN
+            raise InvalidConfig("scorer lr must be positive and finite")
 
 
 def clean_text(raw: str, replacements: Optional[Mapping[str, str]] = None) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -258,18 +258,23 @@ def evaluate(
 
 def _chart_branch(config: PipelineConfig, tables: dict[TableKind, Path],
                   collections: dict[TableKind, Path],
-                  files: dict[str, Path]) -> None:
-    """transform chartevents -> preprocess -> train -> predict -> eval."""
+                  files: dict[str, Path]) -> Iterator[None]:
+    """transform chartevents -> preprocess -> train -> predict -> eval,
+    pausing after each stage but the last, so the caller can stop there."""
     fhir_etl.transform(tables[TableKind.CHARTEVENTS],
                        collections[TableKind.CHARTEVENTS],
                        TableKind.CHARTEVENTS)
+    yield
     preprocess(collections[TableKind.CHARTEVENTS],
                tables[TableKind.ADMISSIONS], files["tensors"].parent,
                files["split"], config.numeric_fraction)
+    yield
     train(files["tensors"], files["labels"], files["split"],
           files["chart_model"], files["chart_training_log"],
           config.chart_model)
+    yield
     predict(files["chart_model"], files["tensors"], files["chart_probs"])
+    yield
     evaluate(files["chart_probs"], files["labels"], files["chart_metrics"],
              files["split"], "test", config.recall_target)
 
@@ -301,7 +306,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     synth, labels and split run first. Then a forked worker process runs
     the notes branch while this one runs the chart branch, and the run
     manifest is written once both are done. A branch's error is raised
-    once both have ended; when both fail, the chart branch's.
+    once both have ended; when both fail, the chart branch's. Once the
+    notes branch has failed, the chart branch starts no further stage.
     """
     # Imported here: every other subcommand would pay some 20 ms of
     # start-up for it.
@@ -330,7 +336,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
             1, mp_context=multiprocessing.get_context("fork")) as worker:
         notes = worker.submit(_notes_branch, config, tables, collections,
                               files)
-        _chart_branch(config, tables, collections, files)
+        for _ in _chart_branch(config, tables, collections, files):
+            if notes.done() and notes.exception() is not None:
+                break
         notes.result()
 
     artifacts = {"synth_manifest": manifest.manifest_path}

@@ -805,7 +805,8 @@ def test_unknown_config_key_or_section_exits_3(tmp_path, text):
 # NaN weights (exit 5).
 BAD_SCORER_SETTINGS = [("batch_size", "0"), ("batch_size", "-1"),
                        ("feature_dim", "0"), ("feature_dim", "4294967297"),
-                       ("epochs", "-1"), ("lr", "0"), ("lr", "nan")]
+                       ("epochs", "-1"), ("lr", "0"), ("lr", "nan"),
+                       ("lr", "inf")]
 
 
 @pytest.mark.parametrize("key,value", BAD_SCORER_SETTINGS)
@@ -851,6 +852,7 @@ BAD_SETTINGS = [
     ("metrics", "recall_target", "nan"), ("metrics", "recall_target", "-0.1"),
     ("synth", "signal_strength", "nan"), ("split", "train", "nan"),
     ("notes", "subset", "foo"), ("notes", "max_len", "1"),
+    ("synth", "signal_strength", "inf"), ("chart_model", "lr", "inf"),
 ]
 
 
@@ -942,13 +944,26 @@ def test_notes_prep_checks_max_len_before_reading(cli_dataset, tmp_path):
     assert not out.exists()
 
 
+def test_infinite_signal_exits_3_and_writes_nothing(tmp_path):
+    # It used to write inf chart values, which readers drop, and a
+    # manifest.json holding Infinity, which is not JSON.
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--signal", "inf",
+                 "--patients", "5", "--admissions", "6",
+                 "--positive-rate", "0.5"]) == 3
+    assert not out.exists()
+
+
 # Every input named is missing, which would exit 4 once read.
 @pytest.mark.parametrize("subcommand,inputs,setting", [
     ("train", ("--tensors", "--labels", "--split"), ["--lr", "nan"]),
     ("score-notes", ("--chunks", "--labels", "--split"),
      ["--batch-size", "0"]),
     ("score-notes", ("--chunks", "--params"), ["--feature-dim", "0"]),
-], ids=["train", "score-notes-fit", "score-notes-params"])
+    ("train", ("--tensors", "--labels", "--split"), ["--lr", "inf"]),
+    ("score-notes", ("--chunks", "--labels", "--split"), ["--lr", "inf"]),
+], ids=["train", "score-notes-fit", "score-notes-params", "train-lr-inf",
+        "score-notes-lr-inf"])
 def test_train_and_score_notes_check_settings_before_reading(
         tmp_path, subcommand, inputs, setting):
     out = tmp_path / "out.npz"

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 from pathlib import Path
 
 import pytest
@@ -94,12 +95,15 @@ def test_notes_branch_runs_in_a_forked_worker(config_path, tmp_path,
     assert _no_worker_and_no_temp_file(tmp_path / "run")
 
 
-def _fail(message: str, after: Path | None = None, mark: Path | None = None):
-    """A stage that raises DataError(message), once the file after exists
-    (for a minute at most) when given, and leaves the file mark behind when
-    given."""
+def _fail(message: str, after: Path | None = None, mark: Path | None = None,
+          entered: Path | None = None):
+    """A stage that raises DataError(message). When given, it leaves the
+    file entered behind as it starts, waits for the file after (a minute at
+    most) and leaves the file mark behind just before it raises."""
 
     def stage(*args, **kwargs):
+        if entered is not None:
+            entered.touch()
         deadline = time.monotonic() + 60
         while (after is not None and not after.exists()
                and time.monotonic() < deadline):
@@ -114,13 +118,37 @@ def _fail(message: str, after: Path | None = None, mark: Path | None = None):
 def test_failing_notes_branch_exits_4_with_its_message(
     config_path, tmp_path, monkeypatch, capsys,
 ):
-    monkeypatch.setattr(pipeline, "notes_prep", _fail("the notes broke"))
+    # The notes branch fails once preprocess has started, and preprocess
+    # goes on once the worker has reported that failure, so the chart
+    # branch sees it at its next pause.
+    submitted, submit = [], ProcessPoolExecutor.submit
+
+    def submit_noting_the_future(self, *args, **kwargs):
+        submitted.append(submit(self, *args, **kwargs))
+        return submitted[-1]
+
+    preprocess, started = pipeline.preprocess, tmp_path / "started"
+
+    def preprocess_once_the_notes_failed(*args):
+        started.touch()
+        assert wait(submitted, timeout=60).not_done == set()
+        return preprocess(*args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                        submit_noting_the_future)
+    monkeypatch.setattr(pipeline, "notes_prep",
+                        _fail("the notes broke", after=started))
+    monkeypatch.setattr(pipeline, "preprocess",
+                        preprocess_once_the_notes_failed)
     assert main(["pipeline", "--config", str(config_path)]) == 4
     assert "the notes broke" in capsys.readouterr().err
     assert _no_worker_and_no_temp_file(tmp_path / "run")
-    # the chart branch ran to its end all the same
-    assert (tmp_path / "run" / "chart_metrics.json").is_file()
-    assert not (tmp_path / "run" / "run_manifest_pipeline.json").exists()
+    # the running stage ended, and no later one started
+    run = tmp_path / "run"
+    assert (run / "tensors.npz").is_file()
+    assert not (run / "chart_model.npz").exists()
+    assert not (run / "chart_metrics.json").exists()
+    assert not (run / "run_manifest_pipeline.json").exists()
 
 
 @pytest.mark.parametrize("first", ["chart", "notes"])
@@ -132,13 +160,18 @@ def test_chart_error_is_reported_when_both_branches_fail(
         chart = _fail("the chart broke", mark=chart_done)
         notes = _fail("the notes broke", after=chart_done)
     else:
-        chart = _fail("the chart broke", after=notes_done)
-        notes = _fail("the notes broke", mark=notes_done)
+        # The chart stage is running when the notes branch fails, so the
+        # chart branch cannot stop before it.
+        chart_started = tmp_path / "chart_started"
+        chart = _fail("the chart broke", entered=chart_started,
+                      after=notes_done)
+        notes = _fail("the notes broke", after=chart_started,
+                      mark=notes_done)
     monkeypatch.setattr(pipeline, "preprocess", chart)
     monkeypatch.setattr(pipeline, "notes_prep", notes)
     with pytest.raises(DataError, match="the chart broke"):
         pipeline.run_pipeline(load_config(config_path))
-    assert chart_done.exists() or notes_done.exists()
+    assert (chart_done if first == "chart" else notes_done).exists()
     assert _no_worker_and_no_temp_file(tmp_path / "run")
 
 

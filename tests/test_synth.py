@@ -1,14 +1,20 @@
-"""Determinism, referential integrity and signal planting of the generator."""
+"""Determinism, referential integrity and signal planting of the
+generator, and its bytes against the row-at-a-time reference."""
 
 import hashlib
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import synth_reference as reference
 from ehrpipe.errors import InvalidConfig
 from ehrpipe.labels import load_crosswalk, read_diagnoses
-from ehrpipe.synth import SynthConfig, _fmt_time, generate
+from ehrpipe.synth import _BLOCK_ADMISSIONS, SynthConfig, _fmt_time, generate
 from ehrpipe.tables import TableKind, iter_csv_rows, parse_timestamp
 
 
@@ -184,6 +190,7 @@ def test_crosswalk_covers_all_emitted_codes(small_dataset):
         dict(vocabulary_size=3),
         dict(n_planted=100),
         dict(events_min=0, events_max=5),
+        dict(signal_strength=float("inf")),
     ],
 )
 def test_invalid_configs(tmp_path, bad):
@@ -191,3 +198,64 @@ def test_invalid_configs(tmp_path, bad):
                                    n_ccs_categories=6), **bad})
     with pytest.raises(InvalidConfig):
         generate(config, tmp_path / "x")
+
+
+# --- the same bytes as the row-at-a-time generator ------------------------------
+
+SYNTH_FILES = ("patients.csv", "admissions.csv", "diagnoses_icd.csv",
+               "chartevents.csv", "noteevents.csv", "ccs_crosswalk.csv",
+               "manifest.json")
+
+
+@st.composite
+def synth_configs(draw):
+    n_patients = draw(st.integers(1, 40))
+    n_admissions = draw(st.one_of(
+        st.just(n_patients),
+        st.integers(n_patients, n_patients + 2 * _BLOCK_ADMISSIONS + 5)))
+    # 1,000 types and more give item ids of four digits and more.
+    n_types = draw(st.one_of(st.integers(1, 30), st.integers(1000, 1100)))
+    n_categories = draw(st.integers(1, 12))
+    most_planted = min(n_types, n_categories)
+    events_min = draw(st.integers(1, 6))
+    notes_min = draw(st.integers(1, 3))
+    return SynthConfig(
+        seed=draw(st.integers(0, 2**32)),
+        n_patients=n_patients,
+        n_admissions=n_admissions,
+        n_observation_types=n_types,
+        n_ccs_categories=n_categories,
+        positive_rate_target=draw(st.floats(0.01, 0.6)),
+        signal_strength=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
+        notes_min=notes_min,
+        notes_max=draw(st.integers(notes_min, 4)),
+        vocabulary_size=draw(st.one_of(st.just(10), st.integers(10, 300))),
+        n_planted=draw(st.one_of(st.just(0), st.just(most_planted),
+                                 st.integers(0, most_planted))),
+        events_min=events_min,
+        events_max=draw(st.integers(events_min, 12)),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(config=synth_configs())
+@example(config=SynthConfig(
+    seed=1, n_patients=7, n_admissions=7, n_observation_types=3,
+    n_ccs_categories=2, positive_rate_target=0.5, signal_strength=0.0,
+    notes_min=2, notes_max=2, vocabulary_size=10, n_planted=0,
+    events_min=1, events_max=1))
+@example(config=SynthConfig(
+    seed=2, n_patients=20, n_admissions=2 * _BLOCK_ADMISSIONS + 3,
+    n_observation_types=1200, n_ccs_categories=5, positive_rate_target=0.3,
+    signal_strength=3.0, notes_min=1, notes_max=3, vocabulary_size=40,
+    n_planted=5, events_min=2, events_max=9))
+def test_writes_the_reference_bytes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        new = generate(config, Path(tmp) / "new")
+        old = reference.generate(config, Path(tmp) / "old")
+        for name in SYNTH_FILES:
+            assert (Path(tmp) / "new" / name).read_bytes() == (
+                Path(tmp) / "old" / name).read_bytes(), name
+        assert [(kind, path.name, count) for kind, path, count in new.tables] \
+            == [(kind, path.name, count) for kind, path, count in old.tables]
+        assert new.planted == old.planted
