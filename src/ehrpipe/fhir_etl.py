@@ -16,12 +16,13 @@ once it is complete.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import deque
 from datetime import datetime
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import MalformedJson, UnknownResourceType, UnmappedTable
@@ -31,6 +32,7 @@ from .tables import (
     TableKind,
     attribute_name,
     iter_csv_blocks,
+    iter_json_blocks,
     map_table_kind,
     open_atomic,
     open_text_auto,
@@ -48,9 +50,6 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 # chartevents records, of about 430 characters each. At 2^20 the 10x demo
 # preprocess peaked 5 MiB higher and ran no faster.
 _BLOCK_CHARS = 1 << 18
-
-# Whitespace as JSON defines it; str.strip would take more.
-_JSON_SPACE = " \t\n\r"
 
 # CSV rows that transform converts at a time.
 _BLOCK_ROWS = 1 << 8
@@ -200,7 +199,21 @@ def transform(input_path, output_path, table: TableKind) -> int:
 
 
 def _check_records(path, start: int, records: list) -> None:
-    """read_collection's checks on records, which start at record start."""
+    """read_collection's checks on records, which start at record start.
+
+    Three passes over the whole block check the types of the records, of
+    every value and the resource types; only a block that fails one is
+    walked record by record, to name the first bad record.
+    """
+    try:
+        if (set(map(type, records)) <= {dict}
+                and set(map(type, chain.from_iterable(
+                    map(dict.values, records)))) <= _SCALAR_TYPES
+                and RESOURCE_TYPES.issuperset(
+                    map(itemgetter("resource_type"), records))):
+            return
+    except KeyError:
+        pass  # a record without a resource_type
     for index, record in enumerate(records, start):
         if type(record) is not dict or "resource_type" not in record:
             raise MalformedJson(f"{path}: record {index} is not a flat object")
@@ -217,55 +230,6 @@ def _check_records(path, start: int, records: list) -> None:
             )
 
 
-def _decoded_blocks(path, handle) -> Iterator[list]:
-    """The elements of the JSON array in handle, a block at a time.
-
-    The text is cut after each block's last ",\n", the end of a record line
-    in the layout transform writes, and each block is decoded on its own.
-    Blocks that decode on their own, each to at least one element, decode
-    to the elements of the whole array. Otherwise the remaining elements
-    come from decoding the whole text (json.load), so every other valid
-    layout is read, and an invalid file raises MalformedJson.
-    """
-    text = handle.read(_BLOCK_CHARS).lstrip(_JSON_SPACE)
-    if text.startswith("["):
-        done, carry = 0, text[1:]
-        while True:
-            chunk = handle.read(_BLOCK_CHARS)
-            text = carry + chunk
-            if chunk:
-                cut = text.rfind(",\n")
-                if cut < 0:
-                    carry = text
-                    continue
-                piece, carry = text[:cut], text[cut + 2:]
-            else:
-                piece = text.rstrip(_JSON_SPACE)
-                if not piece.endswith("]"):
-                    break
-                piece = piece[:-1]
-            try:
-                records = json.loads(f"[{piece}]")
-            except json.JSONDecodeError:
-                break
-            if not records:
-                break
-            yield records
-            done += len(records)
-            if not chunk:
-                return
-    else:
-        done = 0
-    handle.seek(0)
-    try:
-        records = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
-    if not isinstance(records, list):
-        raise MalformedJson(f"{path}: top-level JSON value is not an array")
-    yield records[done:]
-
-
 def iter_collection_blocks(path) -> Iterator[list[Record]]:
     """Stream the records of a collection file, in file order, in blocks.
 
@@ -276,7 +240,8 @@ def iter_collection_blocks(path) -> Iterator[list[Record]]:
     """
     with reading(path), open_text_auto(path) as handle:
         start = 0
-        for records in _decoded_blocks(path, handle):
+        for records in iter_json_blocks(path, handle, "[", _BLOCK_CHARS,
+                                        MalformedJson):
             _check_records(path, start, records)
             start += len(records)
             yield records

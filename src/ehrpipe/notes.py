@@ -16,17 +16,27 @@ trained on weighs 0, and scoring is a blocked gather-sum over the weight
 columns. Chunk probabilities are combined per admission as (P_max + P_mean
 * n/c) / (1 + n/c), which leans on the best chunk while the mean term
 attenuates noise as chunks accumulate.
+
+Memory per token is a pointer. chunks.json is written an admission per
+line as the admissions are chunked, and read back a block of lines at a
+time, with one str per distinct token. Training and scoring hash a block
+of chunks at a time, each distinct token of the block once, and scoring
+also scores a block at a time; what grows with the chunks is the tokens'
+pointers, the training CSR and the probabilities.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -40,11 +50,11 @@ from .errors import (
 from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
 from .tables import (
     iter_csv_rows,
+    iter_json_blocks,
     load_admission_npz,
-    load_json,
+    open_atomic,
     parse_timestamp,
     reading,
-    save_json,
     save_npz,
 )
 
@@ -218,27 +228,69 @@ def hash_features(tokens: Iterable[str], dim: int) -> np.ndarray:
     return out
 
 
-def _hash_rows(chunks: list[ChunkTokenSequence],
-               dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chunks' hash_features rows in CSR form: (indptr, slots, values).
+# Budget for the arrays _hash_block makes for one block of chunks, at some
+# 100 bytes a token; a chunk of more tokens is a block of its own.
+_HASH_BLOCK_BYTES = 2 << 20
+_HASH_TOKEN_BYTES = 100
 
-    Row i is chunk i: its sorted unique slots are slots[indptr[i]:indptr[i+1]]
-    and values holds their summed signs. A slot whose signs cancel keeps an
-    explicit 0; a chunk without tokens is an empty row.
+
+def _blocks(chunks: list[ChunkTokenSequence]) -> Iterator[slice]:
+    """Consecutive runs of chunks that fit _HASH_BLOCK_BYTES, in order."""
+    limit = max(1, _HASH_BLOCK_BYTES // _HASH_TOKEN_BYTES)
+    start = held = 0
+    for stop, chunk in enumerate(chunks):
+        if held and held + len(chunk.tokens) > limit:
+            yield slice(start, stop)
+            start, held = stop, 0
+        held += len(chunk.tokens)
+    if start < len(chunks):
+        yield slice(start, len(chunks))
+
+
+def _hash_block(chunks: list[ChunkTokenSequence],
+                dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_hash_rows of one block of chunks, all at once.
+
+    Each distinct token is hashed once; every position then gathers its
+    token's slot and sign.
     """
     lengths = np.fromiter((len(ch.tokens) for ch in chunks), dtype=np.int64,
                           count=len(chunks))
-    hashed = [_token_slot(token, dim) for ch in chunks for token in ch.tokens]
-    slots = np.fromiter((slot for slot, _ in hashed), dtype=np.int64,
-                        count=len(hashed))
-    signs = np.fromiter((sign for _, sign in hashed), dtype=np.float64,
-                        count=len(hashed))
+    tokens = list(chain.from_iterable(ch.tokens for ch in chunks))
+    index = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    hashed = [_token_slot(token, dim) for token in index]
+    position = np.fromiter(map(index.__getitem__, tokens), dtype=np.intp,
+                           count=len(tokens))
+    slots = np.array([slot for slot, _ in hashed], dtype=np.int64)[position]
+    signs = np.array([sign for _, sign in hashed], dtype=np.float64)[position]
     rows = np.repeat(np.arange(len(chunks), dtype=np.int64), lengths)
     keys, inverse = np.unique(rows * dim + slots, return_inverse=True)
     values = np.bincount(inverse, weights=signs, minlength=keys.size)
     indptr = np.zeros(len(chunks) + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // dim, minlength=len(chunks)), out=indptr[1:])
     return indptr, keys % dim, values
+
+
+def _hash_rows(chunks: list[ChunkTokenSequence],
+               dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunks' hash_features rows in CSR form: (indptr, slots, values).
+
+    Row i is chunk i: its sorted unique slots are slots[indptr[i]:indptr[i+1]]
+    and values holds their summed signs. A slot whose signs cancel keeps an
+    explicit 0; a chunk without tokens is an empty row. The rows are hashed
+    a block of chunks at a time, so only the CSR itself grows with the
+    number of chunks.
+    """
+    indptr = np.zeros(len(chunks) + 1, dtype=np.int64)
+    slots, values = [np.zeros(0, np.int64)], [np.zeros(0)]
+    for block in _blocks(chunks):
+        block_indptr, block_slots, block_values = _hash_block(chunks[block],
+                                                              dim)
+        indptr[block.start + 1:block.stop + 1] = (block_indptr[1:]
+                                                  + indptr[block.start])
+        slots.append(block_slots)
+        values.append(block_values)
+    return indptr, np.concatenate(slots), np.concatenate(values)
 
 
 def _dense_rows(indptr: np.ndarray, columns: np.ndarray, values: np.ndarray,
@@ -258,19 +310,16 @@ _SCORE_BLOCK_BYTES = 8 << 20
 
 
 def _logits(indptr: np.ndarray, slots: np.ndarray, values: np.ndarray,
-            params: LinearClassifierParams) -> np.ndarray:
+            table: np.ndarray, params: LinearClassifierParams) -> np.ndarray:
     """W f + b for every CSR row, as a gather-sum over the weight columns.
 
-    Every slot is first mapped to its row of the slot-major weights, or to
-    a row of zeros if the scorer was not trained on it. Rows go in blocks
-    whose gathered (nonzeros x categories) weights fit _SCORE_BLOCK_BYTES,
-    so memory does not grow with the number of chunks; a row larger than
-    that is a block of its own.
+    table holds the weights slot-major, one row per trained slot, and a
+    last row of zeros, which every slot the scorer was not trained on maps
+    to. Rows go in blocks whose gathered (nonzeros x categories) weights
+    fit _SCORE_BLOCK_BYTES; a row larger than that is a block of its own.
     """
     n_rows = indptr.size - 1
-    n_categories, n_slots = params.weights.shape
-    table = np.zeros((n_slots + 1, n_categories))
-    table[:n_slots] = params.weights.T
+    n_slots, n_categories = table.shape[0] - 1, table.shape[1]
     position = np.searchsorted(params.slots, slots)
     # position n_slots, past the last slot, is the row of zeros
     position[np.append(params.slots, -1)[position] != slots] = n_slots
@@ -301,14 +350,21 @@ def score_chunks(
     """Per-admission (chunks x categories) probabilities: sigmoid(Wf + b).
 
     Output admission order is first appearance; rows follow chunk_index.
+    The chunks are hashed and scored a block at a time, so only the
+    probabilities grow with the number of chunks.
     """
     grouped: dict[str, list[ChunkTokenSequence]] = {}
     for chunk in chunks:
         grouped.setdefault(chunk.admission_id, []).append(chunk)
     ordered = [chunk for adm_chunks in grouped.values()
                for chunk in sorted(adm_chunks, key=lambda ch: ch.chunk_index)]
-    probabilities = sigmoid(_logits(*_hash_rows(ordered, params.feature_dim),
-                                    params))
+    n_categories, n_slots = params.weights.shape
+    table = np.zeros((n_slots + 1, n_categories))
+    table[:n_slots] = params.weights.T
+    probabilities = np.empty((len(ordered), n_categories))
+    for block in _blocks(ordered):
+        probabilities[block] = sigmoid(_logits(
+            *_hash_block(ordered[block], params.feature_dim), table, params))
     ends = np.cumsum([len(adm_chunks) for adm_chunks in grouped.values()])
     return [
         ChunkScoreMatrix(admission_id=adm, probabilities=rows)
@@ -415,28 +471,82 @@ def read_note_events(path) -> list[NoteEvent]:
 
 # --- persistence -----------------------------------------------------------
 
-def save_chunks(path, chunks: list[ChunkTokenSequence]) -> Path:
-    payload: dict[str, list[list[str]]] = {}
-    for chunk in chunks:
-        payload.setdefault(chunk.admission_id, []).append(chunk.tokens)
-    return save_json(path, payload)
+# Characters of chunks.json text that load_chunks decodes at a time.
+_BLOCK_CHARS = 1 << 18
+
+
+def save_chunks(path, chunks: Iterable[ChunkTokenSequence]) -> int:
+    """Write chunks.json, a JSON object that maps each admission id to its
+    chunks' token lists; returns the number of chunks written.
+
+    An admission's chunks must come one after another, as chunk_text gives
+    them. Each admission is written as soon as its last chunk has come, on a
+    line of its own: the file is json.dumps of the object with ",\\n", not
+    ", ", between admissions.
+    """
+    count = 0
+    with open_atomic(path) as handle:
+        handle.write("{")
+        for index, (adm, run) in enumerate(groupby(
+                chunks, key=attrgetter("admission_id"))):
+            token_lists = [chunk.tokens for chunk in run]
+            if index:
+                handle.write(",\n")
+            handle.write(f"{json.dumps(adm)}: {json.dumps(token_lists)}")
+            count += len(token_lists)
+        handle.write("}\n")
+    return count
+
+
+def _check_chunk_block(path, members: list, seen: set[str]) -> None:
+    """IoFailure unless every admission of members maps to lists of
+    strings and appears once in the file; seen holds the admissions of the
+    blocks before, and gets these.
+
+    Three passes over the whole block check the types of the chunk lists,
+    of the chunks and of the tokens; only a block that fails one is walked
+    admission by admission, to name the first bad one.
+    """
+    values = [token_lists for _, token_lists in members]
+    if not (set(map(type, values)) <= {list}
+            and set(map(type, chain.from_iterable(values))) <= {list}
+            and set(map(type, chain.from_iterable(chain.from_iterable(
+                values)))) <= {str}):
+        adm = next(adm for adm, token_lists in members
+                   if not (type(token_lists) is list and all(
+                       type(tokens) is list
+                       and all(type(t) is str for t in tokens)
+                       for tokens in token_lists)))
+        raise IoFailure(
+            f"{path}: admission {adm!r} does not map to token lists")
+    for adm, _ in members:
+        if adm in seen:
+            raise IoFailure(f"{path}: admission {adm!r} appears twice")
+        seen.add(adm)
 
 
 def load_chunks(path) -> list[ChunkTokenSequence]:
-    """Chunks from a JSON object mapping admission ids to token lists."""
+    """Chunks from a JSON object mapping admission ids to token lists, in
+    file order.
+
+    The layout save_chunks writes is decoded a block of admissions at a
+    time, and any other valid layout whole (tables.iter_json_blocks). An
+    admission that does not map to lists of strings, or that appears twice,
+    raises IoFailure. Equal tokens share one str object, so the chunks hold
+    a pointer per token and one string per distinct token.
+    """
     chunks = []
-    for adm, token_lists in load_json(path).items():
-        if not (isinstance(token_lists, list) and all(
-                isinstance(tokens, list)
-                and all(isinstance(t, str) for t in tokens)
-                for tokens in token_lists)):
-            raise IoFailure(
-                f"{path}: admission {adm!r} does not map to token lists"
-            )
-        chunks.extend(
-            ChunkTokenSequence(admission_id=adm, chunk_index=i, tokens=tokens)
-            for i, tokens in enumerate(token_lists)
-        )
+    seen: set[str] = set()
+    canonical: dict[str, str] = {}
+    with reading(path), open(path, "r", encoding="utf-8") as handle:
+        for members in iter_json_blocks(path, handle, "{", _BLOCK_CHARS,
+                                        IoFailure):
+            _check_chunk_block(path, members, seen)
+            for adm, token_lists in members:
+                for i, tokens in enumerate(token_lists):
+                    tokens[:] = map(canonical.setdefault, tokens, tokens)
+                    chunks.append(ChunkTokenSequence(
+                        admission_id=adm, chunk_index=i, tokens=tokens))
     return chunks
 
 

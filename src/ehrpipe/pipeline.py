@@ -16,6 +16,7 @@ byte-identical artifacts, on one CPU or two.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -174,15 +175,15 @@ def predict(model, tensors_path, out) -> tuple[Path, tuple[int, int]]:
 def notes_prep(notes, admissions, out, subset: str,
                max_len: int) -> tuple[int, int]:
     """Chunks of one note subset, admission by admission in id order, to
-    out; returns the numbers of admissions in the subset and of chunks."""
+    out, each admission written as soon as it is chunked; returns the
+    numbers of admissions in the subset and of chunks."""
     notes_mod.check_max_len(max_len)
     texts = notes_mod.build_subset(notes_mod.read_note_events(notes),
                                    read_admission_times(admissions), subset)
-    chunks = []
-    for adm in sorted(texts):
-        chunks.extend(notes_mod.chunk_text(adm, texts[adm], max_len=max_len))
-    notes_mod.save_chunks(out, chunks)
-    return len(texts), len(chunks)
+    n_chunks = notes_mod.save_chunks(out, chain.from_iterable(
+        notes_mod.chunk_text(adm, texts[adm], max_len=max_len)
+        for adm in sorted(texts)))
+    return len(texts), n_chunks
 
 
 def score_notes(

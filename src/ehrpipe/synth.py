@@ -54,6 +54,10 @@ _CHART_EVENT = "%d,%d,%d,,%d,%s,%s,,%s,%s,%s,0,0,,\n"
 _NOTE = '%d,%d,%d,%s,%s,%s,%s,Report,,0,"%s"\n'
 
 
+# Observation type sigmas are drawn from [0.5, _SIGMA_HIGH).
+_SIGMA_HIGH = 15.0
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
@@ -79,9 +83,12 @@ class SynthConfig:
             raise InvalidConfig("need n_admissions >= n_patients >= 1")
         if not 0.0 < self.positive_rate_target < 1.0:
             raise InvalidConfig("positive_rate_target must be in (0,1)")
-        if not 0 <= self.signal_strength < math.inf:  # also rejects NaN
-            raise InvalidConfig("signal_strength must be finite and "
-                                "non-negative")
+        # also rejects NaN, and a strength whose planted mean shift,
+        # signal_strength times a type sigma, would overflow
+        if not 0 <= self.signal_strength * _SIGMA_HIGH < math.inf:
+            raise InvalidConfig("signal_strength must be non-negative and"
+                                f" keep signal_strength * {_SIGMA_HIGH:g}"
+                                " finite")
         if not 1 <= self.notes_min <= self.notes_max:
             raise InvalidConfig("need 1 <= notes_min <= notes_max")
         if not 1 <= self.events_min <= self.events_max:
@@ -152,7 +159,7 @@ def generate(config: SynthConfig, output_dir) -> SynthManifest:
     planted_cats = rng.choice(n_cat, size=config.n_planted, replace=False)
     planted_types = rng.choice(n_types, size=config.n_planted, replace=False)
     type_means = rng.uniform(-50.0, 150.0, size=n_types)
-    type_sigmas = rng.uniform(0.5, 15.0, size=n_types)
+    type_sigmas = rng.uniform(0.5, _SIGMA_HIGH, size=n_types)
     planted = [
         PlantedSignal(
             category_index=int(c),

@@ -9,13 +9,16 @@ truth for that convention.
 
 The module also holds the one write path and the one read-error mapping
 that every artifact goes through (open_atomic, reading), the one reader of
-admission-keyed .npz archives (load_admission_npz), and the one reader of
-CSV tables (iter_csv_blocks, and iter_csv_rows on top of it).
+admission-keyed .npz archives (load_admission_npz), the one reader of
+CSV tables (iter_csv_blocks, and iter_csv_rows on top of it), and the
+block-wise JSON reader that collections and chunk files share
+(iter_json_blocks).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import io
 import json
@@ -463,6 +466,77 @@ def load_admission_npz(path, per_admission: tuple[str, ...],
             raise ValueError(f"{ids.shape} admission ids and arrays {shapes}"
                              " do not have one row per admission id")
     return arrays
+
+
+class _Pairs(list):
+    """The (key, value) pairs of a JSON object, in file order, duplicate
+    keys kept: what iter_json_blocks decodes every object of an object
+    file to."""
+
+
+# Whitespace as JSON defines it; str.strip would take more.
+_JSON_SPACE = " \t\n\r"
+
+# By opening bracket: the closing one, the kind's name, the type a whole
+# file of that kind decodes to, and the decoder.
+_JSON_KINDS = {
+    "[": ("]", "array", list, json.loads),
+    "{": ("}", "object", _Pairs,
+          functools.partial(json.loads, object_pairs_hook=_Pairs)),
+}
+
+
+def iter_json_blocks(path, handle, bracket: str, block_chars: int,
+                     error: type[Exception]) -> Iterator[list]:
+    """The members of the JSON array ("[") or object ("{") in handle, a
+    block at a time: an array's elements, or an object's (key, value)
+    pairs as a list of pairs (and so is every object nested in them).
+
+    The text is read block_chars characters at a time and cut after each
+    block's last ",\\n", the end of a member line in the layout the
+    artifact writers use, and each block is decoded on its own. Blocks that
+    decode on their own, each to at least one member, decode to the members
+    of the whole value. Otherwise the remaining members come from decoding
+    the whole text, so every other valid layout is read, and an invalid
+    file, or one whose top-level value is of the other kind, raises error.
+    """
+    close, kind, top, loads = _JSON_KINDS[bracket]
+    text = handle.read(block_chars).lstrip(_JSON_SPACE)
+    done = 0
+    if text.startswith(bracket):
+        carry = text[1:]
+        while True:
+            chunk = handle.read(block_chars)
+            text = carry + chunk
+            if chunk:
+                cut = text.rfind(",\n")
+                if cut < 0:
+                    carry = text
+                    continue
+                piece, carry = text[:cut], text[cut + 2:]
+            else:
+                piece = text.rstrip(_JSON_SPACE)
+                if not piece.endswith(close):
+                    break
+                piece = piece[:-1]
+            try:
+                members = loads(bracket + piece + close)
+            except json.JSONDecodeError:
+                break
+            if not members:
+                break
+            yield members
+            done += len(members)
+            if not chunk:
+                return
+    handle.seek(0)
+    try:
+        members = loads(handle.read())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+    if type(members) is not top:
+        raise error(f"{path}: top-level JSON value is not an {kind}")
+    yield members[done:]
 
 
 def load_json(path) -> dict:

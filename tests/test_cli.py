@@ -233,6 +233,60 @@ def test_score_notes_without_params_or_labels_exits_4(tmp_path):
     ]) == 4
 
 
+def _score_chunk_file(tmp_path, text: str) -> int:
+    """score-notes --params on a chunks.json holding text."""
+    from ehrpipe.notes import LinearClassifierParams, save_scorer
+
+    chunks = tmp_path / "chunks.json"
+    chunks.write_text(text, encoding="utf-8")
+    scorer = save_scorer(tmp_path / "scorer.npz", LinearClassifierParams(
+        slots=np.array([5]), weights=np.ones((1, 1)), bias=np.zeros(1),
+        feature_dim=64))
+    return main(["score-notes", "--chunks", str(chunks), "--params",
+                 str(scorer), "--out", str(tmp_path / "s.npz")])
+
+
+# json.load keeps the last of two entries and silently drops the first
+# one's chunks.
+@pytest.mark.parametrize("text", [
+    '{"1": [["[CLS]", "a"]],\n"2": [["[CLS]", "b"]],\n"1": [["[CLS]", "c"]]}\n',
+    '{"1": [["[CLS]", "a"]], "2": [["[CLS]", "b"]], "1": [["[CLS]", "c"]]}\n',
+    '{"1": [["[CLS]", "a"]],\n"1": [["[CLS]", "c"]]}\n',
+    '{\n  "1": [\n    ["[CLS]", "a"]\n  ],\n  "1": []\n}\n',
+], ids=["streamed", "one-line", "same-block", "indented"])
+@pytest.mark.parametrize("block", [8, 1 << 18])
+def test_chunk_file_naming_an_admission_twice_exits_4(
+        tmp_path, capsys, monkeypatch, text, block):
+    from ehrpipe import notes
+
+    monkeypatch.setattr(notes, "_BLOCK_CHARS", block)
+    assert _score_chunk_file(tmp_path, text) == 4
+    assert "admission '1' appears twice" in capsys.readouterr().err
+    assert not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("keep", [
+    lambda text: text[:len(text) // 2],
+    lambda text: text[:text.index(",\n") + 2],
+    lambda text: text[:text.rindex("}")],
+    lambda text: text.replace(",\n", "\n", 1),
+    lambda text: text.replace(",\n", ",\n,\n", 1),
+], ids=["half", "after-a-line", "unclosed", "missing-comma", "empty-member"])
+@pytest.mark.parametrize("block", [1, 8, 1 << 18])
+def test_cut_or_broken_streamed_chunk_file_exits_4(tmp_path, monkeypatch,
+                                                   keep, block):
+    from ehrpipe import notes
+
+    whole = tmp_path / "whole.json"
+    notes.save_chunks(whole, [
+        notes.ChunkTokenSequence(str(adm), i, ["[CLS]", f"t{adm}", "x"])
+        for adm in range(20) for i in range(2)])
+    text = whole.read_text(encoding="utf-8")
+    assert _score_chunk_file(tmp_path, text) == 0
+    monkeypatch.setattr(notes, "_BLOCK_CHARS", block)
+    assert _score_chunk_file(tmp_path, keep(text)) == 4
+
+
 def test_attention_subcommand(tmp_path):
     payload = {
         "queries": [[2.0]],
@@ -951,6 +1005,17 @@ def test_infinite_signal_exits_3_and_writes_nothing(tmp_path):
     assert main(["synth", "--out", str(out), "--signal", "inf",
                  "--patients", "5", "--admissions", "6",
                  "--positive-rate", "0.5"]) == 3
+    assert not out.exists()
+
+
+def test_overflowing_signal_exits_3_and_writes_nothing(tmp_path):
+    # 1e308 is finite, but its planted mean shift, up to 15 times it, is
+    # not: it used to write inf chart values and "mean_shift": Infinity.
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--signal", "1e308",
+                 "--patients", "5", "--admissions", "6",
+                 "--positive-rate", "0.5", "--types", "5",
+                 "--categories", "3"]) == 3
     assert not out.exists()
 
 

@@ -260,6 +260,45 @@ class TestRoundtrip:
         with pytest.raises(MalformedJson, match=message):
             read_collection(bad)
 
+    # The block-wide checks only find that a block is bad; the error must
+    # still name the first bad record as the record-by-record walk does.
+    @pytest.mark.parametrize("bad,error,message", [
+        ([1], MalformedJson, "record 4 is not a flat object"),
+        ("patient", MalformedJson, "record 4 is not a flat object"),
+        (None, MalformedJson, "record 4 is not a flat object"),
+        ({"id": 1}, MalformedJson, "record 4 is not a flat object"),
+        ({"x": [1]}, MalformedJson, "record 4 is not a flat object"),
+        ({"resource_type": "patient", "id": 1, "x": {"y": 1}, "z": [1]},
+         MalformedJson, "record 4 attribute 'x' is nested"),
+        ({"resource_type": [1], "id": 1}, MalformedJson,
+         "record 4 attribute 'resource_type' is nested"),
+        ({"resource_type": "foo", "x": [1]}, MalformedJson,
+         "record 4 attribute 'x' is nested"),
+        ({"resource_type": "foo"}, UnknownResourceType,
+         "record 4 has resource_type 'foo'"),
+        ({"resource_type": None}, UnknownResourceType,
+         "record 4 has resource_type None"),
+        ({"resource_type": 1.5}, UnknownResourceType,
+         "record 4 has resource_type 1.5"),
+        ({"resource_type": True}, UnknownResourceType,
+         "record 4 has resource_type True"),
+    ], ids=["array", "string", "null", "no-type", "no-type-nested",
+            "first-nested-key", "nested-type", "unknown-type-nested",
+            "unknown-type", "null-type", "number-type", "bool-type"])
+    @pytest.mark.parametrize("block", [64, 1 << 20])
+    def test_bad_record_kinds_keep_their_messages(
+            self, tmp_path, monkeypatch, bad, error, message, block):
+        monkeypatch.setattr(fhir_etl, "_BLOCK_CHARS", block)
+        records = [{"resource_type": "patient", "id": i} for i in range(12)]
+        records[4] = bad
+        # a later record that is bad in another way is not the one named
+        records[9] = {"resource_type": "foo", "x": [1]}
+        path = tmp_path / "bad.json"
+        path.write_text(_writer_layout(records))
+        with pytest.raises(error) as caught:
+            read_collection(path)
+        assert str(caught.value) == f"{path}: {message}"
+
 
 def _writer_layout(records) -> str:
     """The text transform writes for records."""

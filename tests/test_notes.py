@@ -1,5 +1,6 @@
 """Note cleaning, subsetting, chunking, scoring and chunk aggregation."""
 
+import json
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -358,6 +359,43 @@ class TestSparseFeatures:
                               3, (3, dim))
         np.testing.assert_array_equal(params.weights, init[:, params.slots])
 
+    @pytest.mark.parametrize("dim", [16, 2 ** 15])
+    def test_blocks_give_the_whole_list_results(self, dim, monkeypatch):
+        """Hashing and scoring a block of chunks at a time gives, bit for
+        bit, what one block of every chunk gives, a chunk of more tokens
+        than a block holds included."""
+        chunks = _sparse_case_chunks(dim)
+        chunks.insert(5, ChunkTokenSequence(
+            "long", 0, [f"w{i % 70}" for i in range(300)]))
+        labels = {ch.admission_id: np.arange(3) % 2 == 0 for ch in chunks}
+        config = ScorerConfig(feature_dim=dim, epochs=2, batch_size=4,
+                              seed=7)
+
+        def run():
+            params, history = train_scorer(chunks, labels, config)
+            return (notes._hash_rows(chunks, dim), params, history,
+                    score_chunks(chunks, params))
+
+        whole_rows = notes._hash_block(chunks, dim)
+        whole = run()
+        monkeypatch.setattr(notes, "_HASH_BLOCK_BYTES",
+                            40 * notes._HASH_TOKEN_BYTES)
+        assert len(list(notes._blocks(chunks))) > 10
+        blocked = run()
+        for rows in (whole[0], blocked[0]):
+            for got, want in zip(rows, whole_rows):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        for name in ("slots", "weights", "bias"):
+            np.testing.assert_array_equal(getattr(blocked[1], name),
+                                          getattr(whole[1], name))
+        assert blocked[2] == whole[2]
+        assert [m.admission_id for m in blocked[3]] == [
+            m.admission_id for m in whole[3]]
+        for got, want in zip(blocked[3], whole[3]):
+            np.testing.assert_array_equal(got.probabilities,
+                                          want.probabilities)
+
     def test_chunk_of_untrained_slots_scores_the_bias(self):
         dim = 2 ** 15
         chunks = _sparse_case_chunks(dim)
@@ -424,6 +462,16 @@ class TestAggregation:
             aggregate(self._matrix([[0.5]]), AggregationParams(c=0.0))
 
 
+def _triples(chunks):
+    return [(c.admission_id, c.chunk_index, c.tokens) for c in chunks]
+
+
+# Quotes, backslashes, a newline and non-ASCII text, which json.dumps
+# escapes, and the characters of a marker.
+_AWKWARD = st.sampled_from(['"', "\\", "\n", "\u00e9", "\u6f22", "\U0001f600",
+                            "[", "]", "C", "L", "S", ",", " ", "a"])
+
+
 class TestPersistence:
     def test_chunks_roundtrip(self, tmp_path):
         chunks = chunk_text("A", "a b c d e f", max_len=4) + \
@@ -433,6 +481,44 @@ class TestPersistence:
         loaded = load_chunks(path)
         assert [(c.admission_id, c.chunk_index, c.tokens) for c in loaded] \
             == [(c.admission_id, c.chunk_index, c.tokens) for c in chunks]
+
+    def test_one_line_layout_loads_the_same_chunks(self, tmp_path):
+        chunks = chunk_text("A", "a b c d e f", max_len=4) + \
+            chunk_text("B", "g h", max_len=4)
+        streamed, one_line = tmp_path / "s.json", tmp_path / "o.json"
+        save_chunks(streamed, chunks)
+        one_line.write_text(json.dumps(json.loads(streamed.read_text())))
+        assert "\n" not in one_line.read_text()
+        assert _triples(load_chunks(one_line)) == _triples(
+            load_chunks(streamed)) == _triples(chunks)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(payload=st.dictionaries(
+        st.text(alphabet=_AWKWARD, max_size=8),
+        st.lists(st.lists(st.text(alphabet=_AWKWARD, max_size=6)
+                          | st.just("[CLS]"), max_size=6),
+                 min_size=1, max_size=4),
+        max_size=8),
+        block=st.sampled_from([1, 7, 64, 1 << 18]))
+    def test_streamed_file_is_json_dumps_and_round_trips(
+            self, tmp_path_factory, payload, block):
+        chunks = [ChunkTokenSequence(adm, i, list(tokens))
+                  for adm, token_lists in payload.items()
+                  for i, tokens in enumerate(token_lists)]
+        path = tmp_path_factory.mktemp("chunks") / "chunks.json"
+        assert save_chunks(path, chunks) == len(chunks)
+        text = path.read_text(encoding="utf-8")
+        # json.dumps with ",\n" for ", " between admissions: its text
+        # holds no newline of its own
+        assert text.replace(",\n", ", ") == json.dumps(payload) + "\n"
+        assert text.count("\n") == max(len(payload), 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(notes, "_BLOCK_CHARS", block)
+            loaded = load_chunks(path)
+        assert _triples(loaded) == _triples(chunks)
+        # equal tokens are one str object
+        tokens = [token for chunk in loaded for token in chunk.tokens]
+        assert len(set(map(id, tokens))) == len(set(tokens))
 
     def test_scorer_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -191,6 +191,7 @@ def test_crosswalk_covers_all_emitted_codes(small_dataset):
         dict(n_planted=100),
         dict(events_min=0, events_max=5),
         dict(signal_strength=float("inf")),
+        dict(signal_strength=1e308),
     ],
 )
 def test_invalid_configs(tmp_path, bad):
