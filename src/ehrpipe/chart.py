@@ -12,16 +12,17 @@ holds N admissions' matrices stacked, as the arrays tensors.npz stores.
 
 The readers stream events as EventBlocks: a block of input rows at a time,
 held as numpy columns of admission index, type index, value and charttime.
-bin_events reduces those blocks with numpy. It keeps 16 bytes per event
-that can reach a cell, so memory grows with the events, slowly, and not
-with the size of the input text.
+Both readers decode charttime with tables.time_seconds, the decoder that
+also reads the admission times, so charttimes and discharge times are
+int64 seconds since 1970-01-01. bin_events reduces those blocks with
+numpy. It keeps 16 bytes per event that can reach a cell, so memory grows
+with the events, slowly, and not with the size of the input text.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from functools import partial
 from itertools import compress, islice
 from operator import itemgetter
@@ -38,15 +39,16 @@ from .errors import (
     SchemaMismatch,
 )
 from .tables import (
+    NO_TIME,
     TableKind,
     attribute_name,
-    iter_csv_blocks,
+    iter_csv_columns,
     load_admission_npz,
     load_json,
-    parse_timestamp,
     reading,
     save_json,
     save_npz,
+    time_seconds,
 )
 
 N_BINS = 4
@@ -195,64 +197,9 @@ def _codes(cells, index: dict[str, int]) -> np.ndarray:
     return np.fromiter(codes, dtype=np.int32, count=len(cells))
 
 
-_NO_TIME = -(1 << 62)  # no parseable time; far below any event
-_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
-_STAMP = "0000-00-00 00:00:00"  # the canonical shape, T or space at 10
-_DIGITS = [i for i, char in enumerate(_STAMP) if char == "0"]
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-
-def _seconds(when: datetime) -> int:
-    """Whole seconds from 1970-01-01 to when."""
-    return ((when.toordinal() - _EPOCH_ORDINAL) * 86400 + when.hour * 3600
-            + when.minute * 60 + when.second)
-
-
-def _epoch_seconds(cells) -> np.ndarray:
-    """_seconds(parse_timestamp(_text(cell))) per cell, _NO_TIME for None.
-
-    Strings of the canonical shape YYYY-MM-DD[T ]HH:MM:SS in ASCII digits
-    with fields in range, which parse_timestamp reads to the same time, are
-    converted together: digit and separator checks on their characters,
-    then days from the civil date. Every other cell takes parse_timestamp.
-    """
-    texts = [cell if type(cell) is str else "" for cell in cells]
-    n = len(texts)
-    chars = np.array(texts, dtype=f"U{len(_STAMP)}").view(np.uint32)
-    chars = chars.reshape(n, len(_STAMP))
-    digit = chars[:, _DIGITS].astype(np.int64) - ord("0")
-    year = (digit[:, 0] * 1000 + digit[:, 1] * 100 + digit[:, 2] * 10
-            + digit[:, 3])
-    month, day, hour, minute, second = (digit[:, i] * 10 + digit[:, i + 1]
-                                        for i in range(4, 14, 2))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    canonical = (
-        (np.fromiter(map(len, texts), dtype=np.int64, count=n) == len(_STAMP))
-        & ((digit >= 0) & (digit <= 9)).all(axis=1)
-        & (chars[:, 4] == ord("-")) & (chars[:, 7] == ord("-"))
-        & ((chars[:, 10] == ord(" ")) | (chars[:, 10] == ord("T")))
-        & (chars[:, 13] == ord(":")) & (chars[:, 16] == ord(":"))
-        & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-        & (day <= month_days) & (hour <= 23) & (minute <= 59)
-        & (second <= 59))
-    # Days from the civil date (proleptic Gregorian), counted from March so
-    # that a leap day ends its year.
-    y = year - (month <= 2)
-    era, year_of_era = np.divmod(y, 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = (era * 146097 + year_of_era * 365 + year_of_era // 4
-            - year_of_era // 100 + day_of_year - 719468)
-    seconds = days * 86400 + hour * 3600 + minute * 60 + second
-    for i in np.flatnonzero(~canonical).tolist():
-        when = parse_timestamp(_text(cells[i]))
-        seconds[i] = _NO_TIME if when is None else _seconds(when)
-    return seconds
-
-
-def _event_blocks(row_blocks: Iterable[list[tuple]]) -> Iterator[EventBlock]:
-    """EventBlocks out of lists of (hadm_id, itemid, charttime, valuenum,
-    value) cells.
+def _event_blocks(column_blocks: Iterable[list]) -> Iterator[EventBlock]:
+    """EventBlocks out of blocks of the columns hadm_id, itemid, charttime,
+    valuenum and value, each a sequence of cells.
 
     valuenum is preferred when it is neither null nor blank; otherwise the
     raw value is judged. Rows without a parseable charttime are dropped.
@@ -260,12 +207,11 @@ def _event_blocks(row_blocks: Iterable[list[tuple]]) -> Iterator[EventBlock]:
     """
     admission_ids: dict[str, int] = {}
     type_ids: dict[str, int] = {}
-    for rows in row_blocks:
-        if not rows:
+    for hadm_id, itemid, charttime, valuenum, value in column_blocks:
+        if not charttime:
             continue
-        hadm_id, itemid, charttime, valuenum, value = zip(*rows)
-        seconds = _epoch_seconds(charttime)
-        timed = seconds != _NO_TIME
+        seconds = time_seconds(charttime)
+        timed = seconds != NO_TIME
         if not timed.all():
             seconds = seconds[timed]
             hadm_id, itemid, valuenum, value = (
@@ -281,13 +227,8 @@ def _event_blocks(row_blocks: Iterable[list[tuple]]) -> Iterator[EventBlock]:
 
 def read_chart_events(path) -> Iterator[EventBlock]:
     """EventBlocks out of a chartevents CSV (plain or gzip), streamed."""
-
-    def row_blocks() -> Iterator[list[tuple]]:
-        for keys, rows in iter_csv_blocks(path, _CHART_COLUMNS, _BLOCK_ROWS):
-            last = {key: index for index, key in enumerate(keys)}
-            yield list(map(itemgetter(*map(last.get, _CHART_COLUMNS)), rows))
-
-    yield from _event_blocks(row_blocks())
+    yield from _event_blocks(
+        iter_csv_columns(path, _CHART_COLUMNS, _BLOCK_ROWS))
 
 
 def read_chart_events_from_collection(path) -> Iterator[EventBlock]:
@@ -297,13 +238,12 @@ def read_chart_events_from_collection(path) -> Iterator[EventBlock]:
     Every record must carry the attributes the events are built from, null
     or not; any other kind of collection raises SchemaMismatch.
     """
-    cells = itemgetter(*map(_COLLECTION_NAME, _CHART_COLUMNS))
-
-    def row_blocks() -> Iterator[list[tuple]]:
+    def column_blocks() -> Iterator[list]:
         start = 0
         for records in fhir_etl.iter_collection_blocks(path):
             try:
-                rows = list(map(cells, records))
+                columns = [list(map(itemgetter(name), records))
+                           for name in map(_COLLECTION_NAME, _CHART_COLUMNS)]
             except KeyError:
                 index, missing = next(
                     (i, sorted(_COLLECTION_ATTRIBUTES - record.keys()))
@@ -313,9 +253,9 @@ def read_chart_events_from_collection(path) -> Iterator[EventBlock]:
                     f"{path}: record {start + index} lacks {missing}"
                 ) from None
             start += len(records)
-            yield rows
+            yield columns
 
-    yield from _event_blocks(row_blocks())
+    yield from _event_blocks(column_blocks())
 
 
 # --- persistence -----------------------------------------------------------
@@ -388,7 +328,7 @@ def _fill_cells(cell: np.ndarray, value: np.ndarray, values: np.ndarray,
 
 def bin_events(
     blocks: Iterable[EventBlock],
-    discharge_times: dict[str, datetime],
+    discharge_times: dict[str, int],
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
 ) -> tuple[ChartTensors, list[str]]:
     """Raw (types x 4) mean matrices of one reader's EventBlocks, per
@@ -396,8 +336,10 @@ def bin_events(
 
     A type is numeric when at least numeric_fraction of its values parse
     as finite numbers; the catalog lists those types in stable sorted
-    order. Events of admissions without a discharge time, stamped after
-    discharge, of other types or without a number are dropped.
+    order. discharge_times maps admission ids to discharge times in
+    seconds (tables.read_admission_times). Events of admissions without a
+    discharge time, stamped after discharge, of other types or without a
+    number are dropped.
     """
     admission_ids: dict[str, int] = {}
     type_ids: dict[str, int] = {}
@@ -415,8 +357,7 @@ def bin_events(
             numeric, (0, n_types - len(numeric)))
         new = islice(admission_ids, len(discharge), None)
         discharge = np.concatenate([discharge, np.fromiter(
-            (_seconds(discharge_times[a]) if a in discharge_times else _NO_TIME
-             for a in new), dtype=np.int64)])
+            (discharge_times.get(a, NO_TIME) for a in new), dtype=np.int64)])
         offset = discharge[block.admission] - block.charttime
         keep = parsed & (offset >= 0)
         offset = offset[keep]
@@ -459,7 +400,7 @@ def bin_events(
 
 def preprocess_admissions(
     blocks: Iterable[EventBlock],
-    discharge_times: dict[str, datetime],
+    discharge_times: dict[str, int],
     fit_ids: Optional[set[str]] = None,
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
 ) -> tuple[ChartTensors, list[str], NormalizationStats]:

@@ -136,10 +136,6 @@ class TrainedModel:
         return self.model.config
 
 
-def build(config: ChartModelConfig) -> ChartModel:
-    return ChartModel(config)
-
-
 def _check_inputs(config: ChartModelConfig, tensors: np.ndarray):
     if tensors.ndim != 3 or tensors.shape[1] != config.n_types \
             or tensors.shape[2] != 4:

@@ -17,9 +17,6 @@ once it is complete.
 from __future__ import annotations
 
 import math
-import re
-from collections import deque
-from datetime import datetime
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -31,6 +28,7 @@ from .tables import (
     TABLE_COLUMNS,
     TableKind,
     attribute_name,
+    canonical_stamps,
     iter_csv_blocks,
     iter_json_blocks,
     map_table_kind,
@@ -53,12 +51,6 @@ _BLOCK_CHARS = 1 << 18
 
 # CSV rows that transform converts at a time.
 _BLOCK_ROWS = 1 << 8
-
-# Stamps YYYY-MM-DD HH:MM:SS in ASCII digits, the hour in 00-23 as
-# parse_timestamp holds it, one per line: the shape transform writes
-# without parsing.
-_STAMP = r"[0-9]{4}-[0-9]{2}-[0-9]{2} (?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}"
-_STAMP_LINES = re.compile(rf"{_STAMP}(?:\n{_STAMP})*")
 
 
 def _int_text(raw: str) -> str:
@@ -101,20 +93,11 @@ def _float_texts(cells) -> list[str]:
 
 
 def _time_texts(cells) -> list[str]:
-    """A column whose every cell is a stamp YYYY-MM-DD HH:MM:SS that
-    fromisoformat reads, and so parse_timestamp reads the same, only gets
-    its T put in; any other column takes parse_timestamp cell by cell."""
-    text = "\n".join(cells)
-    # n stamps of 19 characters joined by n - 1 newlines: no cell holds a
-    # newline of its own.
-    if len(text) == 20 * len(cells) - 1 and _STAMP_LINES.fullmatch(text):
-        try:
-            deque(map(datetime.fromisoformat, cells), 0)
-        except ValueError:
-            pass  # an impossible date such as 2130-02-30
-        else:
-            text = text.replace(" ", "T").replace("\n", '"\n"')
-            return f'"{text}"'.split("\n")
+    """A column of canonical stamps only gets its T put in; any other
+    column takes parse_timestamp cell by cell."""
+    if canonical_stamps(cells):
+        text = "\n".join(cells).replace(" ", "T").replace("\n", '"\n"')
+        return f'"{text}"'.split("\n")
     return list(map(_time_text, cells))
 
 

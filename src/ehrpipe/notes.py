@@ -1,21 +1,23 @@
 """Clinical note cleaning, subsetting, chunking, scoring and aggregation.
 
-Notes are cleaned (lowercase, abbreviation replacements, newline removal),
-restricted to one of three subsets per admission (discharge summaries only,
-or all other notes from the first 72h / 48h), concatenated in time order and
-split into whitespace-token chunks of at most max_len tokens including a
-leading classification marker. A pluggable chunk scorer maps chunks to
-per-category probabilities; the default is a signed-hash bag-of-words linear
-classifier trained with the shared BCE/Adam kernel (feature hashing as in
-Weinberger et al., ICML 2009). Hashed chunks are held sparsely, as CSR rows
-of sorted unique slots and summed signs, never as a dense (chunks x
-feature_dim) matrix. The scorer keeps only the columns its training
-chunks touch, as their sorted slots and a (categories x slots) weight
-matrix, in training, in its checkpoint and in scoring. A slot it was not
-trained on weighs 0, and scoring is a blocked gather-sum over the weight
-columns. Chunk probabilities are combined per admission as (P_max + P_mean
-* n/c) / (1 + n/c), which leans on the best chunk while the mean term
-attenuates noise as chunks accumulate.
+Notes are read with their times in seconds since 1970-01-01, decoded a
+column at a time by tables.time_seconds, the decoder that also reads the
+admission times. They are cleaned (lowercase, abbreviation replacements,
+newline removal), restricted to one of three subsets per admission
+(discharge summaries only, or all other notes from the first 72h / 48h after
+admission), concatenated in time order and split into whitespace-token
+chunks of at most max_len tokens including a leading classification marker.
+A pluggable chunk scorer maps chunks to per-category probabilities; the
+default is a signed-hash bag-of-words linear classifier trained with the
+shared BCE/Adam kernel (feature hashing as in Weinberger et al., ICML 2009).
+Hashed chunks are held sparsely, as CSR rows of sorted unique slots and
+summed signs, never as a dense (chunks x feature_dim) matrix. The scorer
+keeps only the columns its training chunks touch, as their sorted slots and
+a (categories x slots) weight matrix, in training, in its checkpoint and in
+scoring. A slot it was not trained on weighs 0, and scoring is a blocked
+gather-sum over the weight columns. Chunk probabilities are combined per
+admission as (P_max + P_mean * n/c) / (1 + n/c), which leans on the best
+chunk while the mean term attenuates noise as chunks accumulate.
 
 Memory per token is a pointer. chunks.json is written an admission per
 line as the admissions are chunked, and read back a block of lines at a
@@ -32,7 +34,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
@@ -49,13 +50,14 @@ from .errors import (
 )
 from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
 from .tables import (
-    iter_csv_rows,
+    NO_TIME,
+    iter_csv_columns,
     iter_json_blocks,
     load_admission_npz,
     open_atomic,
-    parse_timestamp,
     reading,
     save_npz,
+    time_seconds,
 )
 
 DISCHARGE_CATEGORY = "discharge summary"
@@ -71,7 +73,7 @@ DEFAULT_MAX_LEN = 512
 class NoteEvent:
     admission_id: str
     category: str
-    charttime: datetime
+    charttime: int  # seconds since 1970-01-01 (tables.time_seconds)
     text: str
 
 
@@ -143,7 +145,7 @@ def clean_text(raw: str, replacements: Optional[Mapping[str, str]] = None) -> st
 
 def build_subset(
     notes: Iterable[NoteEvent],
-    admission_times: Mapping[str, tuple[datetime, datetime]],
+    admission_times: Mapping[str, tuple[int, int]],
     kind: str,
     replacements: Optional[Mapping[str, str]] = None,
 ) -> dict[str, str]:
@@ -156,7 +158,7 @@ def build_subset(
     """
     if kind not in SUBSET_KINDS:
         raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
-    picked: dict[str, list[tuple[datetime, int, str]]] = {}
+    picked: dict[str, list[tuple[int, int, str]]] = {}
     for position, note in enumerate(notes):
         adm = str(note.admission_id)
         if adm not in admission_times:
@@ -169,8 +171,7 @@ def build_subset(
             if is_discharge:
                 continue
             admit, _ = admission_times[adm]
-            cutoff = admit + timedelta(hours=_SUBSET_WINDOW_HOURS[kind])
-            if note.charttime >= cutoff:
+            if note.charttime >= admit + _SUBSET_WINDOW_HOURS[kind] * 3600:
                 continue
         cleaned = clean_text(note.text, replacements)
         if not cleaned:
@@ -448,24 +449,20 @@ def aggregate(matrix: ChunkScoreMatrix,
 
 
 def read_note_events(path) -> list[NoteEvent]:
-    """Notes from a noteevents CSV; rows without a parseable time are dropped.
+    """Notes from a noteevents CSV, its times decoded a column at a time
+    (tables.time_seconds); rows without a parseable time are dropped.
 
     A blank charttime counts as missing, so chartdate stands in for it.
     """
     notes = []
     columns = ("hadm_id", "category", "charttime", "chartdate", "text")
-    for row in iter_csv_rows(path, columns):
-        when = parse_timestamp(row["charttime"].strip() or row["chartdate"])
-        if when is None:
-            continue
-        notes.append(
-            NoteEvent(
-                admission_id=row["hadm_id"].strip(),
-                category=row["category"],
-                charttime=when,
-                text=row["text"],
-            )
-        )
+    for hadm, category, charttime, chartdate, text in iter_csv_columns(
+            path, columns):
+        seconds = time_seconds([time if time.strip() else date for time, date
+                                in zip(charttime, chartdate)]).tolist()
+        for adm, kind, when, body in zip(hadm, category, seconds, text):
+            if when != NO_TIME:
+                notes.append(NoteEvent(adm.strip(), kind, when, body))
     return notes
 
 

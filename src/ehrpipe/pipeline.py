@@ -9,8 +9,11 @@ split, then two branches at once, under the configured output directory:
 the chart branch (transform chartevents -> preprocess -> train -> predict
 -> eval) in the calling process and the notes branch (transform of the
 other tables -> notes-prep -> score-notes -> aggregate -> eval) in one
-forked worker process. Re-running with the same config and seed rewrites
-byte-identical artifacts, on one CPU or two.
+forked worker process. Re-running with the same config and seed at the
+same BLAS thread count rewrites byte-identical artifacts. CI checks
+demo.ini on one CPU and on two, and demo.ini and the 10x demo config at
+one BLAS thread and at the default; at MIMIC size six model and score
+artifacts differ with the BLAS thread count (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def train(
     config = replace(config, n_types=len(catalog),
                      n_categories=label_matrix.bits.shape[1])
     trained = chart_model.train(
-        chart_model.build(config), tensors.values[kept],
+        chart_model.ChartModel(config), tensors.values[kept],
         label_matrix.bits[rows], [ids[i] for i in kept], assignment,
         catalog=catalog, stats_ref=stats.name if stats.exists() else "",
     )

@@ -10,9 +10,16 @@ truth for that convention.
 The module also holds the one write path and the one read-error mapping
 that every artifact goes through (open_atomic, reading), the one reader of
 admission-keyed .npz archives (load_admission_npz), the one reader of
-CSV tables (iter_csv_blocks, and iter_csv_rows on top of it), and the
-block-wise JSON reader that collections and chunk files share
-(iter_json_blocks).
+CSV tables (iter_csv_blocks, and iter_csv_rows and iter_csv_columns on
+top of it), and the block-wise JSON reader that collections and chunk
+files share (iter_json_blocks).
+
+It also holds the one time decoder. time_seconds turns a column of cells
+into int64 seconds since 1970-01-01, with NO_TIME where a cell holds no
+time. A column of canonical stamps (canonical_stamps) is converted whole;
+any other column goes through parse_timestamp cell by cell. Transform
+(which only asks canonical_stamps), both chart readers, the admission
+times and the notes all read times through it.
 """
 
 from __future__ import annotations
@@ -25,10 +32,12 @@ import json
 import os
 import re
 import zipfile
+from collections import deque
 from contextlib import ExitStack, contextmanager
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -342,9 +351,19 @@ _TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d")
 # all of which strptime accepts) takes the strptime loop. The hour is held
 # to 00-23, as strptime holds it, so that no fromisoformat reading of 24:00
 # can differ.
-_ISO_SHAPE = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[ T](?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2})?"
-)
+_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_CLOCK = r"(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}"
+_ISO_SHAPE = re.compile(rf"{_DATE}(?:[ T]{_CLOCK})?")
+
+# A canonical stamp is that shape with its clock; a column of them is
+# read whole.
+_STAMP = rf"{_DATE}[ T]{_CLOCK}"
+_STAMP_LINES = re.compile(rf"{_STAMP}(?:\n{_STAMP})*")
+
+#: What time_seconds gives a cell without a time; far below any time.
+NO_TIME = -(1 << 62)
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 
 
 def parse_timestamp(raw: str) -> Optional[datetime]:
@@ -360,6 +379,43 @@ def parse_timestamp(raw: str) -> Optional[datetime]:
         except ValueError:
             continue
     return None
+
+
+def canonical_stamps(cells) -> bool:
+    """Whether every cell is a string YYYY-MM-DD HH:MM:SS (a T or a space
+    at 10) that fromisoformat reads, and so parse_timestamp reads the same;
+    fromisoformat also rejects the year 0000."""
+    try:
+        text = "\n".join(cells)
+    except TypeError:
+        return False  # a null or a number among the cells
+    # n stamps of 19 characters joined by n - 1 newlines: no cell holds a
+    # newline of its own.
+    if len(text) != 20 * len(cells) - 1 or not _STAMP_LINES.fullmatch(text):
+        return False
+    try:
+        deque(map(datetime.fromisoformat, cells), 0)
+    except ValueError:
+        return False  # an impossible date such as 2130-02-30
+    return True
+
+
+def _seconds(cell) -> int:
+    when = parse_timestamp(cell) if type(cell) is str else None
+    return NO_TIME if when is None else (when - _EPOCH) // _SECOND
+
+
+def time_seconds(cells) -> np.ndarray:
+    """The time of each cell as int64 whole seconds since 1970-01-01:
+    parse_timestamp's time for a string, NO_TIME where it reads none or the
+    cell is not a string.
+
+    A column of canonical_stamps is converted by numpy all at once; any
+    other column takes parse_timestamp cell by cell.
+    """
+    if canonical_stamps(cells):
+        return np.array(cells, dtype="M8[s]").view(np.int64)
+    return np.fromiter(map(_seconds, cells), dtype=np.int64, count=len(cells))
 
 
 def open_text_auto(path, newline: Optional[str] = None):
@@ -548,15 +604,17 @@ def load_json(path) -> dict:
     return payload
 
 
-def read_admission_times(path) -> dict[str, tuple[datetime, datetime]]:
-    """Map hadm_id -> (admit time, discharge time) from an admissions CSV."""
-    times: dict[str, tuple[datetime, datetime]] = {}
-    for row in iter_csv_rows(path, ("hadm_id", "admittime", "dischtime")):
-        hadm = row["hadm_id"].strip()
-        admit = parse_timestamp(row["admittime"])
-        disch = parse_timestamp(row["dischtime"])
-        if hadm and admit and disch:
-            times[hadm] = (admit, disch)
+def read_admission_times(path) -> dict[str, tuple[int, int]]:
+    """Map hadm_id -> (admit time, discharge time), in time_seconds, from an
+    admissions CSV read a block at a time; a row without an id or either
+    time is left out."""
+    times: dict[str, tuple[int, int]] = {}
+    for hadm, admit, disch in iter_csv_columns(
+            path, ("hadm_id", "admittime", "dischtime")):
+        for adm, pair in zip(map(str.strip, hadm), zip(
+                time_seconds(admit).tolist(), time_seconds(disch).tolist())):
+            if adm and NO_TIME not in pair:
+                times[adm] = pair
     return times
 
 
@@ -606,3 +664,14 @@ def iter_csv_rows(path, required: Iterable[str] = ()) -> Iterator[dict]:
     for keys, rows in iter_csv_blocks(path, required):
         for row in rows:
             yield dict(zip(keys, row))
+
+
+def iter_csv_columns(path, names: tuple[str, ...], block_rows: int = 1 << 12
+                     ) -> Iterator[list[list[str]]]:
+    """Stream the columns names of a (possibly gzipped) CSV, read and
+    checked as iter_csv_blocks reads and checks it: per block, one list of
+    cells per name. A column the header repeats reads its last field, as
+    in iter_csv_rows."""
+    for keys, rows in iter_csv_blocks(path, names, block_rows):
+        last = {key: index for index, key in enumerate(keys)}
+        yield [list(map(itemgetter(last[name]), rows)) for name in names]

@@ -1,4 +1,5 @@
 import csv
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,17 @@ def write_csv(path: Path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def epoch_seconds(when: datetime) -> int:
+    """Whole seconds from 1970-01-01 to when, the unit the program keeps
+    times in."""
+    return (when - datetime(1970, 1, 1)) // timedelta(seconds=1)
+
+
+def seconds_by_id(times: dict) -> dict:
+    """times, a datetime per admission id, with each time in seconds."""
+    return {adm: epoch_seconds(when) for adm, when in times.items()}
 
 
 @pytest.fixture

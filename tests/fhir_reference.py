@@ -5,13 +5,18 @@ json.JSONEncoder.
 
 The byte-identity tests in test_fhir_etl.py hold fhir_etl.transform to
 write_collection below, and the roundtrip tests compare what
-read_collection reads back with iter_records.
+read_collection reads back with iter_records. Run as a script, it writes
+the collection of one table's CSV, so that a larger run can be compared
+too:
+
+    PYTHONPATH=src python tests/fhir_reference.py TABLE CSV OUT
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Callable, Iterator
 
 from ehrpipe.errors import UnmappedTable
@@ -106,3 +111,7 @@ def write_collection(input_path, output_path, table: TableKind) -> int:
             handle.write(_ENCODER.encode(record))
         handle.write("\n]\n" if count else "]\n")
     return count
+
+
+if __name__ == "__main__":
+    write_collection(sys.argv[2], sys.argv[3], TableKind(sys.argv[1]))

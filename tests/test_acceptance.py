@@ -48,7 +48,7 @@ from ehrpipe.tables import (
 )
 
 import fhir_reference as reference
-from conftest import write_csv
+from conftest import seconds_by_id, write_csv
 from test_metrics import concordance_oracle
 from test_nn import check_layer_gradients, numeric_grad, rel_error
 from test_split import make_structured_labels
@@ -160,7 +160,7 @@ class TestA2Binning:
             def binned(rows, discharge_times):
                 path = write_csv(tmp_path / "chartevents.csv", columns, rows)
                 return chart.bin_events(chart.read_chart_events(path),
-                                        discharge_times)
+                                        seconds_by_id(discharge_times))
 
             # one admission per minute, each with one event of type 1
             minutes = range(0, 40 * 60 + 1)
@@ -313,7 +313,7 @@ class TestA5ChartModelLearnability:
                     conv_filters=8, rnn_hidden=64, seed=5,
                 )
                 trained = chart_model.train(
-                    chart_model.build(model_config), x, y, ids,
+                    chart_model.ChartModel(model_config), x, y, ids,
                     result.assignment,
                 )
                 losses = trained.history["train_loss"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chart_reference as reference
-from conftest import write_csv
+from conftest import epoch_seconds, seconds_by_id, write_csv
 from ehrpipe.chart import (
     apply_normalization,
     bin_events,
@@ -60,9 +60,9 @@ def binned(tmp_path):
     every admission of discharge) is discharged at DISCHARGE."""
     def run(rows, discharge=None, numeric_fraction=0.9):
         path = write_csv(tmp_path / "chartevents.csv", COLUMNS, rows)
-        return bin_events(read_chart_events(path),
-                          {"A": DISCHARGE} if discharge is None else discharge,
-                          numeric_fraction)
+        return bin_events(read_chart_events(path), seconds_by_id(
+            {"A": DISCHARGE} if discharge is None else discharge),
+            numeric_fraction)
 
     return run
 
@@ -383,7 +383,7 @@ class TestPersistenceAndReaders:
         # A value that is not a finite number is NaN in an EventBlock.
         assert all(math.isnan(v) for v in from_csv[:4])
         assert all(math.isnan(v) for v in from_col[:4])
-        discharge = {"7": datetime(2130, 1, 10, 12)}
+        discharge = seconds_by_id({"7": datetime(2130, 1, 10, 12)})
         kept_csv, _ = bin_events(read_chart_events(path), discharge, 0.3)
         kept_col, _ = bin_events(
             read_chart_events_from_collection(collection_path), discharge, 0.3)
@@ -443,7 +443,7 @@ class TestSignedZero:
                                ], dict.fromkeys("ABC", DISCHARGE)
             path = write_csv(tmp_path / "chartevents.csv", COLUMNS, rows)
             return _tensor_bytes(tmp_path, preprocess_admissions(
-                read_chart_events(path), discharge))
+                read_chart_events(path), seconds_by_id(discharge)))
 
         assert preprocessed(-0.0, 0.0) == preprocessed(0.0, -0.0)
         raw, _ = binned([_ev("1", 2, -0.0), _ev("1", 3, -0.0)])
@@ -562,7 +562,7 @@ class TestBitIdentityWithReference:
                           reference.read_chart_events_from_collection)):
             path = csv_path if new is read_chart_events else collection
             got = _outcome(lambda: preprocess_admissions(
-                new(path), KNOWN, fit, numeric_fraction))
+                new(path), seconds_by_id(KNOWN), fit, numeric_fraction))
             want = _outcome(lambda: reference.preprocess_admissions(
                 old(path), KNOWN, fit, numeric_fraction))
             _assert_same_outcome(got, want)
@@ -582,7 +582,7 @@ class TestBitIdentityWithReference:
                 (csv_path, read_chart_events, reference.read_chart_events),
                 (collection, read_chart_events_from_collection,
                  reference.read_chart_events_from_collection)):
-            got = preprocess_admissions(new(path), KNOWN,
+            got = preprocess_admissions(new(path), seconds_by_id(KNOWN),
                                         numeric_fraction=numeric_fraction)
             want = reference.preprocess_admissions(
                 old(path), KNOWN, numeric_fraction=numeric_fraction)
@@ -594,7 +594,8 @@ class TestBitIdentityWithReference:
         csv_path, collection = _write_both(tmp_path, [])
         for path, new in ((csv_path, read_chart_events),
                           (collection, read_chart_events_from_collection)):
-            tensors, catalog, stats = preprocess_admissions(new(path), KNOWN)
+            tensors, catalog, stats = preprocess_admissions(
+                new(path), seconds_by_id(KNOWN))
             assert catalog == [] and len(tensors) == 0
             assert tensors.values.shape == (0, 0, 4)
 
@@ -612,9 +613,8 @@ def _assert_charttimes(tmp_path, stamps):
     rows = [("1", "5", stamp, "1", None) for stamp in stamps]
     csv_path, _ = _write_both(tmp_path, rows)
     got = _events(read_chart_events(csv_path))["charttime"]
-    epoch = datetime(1970, 1, 1)
-    want = [int((when - epoch).total_seconds()) for when in
-            map(parse_timestamp, stamps) if when is not None]
+    want = [epoch_seconds(when) for when in map(parse_timestamp, stamps)
+            if when is not None]
     assert got == want
 
 

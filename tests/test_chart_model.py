@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehrpipe.chart_model import (
-    build,
+    ChartModel,
     ChartModelConfig,
     load_checkpoint,
     predict,
@@ -44,16 +44,16 @@ def _dataset(n=40, n_types=6, n_categories=4, seed=0):
 
 class TestBuild:
     def test_fcnn_first_dense_width(self):
-        model = build(_small_config("fcnn", n_types=450, n_categories=281,
-                                    hidden_size=512))
+        model = ChartModel(_small_config("fcnn", n_types=450,
+                                         n_categories=281, hidden_size=512))
         first_dense = next(
             layer for layer in model.layers if isinstance(layer, DenseLayer)
         )
         assert first_dense.weights.shape == (512, 1800)  # 450 x 4 flattened
 
     def test_cnn_post_conv_width(self):
-        model = build(_small_config("cnn", n_types=450, conv_filters=8,
-                                    hidden_size=512, n_categories=281))
+        model = ChartModel(_small_config("cnn", n_types=450, conv_filters=8,
+                                         hidden_size=512, n_categories=281))
         conv = model.layers[0]
         assert isinstance(conv, TimeConvLayer)
         assert conv.filters.shape == (8, 1, 4)
@@ -63,7 +63,8 @@ class TestBuild:
         assert first_dense.weights.shape[1] == 450 * 8
 
     def test_rnn_width(self):
-        model = build(_small_config("rnn", rnn_hidden=64, hidden_size=512))
+        model = ChartModel(_small_config("rnn", rnn_hidden=64,
+                                         hidden_size=512))
         rnn = model.layers[0]
         assert isinstance(rnn, SimpleRnnLayer)
         first_dense = next(
@@ -82,7 +83,7 @@ class TestBuild:
     def test_variants_share_io_contract(self):
         x = np.random.default_rng(1).standard_normal((3, 6, 4))
         for variant in VARIANTS:
-            model = build(_small_config(variant))
+            model = ChartModel(_small_config(variant))
             probs = predict(model, x)
             assert probs.shape == (3, 4)
             assert np.all((probs > 0) & (probs < 1))
@@ -90,7 +91,7 @@ class TestBuild:
 
 class TestPredict:
     def test_zero_head_gives_half(self):
-        model = build(_small_config("fcnn"))
+        model = ChartModel(_small_config("fcnn"))
         head = [l for l in model.layers if isinstance(l, DenseLayer)][-1]
         head.weights[:] = 0.0
         head.bias[:] = 0.0
@@ -98,14 +99,14 @@ class TestPredict:
         np.testing.assert_allclose(probs, 0.5)
 
     def test_identical_rows_identical_outputs(self):
-        model = build(_small_config("cnn"))
+        model = ChartModel(_small_config("cnn"))
         row = np.random.default_rng(2).standard_normal((1, 6, 4))
         probs = predict(model, np.repeat(row, 5, axis=0))
         for i in range(1, 5):
             np.testing.assert_array_equal(probs[i], probs[0])
 
     def test_catalog_mismatch(self):
-        model = build(_small_config("fcnn"))
+        model = ChartModel(_small_config("fcnn"))
         with pytest.raises(CatalogMismatch):
             predict(model, np.zeros((2, 7, 4)))
 
@@ -114,8 +115,8 @@ class TestTrain:
     def test_zero_epochs_keeps_initialization(self):
         tensors, labels, ids, assignment = _dataset()
         config = _small_config("fcnn", epochs=0)
-        reference = [p.copy() for p in build(config).params()]
-        trained = train(build(config), tensors, labels, ids, assignment)
+        reference = [p.copy() for p in ChartModel(config).params()]
+        trained = train(ChartModel(config), tensors, labels, ids, assignment)
         for p, q in zip(trained.model.params(), reference):
             np.testing.assert_array_equal(p, q)
 
@@ -123,7 +124,7 @@ class TestTrain:
         tensors, labels, ids, assignment = _dataset()
         histories, params = [], []
         for _ in range(2):
-            trained = train(build(_small_config("cnn")), tensors, labels,
+            trained = train(ChartModel(_small_config("cnn")), tensors, labels,
                             ids, assignment)
             histories.append(trained.history)
             params.append([p.copy() for p in trained.model.params()])
@@ -133,7 +134,7 @@ class TestTrain:
 
     def test_history_records_every_epoch(self):
         tensors, labels, ids, assignment = _dataset()
-        trained = train(build(_small_config("rnn", epochs=3)), tensors,
+        trained = train(ChartModel(_small_config("rnn", epochs=3)), tensors,
                         labels, ids, assignment)
         assert len(trained.history["train_loss"]) == 3
         assert len(trained.history["val_micro_aupr"]) == 3
@@ -141,14 +142,14 @@ class TestTrain:
     def test_empty_partition(self):
         tensors, labels, ids, _ = _dataset()
         with pytest.raises(EmptyPartition):
-            train(build(_small_config("fcnn")), tensors, labels, ids,
+            train(ChartModel(_small_config("fcnn")), tensors, labels, ids,
                   {i: "test" for i in ids})
 
 
 class TestCheckpoint:
     def test_roundtrip_is_bit_identical(self, tmp_path):
         tensors, labels, ids, assignment = _dataset()
-        trained = train(build(_small_config("cnn")), tensors, labels, ids,
+        trained = train(ChartModel(_small_config("cnn")), tensors, labels, ids,
                         assignment, catalog=[str(i) for i in range(6)],
                         stats_ref="chart_stats.json")
         path = tmp_path / "model.npz"
@@ -163,7 +164,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(before, after)
 
     def test_untrained_roundtrip(self, tmp_path):
-        model = build(_small_config("rnn"))
+        model = ChartModel(_small_config("rnn"))
         path = tmp_path / "model.npz"
         save_checkpoint(path, TrainedModel(model=model))
         loaded = load_checkpoint(path)
@@ -174,7 +175,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_load_takes_the_parameters_without_a_glorot_draw(
             self, tmp_path, monkeypatch, variant):
-        model = build(_small_config(variant))
+        model = ChartModel(_small_config(variant))
         path = tmp_path / "model.npz"
         save_checkpoint(path, TrainedModel(model=model))
 

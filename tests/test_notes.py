@@ -1,13 +1,14 @@
 """Note cleaning, subsetting, chunking, scoring and chunk aggregation."""
 
 import json
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import epoch_seconds
 from ehrpipe import notes
 from ehrpipe.errors import (
     EmptyChunkSet,
@@ -39,16 +40,16 @@ from ehrpipe.notes import (
     train_scorer,
 )
 from ehrpipe.nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
-from ehrpipe.tables import TABLE_COLUMNS, TableKind
+from ehrpipe.tables import TABLE_COLUMNS, TableKind, read_admission_times
 
-ADMIT = datetime(2130, 3, 1, 8, 0, 0)
-DISCH = ADMIT + timedelta(days=6)
+ADMIT = epoch_seconds(datetime(2130, 3, 1, 8, 0, 0))
+DISCH = ADMIT + 6 * 86400
 TIMES = {"A": (ADMIT, DISCH)}
 
 
 def _note(hours, category="Nursing", text="some note text", adm="A"):
     return NoteEvent(admission_id=adm, category=category,
-                     charttime=ADMIT + timedelta(hours=hours), text=text)
+                     charttime=ADMIT + hours * 3600, text=text)
 
 
 class TestCleanText:
@@ -565,7 +566,28 @@ class TestReadNoteEvents:
             row("4", "  ", ""),
         ])
         notes = read_note_events(path)
-        assert [n.charttime for n in notes] == [
+        assert [n.charttime for n in notes] == list(map(epoch_seconds, [
             datetime(2130, 3, 2), datetime(2130, 3, 3),
             datetime(2130, 3, 4, 10),
-        ]
+        ]))
+
+    def test_second_zero_is_a_time(self, csv_writer):
+        # 1970-01-01 00:00:00 is second 0: a time, though a false value.
+        def table(kind, *rows):
+            header = list(TABLE_COLUMNS[kind])
+            return header, [[row.get(col, "") for col in header]
+                            for row in rows]
+
+        times = read_admission_times(csv_writer("admissions.csv", *table(
+            TableKind.ADMISSIONS,
+            {"hadm_id": "7", "admittime": "1970-01-01 00:00:00",
+             "dischtime": "1970-01-03 00:00:00"},
+            {"hadm_id": "8", "admittime": "1969-12-30 00:00:00",
+             "dischtime": "1970-01-01T00:00:00"})))
+        assert times == {"7": (0, 2 * 86400), "8": (-2 * 86400, 0)}
+        notes = read_note_events(csv_writer("noteevents.csv", *table(
+            TableKind.NOTEEVENTS,
+            {"hadm_id": "7", "category": "Nursing",
+             "charttime": "1970-01-01 00:00:00", "text": "at second zero"})))
+        assert [n.charttime for n in notes] == [0]
+        assert build_subset(notes, times, "days2") == {"7": "at second zero"}

@@ -1,5 +1,6 @@
 """tables.parse_timestamp accepts and rejects what its strptime form did,
-and save_json writes the text json.dump writes."""
+tables.time_seconds reads each cell as parse_timestamp does, and save_json
+writes the text json.dump writes."""
 
 import json
 from datetime import datetime
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrpipe.tables import parse_timestamp, save_json
+from conftest import epoch_seconds
+from ehrpipe.tables import NO_TIME, parse_timestamp, save_json, time_seconds
 
 
 def strptime_parse(raw: str):
@@ -27,6 +29,7 @@ CASES = [
     ("2130-01-01T10:00:00", datetime(2130, 1, 1, 10)),
     ("2130-01-01", datetime(2130, 1, 1)),
     (" 2130-12-31 23:59:59\n", datetime(2130, 12, 31, 23, 59, 59)),
+    ("1970-01-01 00:00:00", datetime(1970, 1, 1)),
     # strptime accepts these, a strict ISO shape does not
     ("2130-1-1", datetime(2130, 1, 1)),
     ("2130-01- 1", datetime(2130, 1, 1)),
@@ -46,6 +49,7 @@ CASES = [
     ("2130-01-01 24:00:00", None),
     ("2130-01-01 23:59:60", None),
     ("0000-01-01", None),
+    ("0000-01-01 00:00:00", None),
     ("2130-13-01", None),
     ("", None),
     ("   ", None),
@@ -98,6 +102,45 @@ _near_stamp = _joined(
 @given(st.one_of(_near_stamp, st.text(alphabet=_DIGITS + "-: Tt", max_size=24)))
 def test_parse_timestamp_property(raw):
     assert parse_timestamp(raw) == strptime_parse(raw)
+
+
+def _seconds(cell) -> int:
+    """parse_timestamp in seconds, NO_TIME for no time or no string."""
+    when = parse_timestamp(cell) if isinstance(cell, str) else None
+    return NO_TIME if when is None else epoch_seconds(when)
+
+
+_CANONICAL = ["2130-01-01 10:00:00", "1970-01-01T00:00:00"]
+
+
+@pytest.mark.parametrize("cell", [raw for raw, _ in CASES] + [None])
+def test_time_seconds_matches_parse_timestamp(cell):
+    # A column of the one cell, and the cell among canonical stamps: a
+    # column of canonical stamps only is converted whole, any other column
+    # cell by cell.
+    for column in ([cell], [_CANONICAL[0], cell, _CANONICAL[1]]):
+        assert time_seconds(column).tolist() == list(map(_seconds, column))
+
+
+# Canonical stamps, fields in range or not, with either separator.
+_stamps = st.tuples(
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+    st.sampled_from(" T"),
+).map(lambda f: f"{f[0]:04}-{f[1]:02}-{f[2]:02}{f[6]}{f[3]:02}:{f[4]:02}:"
+      f"{f[5]:02}")
+_valid_stamps = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+).map(lambda when: when.isoformat(sep=" ", timespec="seconds"))
+
+
+@settings(max_examples=500, database=None)
+@given(st.one_of(
+    st.lists(_valid_stamps, max_size=30),
+    st.lists(st.one_of(_valid_stamps, _stamps, _near_stamp, st.none(),
+                       st.just(""), st.just("  ")), max_size=30)))
+def test_time_seconds_property(cells):
+    assert time_seconds(cells).tolist() == list(map(_seconds, cells))
 
 
 # The payload shapes and options the program saves: chunks, training logs
