@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 usage error, 3 configuration error, 4 data/schema
 error, 5 numeric fault, 1 anything unexpected. Every invocation writes a
-run manifest (inputs, outputs, config hash, seed) next to its primary
-output. Subcommands never modify their input files. A stage's handler maps
-its flags onto the stage's pipeline function, prints what that returns and
-writes the manifest; the function reads and writes the artifacts. The flags
-of a config dataclass are named once, in its {field: flag} table.
+run manifest (inputs, outputs, config hash, seed, BLAS threads) next to
+its primary output. Subcommands never modify their input files. A stage's
+handler maps its flags onto the stage's pipeline function, prints what that
+returns and writes the manifest; the function reads and writes the
+artifacts. The flags of a config dataclass are named once, in its
+{field: flag} table.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 Dense, time-convolution (kernel spanning the 4 time bins), simple tanh
 recurrence over the bins, inverted dropout, sigmoid, per-label binary
 cross-entropy and Adam. Everything is float64, and a fixed seed reproduces
-training trajectories bit for bit at a given BLAS thread count. Matrix
-products run on numpy's BLAS at the library's default thread count. CI
-checks that demo.ini and the 10x demo pipeline write the same bytes with
-one BLAS thread and with the default; at MIMIC size the models' bytes still
-depend on the thread count (ROADMAP item 1). Forward passes fault on NaN/Inf
-rather than letting them propagate.
+training trajectories bit for bit. Matrix products run on numpy's
+OpenBLAS, which importing ehrpipe pins to one thread (see __init__), so
+the sums do not follow the thread count the user's environment asks for.
+OpenBLAS's DYNAMIC_ARCH may still pick another kernel on another CPU, which
+is out of scope. Forward passes fault on NaN/Inf rather than letting them
+propagate.
 
 Layer protocol: forward(x, train=False) caches what backward needs;
 backward(grad) returns the input gradient and writes parameter gradients

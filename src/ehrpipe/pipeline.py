@@ -9,11 +9,11 @@ split, then two branches at once, under the configured output directory:
 the chart branch (transform chartevents -> preprocess -> train -> predict
 -> eval) in the calling process and the notes branch (transform of the
 other tables -> notes-prep -> score-notes -> aggregate -> eval) in one
-forked worker process. Re-running with the same config and seed at the
-same BLAS thread count rewrites byte-identical artifacts. CI checks
-demo.ini on one CPU and on two, and demo.ini and the 10x demo config at
-one BLAS thread and at the default; at MIMIC size six model and score
-artifacts differ with the BLAS thread count (ROADMAP item 1).
+forked worker process. Re-running with the same config and seed rewrites
+byte-identical artifacts, whatever OPENBLAS_NUM_THREADS says: both processes
+compute at the one OpenBLAS thread that importing ehrpipe sets. CI checks
+demo.ini on one CPU and on two, and demo.ini, the 10x demo config and a
+small MIMIC-shaped config at several thread counts.
 """
 
 from __future__ import annotations

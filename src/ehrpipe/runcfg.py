@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import blas_threads
 from .chart import DEFAULT_NUMERIC_FRACTION
 from .chart_model import ChartModelConfig
 from .errors import ConfigError, InvalidConfig
@@ -188,5 +189,6 @@ def write_run_manifest(
         "config_hash": cfg_hash,
         "inputs": inputs,
         "outputs": outputs,
+        "blas_threads": blas_threads(),
     }
     return save_json(path, payload, indent=1)
