@@ -35,7 +35,7 @@ from .nn import (
     SimpleRnnLayer,
     TimeConvLayer,
     sigmoid,
-    bce_loss,
+    train_epoch,
 )
 from .tables import reading, save_npz
 
@@ -131,10 +131,6 @@ class TrainedModel:
     catalog: list[str] = field(default_factory=list)
     stats_ref: str = ""  # where the normalization statistics live
 
-    @property
-    def config(self) -> ChartModelConfig:
-        return self.model.config
-
 
 def _check_inputs(config: ChartModelConfig, tensors: np.ndarray):
     if tensors.ndim != 3 or tensors.shape[1] != config.n_types \
@@ -168,11 +164,11 @@ def train(
             f"labels {labels.shape} do not match "
             f"({tensors.shape[0]}, {config.n_categories})"
         )
-    train_idx = [i for i, adm in enumerate(admission_ids)
-                 if assignment.get(str(adm)) == "train"]
+    train_idx = np.array([i for i, adm in enumerate(admission_ids)
+                          if assignment.get(str(adm)) == "train"], np.intp)
     val_idx = [i for i, adm in enumerate(admission_ids)
                if assignment.get(str(adm)) == "val"]
-    if not train_idx:
+    if not train_idx.size:
         raise EmptyPartition("no training samples in the split")
 
     rng = np.random.default_rng([config.seed, 2])
@@ -180,30 +176,17 @@ def train(
     history: dict = {"train_loss": [], "val_micro_aupr": []}
 
     for _ in range(config.epochs):
-        order = rng.permutation(len(train_idx))
-        total_loss = 0.0
-        total_cells = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_idx[k] for k in order[start:start + config.batch_size]]
-            x = tensors[batch]
-            y = labels[batch]
-            logits = model.forward(x, train=True)
-            probs = sigmoid(logits)
-            loss, grad_logits = bce_loss(probs, y)
-            model.backward(grad_logits)
-            optimizer.step(model.grads())
-            total_loss += loss * y.size
-            total_cells += y.size
-        history["train_loss"].append(total_loss / total_cells)
+        history["train_loss"].append(train_epoch(
+            model, optimizer, train_idx[rng.permutation(train_idx.size)],
+            config.batch_size, lambda rows: (tensors[rows], labels[rows])))
+        val_aupr = None
         if val_idx:
             val_probs = predict(model, tensors[val_idx])
             try:
                 val_aupr = pr_auc(val_probs.ravel(), labels[val_idx].ravel())
             except DegenerateLabels:
-                val_aupr = None
-            history["val_micro_aupr"].append(val_aupr)
-        else:
-            history["val_micro_aupr"].append(None)
+                pass
+        history["val_micro_aupr"].append(val_aupr)
 
     return TrainedModel(model=model, history=history,
                         catalog=list(catalog) if catalog else [],
@@ -231,7 +214,7 @@ _CHECKPOINT_VERSION = 1
 def save_checkpoint(path, trained: TrainedModel) -> Path:
     meta = {
         "version": _CHECKPOINT_VERSION,
-        "config": asdict(trained.config),
+        "config": asdict(trained.model.config),
         "history": trained.history,
         "catalog": trained.catalog,
         "stats_ref": trained.stats_ref,

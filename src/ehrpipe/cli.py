@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scale-c", type=float,
-                   default=notes_mod.AggregationParams.c)
+                   default=notes_mod.DEFAULT_SCALE_C)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("eval", help="metric report from probabilities")

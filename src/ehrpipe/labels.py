@@ -4,14 +4,14 @@ The crosswalk loader accepts the public single-level CCS CSV layout: quoted,
 whitespace-padded code and category columns, preceded by arbitrary header
 lines (any row whose category column is not an integer is skipped). The
 category count C is data-driven: distinct categories present in the file,
-indexed densely in ascending id order. LabelMatrix holds N admissions'
-label bits (N, C), as the arrays labels.npz stores.
+indexed densely in ascending id order by encode_labels. LabelMatrix holds N
+admissions' label bits (N, C), as the arrays labels.npz stores.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,27 +32,6 @@ from .tables import (
 
 
 @dataclass
-class CcsCrosswalk:
-    code_to_category: dict[str, int]
-    categories: list[int]  # distinct ids, ascending
-    index_by_category: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index_by_category:
-            self.index_by_category = {
-                c: i for i, c in enumerate(self.categories)
-            }
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.categories)
-
-    def category_index(self, icd_code: str) -> int | None:
-        cat = self.code_to_category.get(_normalize_code(icd_code))
-        return None if cat is None else self.index_by_category[cat]
-
-
-@dataclass
 class LabelMatrix:
     admission_ids: np.ndarray  # str (N,)
     bits: np.ndarray  # bool (N, C)
@@ -66,8 +45,9 @@ def _normalize_code(raw: str) -> str:
     return raw.strip().strip("'\"").strip()
 
 
-def load_crosswalk(path) -> CcsCrosswalk:
-    """Parse a single-level crosswalk CSV into a validated code->category map."""
+def load_crosswalk(path) -> dict[str, int]:
+    """Parse a single-level crosswalk CSV into a validated {code: CCS id}
+    map; codes are normalized as read_diagnoses normalizes them."""
     mapping: dict[str, int] = {}
     with reading(path), open_text_auto(path, newline="") as handle:
         for row in csv.reader(handle):
@@ -89,8 +69,7 @@ def load_crosswalk(path) -> CcsCrosswalk:
             mapping[code] = category
     if not mapping:
         raise MalformedCrosswalk(f"{path}: no code/category rows found")
-    categories = sorted(set(mapping.values()))
-    return CcsCrosswalk(code_to_category=mapping, categories=categories)
+    return mapping
 
 
 def read_diagnoses(path) -> dict[str, list[str]]:
@@ -106,26 +85,29 @@ def read_diagnoses(path) -> dict[str, list[str]]:
 
 
 def encode_labels(
-    diagnoses: Mapping[str, Iterable[str]], xwalk: CcsCrosswalk
+    diagnoses: Mapping[str, Iterable[str]], crosswalk: Mapping[str, int]
 ) -> tuple[LabelMatrix, dict[str, int]]:
     """One row of bits per admission plus a summary of unknown codes.
 
-    Bit c is set when the admission has at least one ICD code in category c;
-    codes absent from the crosswalk are counted, never fatal.
+    The columns are the crosswalk's distinct CCS ids, ascending. Bit c is
+    set when the admission has at least one ICD code in category c, the
+    code normalized as load_crosswalk normalizes its codes; codes absent
+    from the crosswalk are counted, never fatal.
     """
+    categories = sorted(set(crosswalk.values()))
+    column = {category: i for i, category in enumerate(categories)}
     unknown: dict[str, int] = {}
-    bits = np.zeros((len(diagnoses), xwalk.n_categories), dtype=bool)
+    bits = np.zeros((len(diagnoses), len(categories)), dtype=bool)
     for row, codes in enumerate(diagnoses.values()):
-        for code in codes:
-            idx = xwalk.category_index(code)
-            if idx is None:
-                key = _normalize_code(code)
-                unknown[key] = unknown.get(key, 0) + 1
+        for code in map(_normalize_code, codes):
+            category = crosswalk.get(code)
+            if category is None:
+                unknown[code] = unknown.get(code, 0) + 1
             else:
-                bits[row, idx] = True
+                bits[row, column[category]] = True
     ids = np.array([str(adm) for adm in diagnoses], dtype=str)
-    categories = np.asarray(xwalk.categories, dtype=np.int64)
-    return LabelMatrix(ids, bits, categories), unknown
+    return (LabelMatrix(ids, bits, np.asarray(categories, dtype=np.int64)),
+            unknown)
 
 
 # --- persistence -----------------------------------------------------------

@@ -15,7 +15,9 @@ backward(grad) returns the input gradient and writes parameter gradients
 into the arrays grads() returns, aligned with params(). Those arrays are
 allocated once and overwritten by every backward, so a caller that keeps a
 gradient across batches copies it. Adam updates parameters and its moments
-in place, slice by slice, and allocates nothing per step.
+in place, slice by slice, and allocates nothing per step. The chart models
+and the note scorer both train with train_epoch, one epoch of minibatch
+BCE/Adam over a model that follows the protocol.
 """
 
 from __future__ import annotations
@@ -81,7 +83,17 @@ class DenseLayer:
         return [self.d_weights, self.d_bias]
 
 
-class ReluLayer:
+class _Parameterless:
+    """A layer without parameters, so without gradients."""
+
+    def params(self):
+        return []
+
+    def grads(self):
+        return []
+
+
+class ReluLayer(_Parameterless):
     def __init__(self):
         self._x: np.ndarray | None = None
 
@@ -92,14 +104,8 @@ class ReluLayer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * (self._x > 0)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class DropoutLayer:
+class DropoutLayer(_Parameterless):
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
     Identity at evaluation time. The mask drawn by the last train-mode
@@ -112,10 +118,8 @@ class DropoutLayer:
         self.p = p
         self.rng = rng
         self.last_mask: np.ndarray | None = None
-        self._train = False
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._train = train
         if not train or self.p == 0.0:
             self.last_mask = None
             return x
@@ -123,18 +127,12 @@ class DropoutLayer:
         return x * self.last_mask / (1.0 - self.p)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if not self._train or self.last_mask is None:
+        if self.last_mask is None:
             return grad
         return grad * self.last_mask / (1.0 - self.p)
 
-    def params(self):
-        return []
 
-    def grads(self):
-        return []
-
-
-class FlattenLayer:
+class FlattenLayer(_Parameterless):
     def __init__(self):
         self._shape: tuple[int, ...] | None = None
 
@@ -144,12 +142,6 @@ class FlattenLayer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._shape)
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class TimeConvLayer:
@@ -304,20 +296,16 @@ ADAM_SLICE = 2 ** 15
 class Adam:
     """Adam with bias correction over a list of parameter arrays (in place).
 
-    Kingma & Ba, ICLR 2015. Parameters and both moments are updated in
-    place through flat views, one slice at a time, with two scratch slices
-    allocated here; a step allocates no parameter-sized array. The update is
-    elementwise, so the slicing does not change a bit of the result.
+    Kingma & Ba, ICLR 2015, at their default betas and epsilon. Parameters
+    and both moments are updated in place through flat views, one slice at
+    a time, with two scratch slices allocated here; a step allocates no
+    parameter-sized array. The update is elementwise, so the slicing does
+    not change a bit of the result.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 2e-5,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 2e-5):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
@@ -346,7 +334,7 @@ class Adam:
                 )
         self.step_count += 1
         t = self.step_count
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.epsilon
+        b1, b2, lr, eps = 0.9, 0.999, self.lr, 1e-8
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
         for (p, m, v), g in zip(self._flat, grads):
@@ -373,3 +361,21 @@ class Adam:
                 b *= lr
                 b /= a
                 ps -= b
+
+
+def train_epoch(model, optimizer: Adam, rows: np.ndarray, batch_size: int,
+                batch) -> float:
+    """One epoch of minibatch BCE/Adam over rows, in batches of batch_size
+    in their order, where batch(rows) gives a batch's inputs and targets
+    (x, y); returns the mean loss per label cell."""
+    total_loss = 0.0
+    total_cells = 0
+    for start in range(0, len(rows), batch_size):
+        x, y = batch(rows[start:start + batch_size])
+        loss, grad_logits = bce_loss(sigmoid(model.forward(x, train=True)),
+                                     y)
+        model.backward(grad_logits)
+        optimizer.step(model.grads())
+        total_loss += loss * y.size
+        total_cells += y.size
+    return total_loss / total_cells

@@ -24,8 +24,9 @@ Memory per token is a pointer. chunks.json is written an admission per
 line as the admissions are chunked, and read back a block of lines at a
 time, with one str per distinct token. Training and scoring hash a block
 of chunks at a time, each distinct token of the block once, and scoring
-also scores a block at a time; what grows with the chunks is the tokens'
-pointers, the training CSR and the probabilities.
+also scores a block at a time, its gathered weights within the budget its
+hashing keeps to; what grows with the chunks is the tokens' pointers, the
+training CSR and the probabilities.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     IoFailure,
     UnknownAdmission,
 )
-from .nn import Adam, DenseLayer, bce_loss, glorot_uniform, sigmoid
+from .nn import Adam, DenseLayer, glorot_uniform, sigmoid, train_epoch
 from .tables import (
     NO_TIME,
     id_sort_key,
@@ -66,9 +67,10 @@ DISCHARGE_CATEGORY = "discharge summary"
 SUBSET_KINDS = ("disch", "days3", "days2")
 _SUBSET_WINDOW_HOURS = {"days3": 72, "days2": 48}
 
-DEFAULT_REPLACEMENTS = {"dr.": "doctor"}
-DEFAULT_MARKER = "[CLS]"
+REPLACEMENTS = {"dr.": "doctor"}  # applied in order by clean_text
+MARKER = "[CLS]"  # leads every chunk
 DEFAULT_MAX_LEN = 512
+DEFAULT_SCALE_C = 2.0
 
 
 @dataclass
@@ -91,15 +93,6 @@ class ChunkTokenSequence:
 class ChunkScoreMatrix:
     admission_id: str
     probabilities: np.ndarray  # (n_chunks, C)
-
-
-@dataclass(frozen=True)
-class AggregationParams:
-    c: float = 2.0
-
-    def validate(self) -> None:
-        if not self.c > 0:  # also rejects NaN
-            raise InvalidConfig("aggregation scale c must be positive")
 
 
 @dataclass
@@ -135,12 +128,10 @@ class ScorerConfig:
             raise InvalidConfig("scorer lr must be positive and finite")
 
 
-def clean_text(raw: str, replacements: Optional[Mapping[str, str]] = None) -> str:
-    """Lowercase, apply replacements in order, strip newlines, collapse runs."""
-    if replacements is None:
-        replacements = DEFAULT_REPLACEMENTS
+def clean_text(raw: str) -> str:
+    """Lowercase, apply REPLACEMENTS, strip newlines, collapse runs."""
     text = raw.lower()
-    for old, new in replacements.items():
+    for old, new in REPLACEMENTS.items():
         text = text.replace(old, new)
     text = text.replace("\r", " ").replace("\n", " ")
     return " ".join(text.split())
@@ -150,7 +141,6 @@ def build_subset(
     notes: Iterable[NoteEvent],
     admission_times: Mapping[str, tuple[int, int]],
     kind: str,
-    replacements: Optional[Mapping[str, str]] = None,
 ) -> dict[str, str]:
     """Per-admission concatenated cleaned text for one subset.
 
@@ -178,7 +168,7 @@ def build_subset(
             admit, _ = admission_times[adm]
             if note.charttime >= admit + _SUBSET_WINDOW_HOURS[kind] * 3600:
                 continue
-        cleaned = clean_text(note.text, replacements)
+        cleaned = clean_text(note.text)
         if not cleaned:
             continue
         picked.setdefault(adm, []).append(
@@ -200,9 +190,8 @@ def chunk_text(
     admission_id: str,
     text: str,
     max_len: int = DEFAULT_MAX_LEN,
-    marker: str = DEFAULT_MARKER,
 ) -> list[ChunkTokenSequence]:
-    """Greedy whitespace chunking to max_len tokens including the marker."""
+    """Greedy whitespace chunking to max_len tokens including MARKER."""
     check_max_len(max_len)
     tokens = text.split()
     if not tokens:
@@ -212,7 +201,7 @@ def chunk_text(
         ChunkTokenSequence(
             admission_id=str(admission_id),
             chunk_index=i,
-            tokens=[marker] + tokens[start:start + content],
+            tokens=[MARKER] + tokens[start:start + content],
         )
         for i, start in enumerate(range(0, len(tokens), content))
     ]
@@ -226,15 +215,18 @@ def _token_slot(token: str, dim: int) -> tuple[int, float]:
     return value % dim, sign
 
 
-# Budget for the arrays _hash_block makes for one block of chunks, at some
-# 100 bytes a token; a chunk of more tokens is a block of its own.
+# Budget for the arrays one block of chunks makes: _hash_block's, at some
+# 100 bytes a token, and in scoring the block's gathered weights, at 8
+# bytes a token and category. A chunk of more tokens is a block of its own.
 _HASH_BLOCK_BYTES = 2 << 20
 _HASH_TOKEN_BYTES = 100
 
 
-def _blocks(chunks: list[ChunkTokenSequence]) -> Iterator[slice]:
-    """Consecutive runs of chunks that fit _HASH_BLOCK_BYTES, in order."""
-    limit = max(1, _HASH_BLOCK_BYTES // _HASH_TOKEN_BYTES)
+def _blocks(chunks: list[ChunkTokenSequence],
+            token_bytes: int = _HASH_TOKEN_BYTES) -> Iterator[slice]:
+    """Consecutive runs of chunks that fit _HASH_BLOCK_BYTES at token_bytes
+    a token, in order."""
+    limit = max(1, _HASH_BLOCK_BYTES // token_bytes)
     start = held = 0
     for stop, chunk in enumerate(chunks):
         if held and held + len(chunk.tokens) > limit:
@@ -304,40 +296,25 @@ def _dense_rows(indptr: np.ndarray, columns: np.ndarray, values: np.ndarray,
     return out
 
 
-# Budget for one scoring block's gathered (nonzeros x categories) weights.
-_SCORE_BLOCK_BYTES = 8 << 20
-
-
 def _logits(indptr: np.ndarray, slots: np.ndarray, values: np.ndarray,
             table: np.ndarray, params: LinearClassifierParams) -> np.ndarray:
     """W f + b for every CSR row, as a gather-sum over the weight columns.
 
     table holds the weights slot-major, one row per trained slot, and a
     last row of zeros, which every slot the scorer was not trained on maps
-    to. Rows go in blocks whose gathered (nonzeros x categories) weights
-    fit _SCORE_BLOCK_BYTES; a row larger than that is a block of its own.
+    to. The gathered (nonzeros x categories) weights are held at once.
     """
-    n_rows = indptr.size - 1
-    n_slots, n_categories = table.shape[0] - 1, table.shape[1]
     position = np.searchsorted(params.slots, slots)
-    # position n_slots, past the last slot, is the row of zeros
-    position[np.append(params.slots, -1)[position] != slots] = n_slots
-    out = np.zeros((n_rows, n_categories))
-    budget = max(1, _SCORE_BLOCK_BYTES // (8 * n_categories))
-    start = 0
-    while start < n_rows:
-        stop = int(np.searchsorted(indptr, indptr[start] + budget,
-                                   side="right")) - 1
-        stop = min(max(stop, start + 1), n_rows)
-        lo, hi = indptr[start], indptr[stop]
-        # reduceat sums [cut, next cut); an empty row has no cut of its own
-        # and keeps its zero.
-        filled = np.flatnonzero(np.diff(indptr[start:stop + 1])) + start
-        if filled.size:
-            gathered = table[position[lo:hi]]
-            gathered *= values[lo:hi, None]
-            out[filled] = np.add.reduceat(gathered, indptr[filled] - lo)
-        start = stop
+    # the position past the last slot is the row of zeros
+    position[np.append(params.slots, -1)[position] != slots] = len(params.slots)
+    out = np.zeros((indptr.size - 1, table.shape[1]))
+    # reduceat sums [cut, next cut); an empty row has no cut of its own and
+    # keeps its zero.
+    filled = np.flatnonzero(np.diff(indptr))
+    if filled.size:
+        gathered = table[position]
+        gathered *= values[:, None]
+        out[filled] = np.add.reduceat(gathered, indptr[filled])
     out += params.bias
     return out
 
@@ -349,19 +326,20 @@ def score_chunks(
     """Per-admission (chunks x categories) probabilities: sigmoid(Wf + b).
 
     Output admission order is first appearance; rows follow chunk_index.
-    The chunks are hashed and scored a block at a time, so only the
-    probabilities grow with the number of chunks.
+    The chunks are hashed and scored a block at a time, each block's
+    gathered weights within _HASH_BLOCK_BYTES, so only the probabilities
+    grow with the number of chunks.
     """
     grouped: dict[str, list[ChunkTokenSequence]] = {}
     for chunk in chunks:
         grouped.setdefault(chunk.admission_id, []).append(chunk)
     ordered = [chunk for adm_chunks in grouped.values()
                for chunk in sorted(adm_chunks, key=lambda ch: ch.chunk_index)]
-    n_categories, n_slots = params.weights.shape
-    table = np.zeros((n_slots + 1, n_categories))
-    table[:n_slots] = params.weights.T
+    n_categories = params.weights.shape[0]
+    table = np.vstack([params.weights.T, np.zeros(n_categories)])
     probabilities = np.empty((len(ordered), n_categories))
-    for block in _blocks(ordered):
+    token_bytes = max(_HASH_TOKEN_BYTES, 8 * n_categories)
+    for block in _blocks(ordered, token_bytes):
         probabilities[block] = sigmoid(_logits(
             *_hash_block(ordered[block], params.feature_dim), table, params))
     ends = np.cumsum([len(adm_chunks) for adm_chunks in grouped.values()])
@@ -400,40 +378,35 @@ def train_scorer(
     init_rng = np.random.default_rng([config.seed, 1])
     indptr, slots, values = _hash_rows(usable, config.feature_dim)
     active, columns = np.unique(slots, return_inverse=True)
-    init = np.stack([
+    layer = DenseLayer(active.size, n_categories, None)
+    layer.weights[...] = np.stack([
         glorot_uniform(init_rng, config.feature_dim, n_categories,
                        (config.feature_dim,))[active]
         for _ in range(n_categories)
     ])
-    layer = DenseLayer(active.size, n_categories, init_rng)
-    layer.weights[...] = init  # replaces the layer's own draw
     optimizer = Adam(layer.params(), lr=config.lr)
     history: dict = {"train_loss": []}
     for _ in range(config.epochs):
-        order = rng.permutation(len(usable))
-        total_loss = 0.0
-        total_cells = 0
-        for start in range(0, len(order), config.batch_size):
-            rows = order[start:start + config.batch_size]
-            x = _dense_rows(indptr, columns, values, rows, active.size)
-            y = targets[rows]
-            probs = sigmoid(layer.forward(x, train=True))
-            loss, grad_logits = bce_loss(probs, y)
-            layer.backward(grad_logits)
-            optimizer.step(layer.grads())
-            total_loss += loss * y.size
-            total_cells += y.size
-        history["train_loss"].append(total_loss / total_cells)
+        history["train_loss"].append(train_epoch(
+            layer, optimizer, rng.permutation(len(usable)), config.batch_size,
+            lambda rows: (_dense_rows(indptr, columns, values, rows,
+                                      active.size), targets[rows])))
     params = LinearClassifierParams(slots=active, weights=layer.weights,
                                     bias=layer.bias,
                                     feature_dim=config.feature_dim)
     return params, history
 
 
+def check_scale_c(c: float) -> None:
+    """InvalidConfig unless the aggregation scale c is positive."""
+    if not c > 0:  # also rejects NaN
+        raise InvalidConfig("aggregation scale c must be positive")
+
+
 def aggregate(matrix: ChunkScoreMatrix,
-              params: AggregationParams = AggregationParams()) -> np.ndarray:
+              c: float = DEFAULT_SCALE_C) -> np.ndarray:
     """Combine chunk probabilities into one per-category admission vector."""
-    params.validate()
+    check_scale_c(c)
     probs = matrix.probabilities
     if probs.ndim != 2 or probs.shape[0] < 1:
         raise EmptyChunkSet(
@@ -442,7 +415,7 @@ def aggregate(matrix: ChunkScoreMatrix,
     n = probs.shape[0]
     p_max = probs.max(axis=0)
     p_mean = probs.mean(axis=0)
-    weight = n / params.c
+    weight = n / c
     return (p_max + p_mean * weight) / (1.0 + weight)
 
 

@@ -228,12 +228,11 @@ def score_notes(
 def aggregate(scores, out, c: float) -> tuple[Path, int]:
     """(N, C) admission probabilities of the chunk scores to out; returns
     the path written and N."""
-    params = notes_mod.AggregationParams(c=c)
-    params.validate()
+    notes_mod.check_scale_c(c)
     matrices = notes_mod.load_score_matrices(scores)
     if not matrices:
         raise EmptyChunkSet("no scored admissions to aggregate")
-    probs = np.stack([notes_mod.aggregate(m, params) for m in matrices])
+    probs = np.stack([notes_mod.aggregate(m, c) for m in matrices])
     return (_save_probs(out, [m.admission_id for m in matrices], probs),
             len(matrices))
 

@@ -22,10 +22,11 @@ from .chart_model import ChartModelConfig
 from .errors import ConfigError, InvalidConfig
 from .notes import (
     DEFAULT_MAX_LEN,
+    DEFAULT_SCALE_C,
     SUBSET_KINDS,
-    AggregationParams,
     ScorerConfig,
     check_max_len,
+    check_scale_c,
 )
 from .split import PARTITIONS, SplitSpec
 from .synth import SynthConfig
@@ -56,7 +57,7 @@ class PipelineConfig:
     # notes
     subset: str = "days3"
     max_len: int = DEFAULT_MAX_LEN
-    aggregation_c: float = AggregationParams.c
+    aggregation_c: float = DEFAULT_SCALE_C
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     recall_target: float = 0.8
 
@@ -70,7 +71,7 @@ class PipelineConfig:
         if self.subset not in SUBSET_KINDS:
             raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
         check_max_len(self.max_len)
-        AggregationParams(c=self.aggregation_c).validate()
+        check_scale_c(self.aggregation_c)
         self.scorer.validate()
         check_fraction("recall_target", self.recall_target)
 

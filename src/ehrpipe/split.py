@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, IoFailure
 from .labels import LabelMatrix
 from .tables import load_json, save_json
 
@@ -175,4 +175,10 @@ def save_split(path, result: SplitResult) -> Path:
 
 
 def load_split(path) -> dict[str, str]:
-    return {str(k): str(v) for k, v in load_json(path).items()}
+    """split.json's {admission id: partition}, each one of PARTITIONS."""
+    assignment = load_json(path)
+    for adm, tag in assignment.items():
+        if tag not in PARTITIONS:
+            raise IoFailure(f"{path}: admission {adm!r} is in {tag!r}, not"
+                            f" one of {', '.join(PARTITIONS)}")
+    return assignment

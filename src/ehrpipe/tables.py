@@ -33,7 +33,7 @@ import json
 import os
 import re
 import zipfile
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from datetime import datetime, timedelta
 from enum import Enum
@@ -519,8 +519,9 @@ def reading(path):
 
 def load_admission_npz(path, per_admission: tuple[str, ...],
                        shared: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
-    """admission_ids (as strings), the per_admission arrays, each checked to
-    have one row per admission id, and the shared arrays of a .npz file."""
+    """admission_ids (as strings), checked to be unique, the per_admission
+    arrays, each checked to have one row per admission id, and the shared
+    arrays of a .npz file."""
     with reading(path), np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name]
                   for name in ("admission_ids", *per_admission, *shared)}
@@ -529,6 +530,10 @@ def load_admission_npz(path, per_admission: tuple[str, ...],
         if ids.ndim != 1 or any(s[:1] != ids.shape for s in shapes.values()):
             raise ValueError(f"{ids.shape} admission ids and arrays {shapes}"
                              " do not have one row per admission id")
+        repeated = [adm for adm, n in Counter(ids.tolist()).items() if n > 1]
+        if repeated:
+            raise ValueError(f"admission id {repeated[0]!r} appears more"
+                             " than once")
     return arrays
 
 

@@ -307,7 +307,7 @@ class TestA5ChartModelLearnability:
                 # desk-size data (75 optimizer steps instead of thousands)
                 model_config = chart_model.ChartModelConfig(
                     variant=variant, n_types=len(catalog),
-                    n_categories=xwalk.n_categories, hidden_size=128,
+                    n_categories=vectors.bits.shape[1], hidden_size=128,
                     epochs=3, batch_size=32, lr=5e-3, dropout=0.2,
                     conv_filters=8, rnn_hidden=64, seed=5,
                 )
@@ -402,14 +402,13 @@ class TestA7AggregationProperties:
     def test_a7(self):
         with criterion("A7", "chunk aggregation formula properties", 5):
             rng = np.random.default_rng(71)
-            big_c = notes_mod.AggregationParams(c=1e12)
+            big_c = 1e12
             for _ in range(10_000):
                 n = int(rng.integers(1, 9))
                 probs = rng.random((n, 2))
                 c = float(rng.uniform(0.2, 5.0))
-                params = notes_mod.AggregationParams(c=c)
                 out = notes_mod.aggregate(
-                    notes_mod.ChunkScoreMatrix("A", probs), params
+                    notes_mod.ChunkScoreMatrix("A", probs), c
                 )
                 p_max = probs.max(axis=0)
                 p_mean = probs.mean(axis=0)
@@ -419,7 +418,7 @@ class TestA7AggregationProperties:
                 # permutation invariance
                 perm = rng.permutation(n)
                 out_perm = notes_mod.aggregate(
-                    notes_mod.ChunkScoreMatrix("A", probs[perm]), params
+                    notes_mod.ChunkScoreMatrix("A", probs[perm]), c
                 )
                 assert np.all(np.abs(out - out_perm) <= 1e-12)
                 # monotonicity in a single raised entry
@@ -427,12 +426,12 @@ class TestA7AggregationProperties:
                 i = int(rng.integers(n))
                 bumped[i, 0] = min(1.0, bumped[i, 0] + 0.25)
                 out_bumped = notes_mod.aggregate(
-                    notes_mod.ChunkScoreMatrix("A", bumped), params
+                    notes_mod.ChunkScoreMatrix("A", bumped), c
                 )
                 assert out_bumped[0] >= out[0] - 1e-12
                 # n = 1 identity
                 single = notes_mod.aggregate(
-                    notes_mod.ChunkScoreMatrix("A", probs[:1]), params
+                    notes_mod.ChunkScoreMatrix("A", probs[:1]), c
                 )
                 assert np.all(np.abs(single - probs[0]) <= 1e-12)
                 # c -> infinity approaches the max
@@ -444,7 +443,7 @@ class TestA7AggregationProperties:
                 # grows n while keeping max and mean fixed)
                 grown = notes_mod.aggregate(
                     notes_mod.ChunkScoreMatrix("A", np.tile(probs, (400, 1))),
-                    params,
+                    c,
                 )
                 assert np.all(np.abs(grown - p_mean) <= 0.02)
                 assert np.all(np.abs(grown - p_mean) <=

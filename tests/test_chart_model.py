@@ -155,7 +155,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, trained)
         loaded = load_checkpoint(path)
-        assert loaded.config == trained.config
+        assert loaded.model.config == trained.model.config
         assert loaded.history == trained.history
         assert loaded.catalog == trained.catalog
         assert loaded.stats_ref == "chart_stats.json"

@@ -499,6 +499,11 @@ MALFORMED_ARRAYS = [
     ("aggregate", "--scores", "scores.npz", "chunk_counts",
      "first-zero-sum-kept"),
     ("aggregate", "--scores", "scores.npz", "chunk_counts", "dropped"),
+    ("eval", "--probs", "probs.npz", "admission_ids", "first-repeated"),
+    ("eval", "--labels", "labels.npz", "admission_ids", "first-repeated"),
+    ("train", "--tensors", "tensors.npz", "admission_ids", "first-repeated"),
+    ("aggregate", "--scores", "scores.npz", "admission_ids",
+     "first-repeated"),
 ]
 
 
@@ -516,6 +521,39 @@ def test_malformed_array_exits_4(chain, cli_dataset, tmp_path, capsys,
     argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
     assert main(argv) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+# Ways to spoil split.json's {admission: partition}: each gives the bad
+# mapping and the first admission whose value is not a partition.
+SPLIT_SPOILERS = {
+    "test-misspelled": lambda split: (
+        {adm: "tset" if tag == "test" else tag for adm, tag in split.items()},
+        next(adm for adm, tag in split.items() if tag == "test")),
+    "one-mistyped": lambda split: (
+        {**split, next(iter(split)): "trian"}, next(iter(split))),
+    "lists": lambda split: (
+        {adm: [tag] for adm, tag in split.items()}, next(iter(split))),
+}
+
+
+@pytest.mark.parametrize("spoiler", SPLIT_SPOILERS)
+@pytest.mark.parametrize("subcommand", ["eval", "train", "preprocess"])
+def test_split_value_not_a_partition_exits_4(chain, cli_dataset, tmp_path,
+                                              capsys, subcommand, spoiler):
+    split = json.loads((chain / "split.json").read_text())
+    spoiled, first = SPLIT_SPOILERS[spoiler](split)
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(spoiled))
+    argv = _argv(chain, cli_dataset, subcommand)
+    if subcommand == "train":
+        argv = _with(argv, "--split", bad)
+    else:
+        argv = [str(a) for a in argv] + ["--split", str(bad)]
+        if subcommand == "eval":
+            argv += ["--partition", "test"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(first) in err
 
 
 def test_preprocess_checks_its_out_dir_before_reading_input(

@@ -43,16 +43,20 @@ class TestCrosswalk:
         path = tmp_path / "x.csv"
         path.write_text("'a1 ','1 '\n'a2 ','2 '\n'a3 ','1 '\n")
         xwalk = load_crosswalk(path)
-        assert xwalk.n_categories == 2
-        assert xwalk.categories == [1, 2]
+        assert xwalk == {"a1": 1, "a2": 2, "a3": 1}
+        labels, _ = encode_labels({}, xwalk)
+        assert labels.categories.tolist() == [1, 2]
 
     def test_hypertension_code_maps_to_category_98(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
-        assert xwalk.code_to_category["4019"] == 98
+        assert xwalk["4019"] == 98
         # dense index: categories sorted ascending -> 1, 49, 98
-        assert xwalk.categories == [1, 49, 98]
-        assert xwalk.category_index("4019") == 2
-        assert xwalk.category_index(" '4019' ") == 2  # quotes stripped
+        labels, unknown = encode_labels({"A": ["4019"], "B": [" '4019' "]},
+                                        xwalk)
+        assert labels.categories.tolist() == [1, 49, 98]
+        assert np.flatnonzero(labels.bits[0]).tolist() == [2]
+        assert np.flatnonzero(labels.bits[1]).tolist() == [2]  # unquoted
+        assert not unknown
 
     def test_duplicate_conflicting_code(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -63,7 +67,7 @@ class TestCrosswalk:
     def test_duplicate_identical_rows_tolerated(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("'a1','1'\n'a1','1'\n")
-        assert load_crosswalk(path).n_categories == 1
+        assert load_crosswalk(path) == {"a1": 1}
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -110,7 +114,7 @@ class TestEncodeLabels:
     def test_positive_counts_match_brute_force(self, ahrq_file):
         xwalk = load_crosswalk(ahrq_file)
         rng = random.Random(17)
-        codes = list(xwalk.code_to_category)
+        codes = list(xwalk)
         diagnoses = {
             f"adm{i}": [codes[rng.randrange(len(codes))]
                         for _ in range(rng.randrange(0, 5))]
@@ -118,10 +122,12 @@ class TestEncodeLabels:
         }
         labels, _ = encode_labels(diagnoses, xwalk)
         counts = labels.bits.sum(axis=0)
-        for idx, cat in enumerate(xwalk.categories):
+        categories = sorted(set(xwalk.values()))
+        assert labels.categories.tolist() == categories
+        for idx, cat in enumerate(categories):
             brute = sum(
                 1 for codes_ in diagnoses.values()
-                if any(xwalk.code_to_category[c] == cat for c in codes_)
+                if any(xwalk[c] == cat for c in codes_)
             )
             assert counts[idx] == brute
 

@@ -1,6 +1,7 @@
 """Note cleaning, subsetting, chunking, scoring and chunk aggregation."""
 
 import json
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -19,7 +20,6 @@ from ehrpipe.errors import (
 from ehrpipe.notes import (
     _token_slot,
     aggregate,
-    AggregationParams,
     build_subset,
     chunk_text,
     ChunkScoreMatrix,
@@ -74,10 +74,6 @@ class TestCleanText:
         for raw in samples:
             once = clean_text(raw)
             assert clean_text(once) == once
-
-    def test_replacements_applied_in_order(self):
-        out = clean_text("ab", replacements={"ab": "cd", "cd": "ef"})
-        assert out == "ef"
 
 
 class TestBuildSubset:
@@ -144,7 +140,7 @@ class TestChunking:
         assert chunk_text("A", "", max_len=512) == []
 
     def test_marker_leads_every_chunk(self):
-        chunks = chunk_text("A", "x " * 100, max_len=16, marker="[CLS]")
+        chunks = chunk_text("A", "x " * 100, max_len=16)
         assert all(c.tokens[0] == "[CLS]" for c in chunks)
 
     def test_reassembly(self):
@@ -324,7 +320,7 @@ class TestSparseFeatures:
     def test_score_chunks_matches_dense(self, dim, block_bytes, monkeypatch):
         """A scorer trained on every other slot against the dense product
         with zeros in the untrained columns."""
-        monkeypatch.setattr(notes, "_SCORE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(notes, "_HASH_BLOCK_BYTES", block_bytes)
         chunks = _sparse_case_chunks(dim)
         rng = np.random.default_rng(1)
         slots = np.arange(1, dim, 2)
@@ -414,6 +410,35 @@ class TestSparseFeatures:
             np.testing.assert_array_equal(got.probabilities,
                                           want.probabilities)
 
+    def test_scoring_peak_stays_within_two_block_budgets(self):
+        """281 categories over some 60k tokens: a scoring block's gathered
+        weights fit _HASH_BLOCK_BYTES, as its hashing arrays do, so the
+        traced peak stays under two budgets plus the probabilities."""
+        rng = np.random.default_rng(5)
+        dim = 2 ** 15
+        vocab = [f"w{i}" for i in range(3000)]
+        chunks = [ChunkTokenSequence(f"adm{i // 3}", i % 3, ["[CLS]", *(
+            vocab[k] for k in rng.integers(len(vocab), size=127))])
+                  for i in range(470)]
+        slots = np.unique([_token_slot(w, dim)[0] for w in vocab[:125]])
+        params = LinearClassifierParams(
+            slots=slots, weights=rng.standard_normal((281, slots.size)),
+            bias=rng.standard_normal(281), feature_dim=dim)
+        # The first call fills _token_slot's cache, which outlives it.
+        expected = score_chunks(chunks, params)
+        tracemalloc.start()
+        try:
+            matrices = score_chunks(chunks, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(m.probabilities.nbytes for m in matrices)
+        assert output == 470 * 281 * 8
+        assert peak < 2 * notes._HASH_BLOCK_BYTES + output
+        for got, want in zip(matrices, expected):
+            np.testing.assert_array_equal(got.probabilities,
+                                          want.probabilities)
+
     def test_chunk_of_untrained_slots_scores_the_bias(self):
         dim = 2 ** 15
         chunks = _sparse_case_chunks(dim)
@@ -434,21 +459,21 @@ class TestAggregation:
         return ChunkScoreMatrix("A", np.asarray(rows, dtype=float))
 
     def test_single_chunk_identity(self):
-        out = aggregate(self._matrix([[0.7]]), AggregationParams(c=2.0))
+        out = aggregate(self._matrix([[0.7]]), 2.0)
         assert out[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_hand_computed_two_chunks(self):
         # max 0.8, mean 0.5, n=2, c=2: (0.8 + 0.5*1) / (1+1) = 0.65
-        out = aggregate(self._matrix([[0.2], [0.8]]), AggregationParams(c=2.0))
+        out = aggregate(self._matrix([[0.2], [0.8]]), 2.0)
         assert out[0] == pytest.approx(0.65, abs=1e-12)
 
     def test_limits(self):
         probs = [[0.2], [0.8], [0.5]]
-        big_c = aggregate(self._matrix(probs), AggregationParams(c=1e9))
+        big_c = aggregate(self._matrix(probs), 1e9)
         assert big_c[0] == pytest.approx(0.8, abs=1e-6)  # c -> inf: max
         many = [[0.3]] * 5000 + [[0.9]]
         expected_mean = np.asarray(many).mean()
-        huge_n = aggregate(self._matrix(many), AggregationParams(c=2.0))
+        huge_n = aggregate(self._matrix(many), 2.0)
         assert huge_n[0] == pytest.approx(expected_mean, abs=1e-3)
 
     def test_bounds_monotonicity_permutation(self):
@@ -456,19 +481,19 @@ class TestAggregation:
         for _ in range(300):
             n = int(rng.integers(1, 12))
             probs = rng.random((n, 3))
-            params = AggregationParams(c=float(rng.uniform(0.1, 5.0)))
-            out = aggregate(ChunkScoreMatrix("A", probs), params)
+            c = float(rng.uniform(0.1, 5.0))
+            out = aggregate(ChunkScoreMatrix("A", probs), c)
             assert np.all(out >= probs.min(axis=0) - 1e-12)
             assert np.all(out <= probs.max(axis=0) + 1e-12)
             # permutation invariance
             perm = rng.permutation(n)
-            out_p = aggregate(ChunkScoreMatrix("A", probs[perm]), params)
+            out_p = aggregate(ChunkScoreMatrix("A", probs[perm]), c)
             np.testing.assert_allclose(out, out_p, atol=1e-12)
             # raising one entry never lowers the aggregate
             bumped = probs.copy()
             i, j = int(rng.integers(n)), int(rng.integers(3))
             bumped[i, j] = min(1.0, bumped[i, j] + float(rng.random()) * 0.5)
-            out_b = aggregate(ChunkScoreMatrix("A", bumped), params)
+            out_b = aggregate(ChunkScoreMatrix("A", bumped), c)
             assert out_b[j] >= out[j] - 1e-12
 
     def test_empty_chunk_set(self):
@@ -477,7 +502,7 @@ class TestAggregation:
 
     def test_invalid_scale(self):
         with pytest.raises(InvalidConfig):
-            aggregate(self._matrix([[0.5]]), AggregationParams(c=0.0))
+            aggregate(self._matrix([[0.5]]), 0.0)
 
 
 def _triples(chunks):

@@ -18,6 +18,14 @@ from ehrpipe.synth import _BLOCK_ADMISSIONS, SynthConfig, _fmt_time, generate
 from ehrpipe.tables import TableKind, iter_csv_rows, parse_timestamp
 
 
+def _category_columns(crosswalk_path) -> dict[str, int]:
+    """{code: label column}: the crosswalk's CCS ids indexed densely in
+    ascending order, as encode_labels orders its columns."""
+    xwalk = load_crosswalk(crosswalk_path)
+    column = {cat: i for i, cat in enumerate(sorted(set(xwalk.values())))}
+    return {code: column[cat] for code, cat in xwalk.items()}
+
+
 def _hashes(manifest):
     out = {}
     for kind, path, _ in manifest.tables:
@@ -94,11 +102,11 @@ def test_positive_rate_tracks_target(tmp_path):
                          events_min=1, events_max=2)
     manifest = generate(config, tmp_path / "rate")
     paths = {kind: path for kind, path, _ in manifest.tables}
-    xwalk = load_crosswalk(manifest.crosswalk_path)
+    columns = _category_columns(manifest.crosswalk_path)
     diagnoses = read_diagnoses(paths[TableKind.DIAGNOSES_ICD])
     positive_bits = 0
     for codes in diagnoses.values():
-        cats = {xwalk.category_index(c) for c in codes}
+        cats = {columns.get(c) for c in codes}
         positive_bits += len(cats)
     ratio = positive_bits / (500 * 10)
     assert abs(ratio - 0.043) < 0.01
@@ -114,7 +122,7 @@ def test_zero_signal_is_uncorrelated(tmp_path):
     signal = manifest.planted[0]
     target_item = str(signal.observation_type_index + 1)
 
-    xwalk = load_crosswalk(manifest.crosswalk_path)
+    columns = _category_columns(manifest.crosswalk_path)
     diagnoses = read_diagnoses(paths[TableKind.DIAGNOSES_ICD])
     per_adm_mean: dict[str, list[float]] = {}
     for row in iter_csv_rows(paths[TableKind.CHARTEVENTS]):
@@ -127,7 +135,7 @@ def test_zero_signal_is_uncorrelated(tmp_path):
         adm = row["hadm_id"]
         if adm not in per_adm_mean:
             continue
-        cats = {xwalk.category_index(c) for c in diagnoses.get(adm, [])}
+        cats = {columns.get(c) for c in diagnoses.get(adm, [])}
         means.append(np.mean(per_adm_mean[adm]))
         flags.append(signal.category_index in cats)
     means = np.asarray(means)
@@ -139,19 +147,19 @@ def test_zero_signal_is_uncorrelated(tmp_path):
 
 def test_marker_tokens_follow_labels(small_dataset):
     paths = {kind: path for kind, path, _ in small_dataset.tables}
-    xwalk = load_crosswalk(small_dataset.crosswalk_path)
+    columns = _category_columns(small_dataset.crosswalk_path)
     diagnoses = read_diagnoses(paths[TableKind.DIAGNOSES_ICD])
     signal = small_dataset.planted[0]
     for row in iter_csv_rows(paths[TableKind.NOTEEVENTS]):
         adm = row["hadm_id"]
-        cats = {xwalk.category_index(c) for c in diagnoses.get(adm, [])}
+        cats = {columns.get(c) for c in diagnoses.get(adm, [])}
         has_marker = signal.marker_token in row["text"]
         assert has_marker == (signal.category_index in cats)
 
 
 def test_shifted_values_with_strong_signal(small_dataset):
     paths = {kind: path for kind, path, _ in small_dataset.tables}
-    xwalk = load_crosswalk(small_dataset.crosswalk_path)
+    columns = _category_columns(small_dataset.crosswalk_path)
     diagnoses = read_diagnoses(paths[TableKind.DIAGNOSES_ICD])
     signal = small_dataset.planted[0]
     target_item = str(signal.observation_type_index + 1)
@@ -159,7 +167,7 @@ def test_shifted_values_with_strong_signal(small_dataset):
     for row in iter_csv_rows(paths[TableKind.CHARTEVENTS]):
         if row["itemid"] != target_item or not row["valuenum"]:
             continue
-        cats = {xwalk.category_index(c)
+        cats = {columns.get(c)
                 for c in diagnoses.get(row["hadm_id"], [])}
         (pos_vals if signal.category_index in cats else neg_vals).append(
             float(row["valuenum"])
@@ -171,11 +179,11 @@ def test_shifted_values_with_strong_signal(small_dataset):
 
 def test_crosswalk_covers_all_emitted_codes(small_dataset):
     paths = {kind: path for kind, path, _ in small_dataset.tables}
-    xwalk = load_crosswalk(small_dataset.crosswalk_path)
+    columns = _category_columns(small_dataset.crosswalk_path)
     diagnoses = read_diagnoses(paths[TableKind.DIAGNOSES_ICD])
     for codes in diagnoses.values():
         for code in codes:
-            assert xwalk.category_index(code) is not None
+            assert columns.get(code) is not None
 
 
 @pytest.mark.parametrize(
