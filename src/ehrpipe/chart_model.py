@@ -1,19 +1,20 @@
-"""Multi-label classifiers over (types x 4 bins) admission tensors.
+"""Multi-label classifiers over (types x N_BINS) admission tensors.
 
 Three interchangeable variants differ only in the first layer, which learns
 patterns across the time dimension: a dense layer on the flattened tensor
-(fcnn), a per-type convolution spanning the 4 bins (cnn), or a simple tanh
-recurrence over the bins (rnn). All variants continue with dropout and two
-512-wide dense layers into a sigmoid head with one output per category.
+(fcnn), a per-type convolution spanning the N_BINS bins (cnn), or a simple
+tanh recurrence over the bins (rnn). All variants continue with dropout and
+two 512-wide dense layers into a sigmoid head with one output per category.
+train fits a model in place and returns its history; a checkpoint loads
+back as the model and the tensors' observation-type catalog.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -22,11 +23,11 @@ from .errors import (
     DegenerateLabels,
     EmptyPartition,
     InvalidConfig,
-    IoFailure,
     ShapeMismatch,
 )
 from .metrics import pr_auc
 from .nn import (
+    N_BINS,
     Adam,
     DenseLayer,
     DropoutLayer,
@@ -88,7 +89,7 @@ class ChartModel:
             return DropoutLayer(config.dropout, drop_rng)
 
         if config.variant == "fcnn":
-            first = [FlattenLayer(), DenseLayer(t * 4, h, init_rng),
+            first = [FlattenLayer(), DenseLayer(t * N_BINS, h, init_rng),
                      ReluLayer()]
             width = h
         elif config.variant == "cnn":
@@ -124,20 +125,12 @@ class ChartModel:
         return [g for layer in self.layers for g in layer.grads()]
 
 
-@dataclass
-class TrainedModel:
-    model: ChartModel
-    history: dict = field(default_factory=dict)
-    catalog: list[str] = field(default_factory=list)
-    stats_ref: str = ""  # where the normalization statistics live
-
-
 def _check_inputs(config: ChartModelConfig, tensors: np.ndarray):
     if tensors.ndim != 3 or tensors.shape[1] != config.n_types \
-            or tensors.shape[2] != 4:
+            or tensors.shape[2] != N_BINS:
         raise CatalogMismatch(
             f"tensors {tensors.shape} do not match "
-            f"({config.n_types} types x 4 bins)"
+            f"({config.n_types} types x {N_BINS} bins)"
         )
 
 
@@ -147,10 +140,9 @@ def train(
     labels: np.ndarray,
     admission_ids: list[str],
     assignment: dict[str, str],
-    catalog: Optional[list[str]] = None,
-    stats_ref: str = "",
-) -> TrainedModel:
-    """Run the configured number of epochs of minibatch Adam.
+) -> dict:
+    """Train model in place for the configured number of epochs of
+    minibatch Adam; returns its history.
 
     Minibatches are drawn from a fresh seeded shuffle each epoch. The log
     records the mean train loss per epoch and, when the validation split has
@@ -188,9 +180,7 @@ def train(
                 pass
         history["val_micro_aupr"].append(val_aupr)
 
-    return TrainedModel(model=model, history=history,
-                        catalog=list(catalog) if catalog else [],
-                        stats_ref=stats_ref)
+    return history
 
 
 def predict(model: ChartModel, tensors: np.ndarray,
@@ -211,41 +201,44 @@ def predict(model: ChartModel, tensors: np.ndarray,
 _CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, trained: TrainedModel) -> Path:
+def save_checkpoint(path, model: ChartModel, history: dict,
+                    catalog: list[str], stats_ref: str) -> Path:
+    """model's config, parameters and history, the tensors' catalog and
+    stats_ref, their normalization statistics' file name or ""."""
     meta = {
         "version": _CHECKPOINT_VERSION,
-        "config": asdict(trained.model.config),
-        "history": trained.history,
-        "catalog": trained.catalog,
-        "stats_ref": trained.stats_ref,
+        "config": asdict(model.config),
+        "history": history,
+        "catalog": catalog,
+        "stats_ref": stats_ref,
     }
-    arrays = {
-        f"param_{i}": p for i, p in enumerate(trained.model.params())
-    }
+    arrays = {f"param_{i}": p for i, p in enumerate(model.params())}
     return save_npz(path, {"meta": np.array(json.dumps(meta)), **arrays})
 
 
-def load_checkpoint(path) -> TrainedModel:
+def load_checkpoint(path) -> tuple[ChartModel, list[str]]:
+    """The model and the catalog a checkpoint stores; IoFailure naming path
+    when its config is invalid, its arrays do not fit the config's
+    parameters or one holds a NaN or Inf."""
     with reading(path):
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             arrays = [data[f"param_{i}"]
                       for i in range(len(data.files) - 1)]
         if meta["version"] != _CHECKPOINT_VERSION:
-            raise IoFailure(f"{path}: unsupported checkpoint version")
-        config = ChartModelConfig(**meta["config"])
-    model = ChartModel(config, initialize=False)
-    params = model.params()
-    if len(params) != len(arrays):
-        raise ShapeMismatch(
-            f"checkpoint has {len(arrays)} arrays, model needs {len(params)}"
-        )
-    for p, stored in zip(params, arrays):
-        if p.shape != stored.shape:
-            raise ShapeMismatch(
-                f"checkpoint array {stored.shape} vs parameter {p.shape}"
-            )
-        p[...] = stored
-    return TrainedModel(model=model, history=meta.get("history", {}),
-                        catalog=[str(x) for x in meta.get("catalog", [])],
-                        stats_ref=str(meta.get("stats_ref", "")))
+            raise ValueError("unsupported checkpoint version")
+        try:
+            model = ChartModel(ChartModelConfig(**meta["config"]),
+                               initialize=False)
+        except InvalidConfig as exc:
+            raise ValueError(f"config: {exc}") from exc
+        params = model.params()
+        if len(params) != len(arrays):
+            raise ValueError(f"{len(arrays)} arrays for {len(params)} params")
+        for i, (p, stored) in enumerate(zip(params, arrays)):
+            if p.shape != stored.shape:
+                raise ValueError(f"param_{i} {stored.shape} vs {p.shape}")
+            if not np.isfinite(stored).all():
+                raise ValueError(f"param_{i} holds NaN or Inf")
+            p[...] = stored
+        return model, [str(x) for x in meta.get("catalog", [])]

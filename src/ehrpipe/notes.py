@@ -7,7 +7,8 @@ the decoder that also reads the admission times. They are cleaned
 of three subsets per admission (discharge summaries only, or all other notes
 from the first 72h / 48h after admission), concatenated in time order
 (row_id breaks a tie) and split into whitespace-token chunks of at most
-max_len tokens including a leading classification marker.
+max_len tokens including a leading classification marker; every stage keeps
+an admission's chunks one after another, in text order.
 A pluggable chunk scorer maps chunks to per-category probabilities; the
 default is a signed-hash bag-of-words linear classifier trained with the
 shared BCE/Adam kernel (feature hashing as in Weinberger et al., ICML 2009).
@@ -85,7 +86,6 @@ class NoteEvent:
 @dataclass
 class ChunkTokenSequence:
     admission_id: str
-    chunk_index: int
     tokens: list[str]  # leading marker + at most max_len-1 content tokens
 
 
@@ -198,12 +198,9 @@ def chunk_text(
         return []
     content = max_len - 1
     return [
-        ChunkTokenSequence(
-            admission_id=str(admission_id),
-            chunk_index=i,
-            tokens=[MARKER] + tokens[start:start + content],
-        )
-        for i, start in enumerate(range(0, len(tokens), content))
+        ChunkTokenSequence(admission_id=str(admission_id),
+                           tokens=[MARKER] + tokens[start:start + content])
+        for start in range(0, len(tokens), content)
     ]
 
 
@@ -325,28 +322,26 @@ def score_chunks(
 ) -> list[ChunkScoreMatrix]:
     """Per-admission (chunks x categories) probabilities: sigmoid(Wf + b).
 
-    Output admission order is first appearance; rows follow chunk_index.
-    The chunks are hashed and scored a block at a time, each block's
-    gathered weights within _HASH_BLOCK_BYTES, so only the probabilities
-    grow with the number of chunks.
+    An admission's chunks must come one after another, as load_chunks and
+    chunk_text give them: each run of an admission's chunks, in the order
+    given, is one matrix, its rows in the chunks' order. The chunks are
+    hashed and scored a block at a time, each block's gathered weights
+    within _HASH_BLOCK_BYTES, so only the probabilities grow with the
+    number of chunks.
     """
-    grouped: dict[str, list[ChunkTokenSequence]] = {}
-    for chunk in chunks:
-        grouped.setdefault(chunk.admission_id, []).append(chunk)
-    ordered = [chunk for adm_chunks in grouped.values()
-               for chunk in sorted(adm_chunks, key=lambda ch: ch.chunk_index)]
     n_categories = params.weights.shape[0]
     table = np.vstack([params.weights.T, np.zeros(n_categories)])
-    probabilities = np.empty((len(ordered), n_categories))
+    probabilities = np.empty((len(chunks), n_categories))
     token_bytes = max(_HASH_TOKEN_BYTES, 8 * n_categories)
-    for block in _blocks(ordered, token_bytes):
+    for block in _blocks(chunks, token_bytes):
         probabilities[block] = sigmoid(_logits(
-            *_hash_block(ordered[block], params.feature_dim), table, params))
-    ends = np.cumsum([len(adm_chunks) for adm_chunks in grouped.values()])
-    return [
-        ChunkScoreMatrix(admission_id=adm, probabilities=rows)
-        for adm, rows in zip(grouped, np.split(probabilities, ends[:-1]))
-    ]
+            *_hash_block(chunks[block], params.feature_dim), table, params))
+    matrices, start = [], 0
+    for adm, run in groupby(chunks, key=attrgetter("admission_id")):
+        stop = start + sum(1 for _ in run)
+        matrices.append(ChunkScoreMatrix(adm, probabilities[start:stop]))
+        start = stop
+    return matrices
 
 
 def train_scorer(
@@ -507,10 +502,10 @@ def load_chunks(path) -> list[ChunkTokenSequence]:
         for members in iter_json_blocks(path, handle, "{", IoFailure):
             _check_chunk_block(path, members, seen)
             for adm, token_lists in members:
-                for i, tokens in enumerate(token_lists):
+                for tokens in token_lists:
                     tokens[:] = map(canonical.setdefault, tokens, tokens)
-                    chunks.append(ChunkTokenSequence(
-                        admission_id=adm, chunk_index=i, tokens=tokens))
+                    chunks.append(ChunkTokenSequence(admission_id=adm,
+                                                     tokens=tokens))
     return chunks
 
 
@@ -521,7 +516,7 @@ def save_scorer(path, params: LinearClassifierParams) -> Path:
 def load_scorer(path) -> LinearClassifierParams:
     """note_scorer.npz, checked to weigh sorted unique slots in
     [0, feature_dim), with feature_dim at most MAX_FEATURE_DIM, one weight
-    column per slot and one bias per weight row."""
+    column per slot and one bias per weight row, all finite."""
     with reading(path), np.load(path, allow_pickle=False) as data:
         slots, weights, bias, dim = (data[name] for name in (
             "slots", "weights", "bias", "feature_dim"))
@@ -541,6 +536,8 @@ def load_scorer(path) -> LinearClassifierParams:
             raise ValueError(f"weights {weights.shape} and bias {bias.shape}"
                              " are not a (C, slots) matrix and a (C,)"
                              " vector")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("weights or bias hold NaN or Inf")
         return LinearClassifierParams(slots=slots.astype(np.int64),
                                       weights=weights, bias=bias,
                                       feature_dim=int(dim))

@@ -94,10 +94,11 @@ def labels(diagnoses, crosswalk, out,
 
 def split(labels_path, out, spec: split_mod.SplitSpec) -> dict[str, int]:
     """Iterative stratified split to out; returns the partition sizes."""
-    result = split_mod.iterative_stratified_split(
+    assignment = split_mod.iterative_stratified_split(
         labels_mod.load_labels(labels_path), spec)
-    split_mod.save_split(out, result)
-    return result.sizes
+    split_mod.save_split(out, assignment)
+    tags = list(assignment.values())
+    return {tag: tags.count(tag) for tag in split_mod.PARTITIONS}
 
 
 def preprocess(
@@ -148,14 +149,14 @@ def train(
     stats = Path(tensors_path).parent / "chart_stats.json"
     config = replace(config, n_types=len(catalog),
                      n_categories=label_matrix.bits.shape[1])
-    trained = chart_model.train(
-        chart_model.ChartModel(config), tensors.values[kept],
-        label_matrix.bits[rows], [ids[i] for i in kept], assignment,
-        catalog=catalog, stats_ref=stats.name if stats.exists() else "",
-    )
-    written = chart_model.save_checkpoint(out, trained)
-    save_json(log_out, trained.history, indent=1)
-    return written, trained.history["train_loss"]
+    model = chart_model.ChartModel(config)
+    history = chart_model.train(model, tensors.values[kept],
+                                label_matrix.bits[rows],
+                                [ids[i] for i in kept], assignment)
+    written = chart_model.save_checkpoint(
+        out, model, history, catalog, stats.name if stats.exists() else "")
+    save_json(log_out, history, indent=1)
+    return written, history["train_loss"]
 
 
 def predict(model, tensors_path, out) -> tuple[Path, tuple[int, int]]:
@@ -165,12 +166,12 @@ def predict(model, tensors_path, out) -> tuple[Path, tuple[int, int]]:
     CatalogMismatch when the checkpoint records a catalog other than the
     tensors' one.
     """
-    trained = chart_model.load_checkpoint(model)
+    loaded, stored_catalog = chart_model.load_checkpoint(model)
     tensors, catalog = chart.load_tensors(tensors_path)
-    if trained.catalog and trained.catalog != catalog:
+    if stored_catalog and stored_catalog != catalog:
         raise CatalogMismatch(
             "the tensors' observation types differ from the checkpoint's")
-    probs = chart_model.predict(trained.model, tensors.values)
+    probs = chart_model.predict(loaded, tensors.values)
     return (_save_probs(out, tensors.admission_ids.tolist(), probs),
             probs.shape)
 

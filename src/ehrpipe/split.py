@@ -6,13 +6,14 @@ with the greatest remaining desired count for that label. Ties fall back to
 the greatest remaining overall capacity, then to a seeded random choice.
 Samples without any label are distributed last by remaining capacity.
 Desired sample and per-label counts use largest-remainder rounding so the
-totals are exact.
+totals are exact. A split is its assignment, {admission id: partition}: what
+split.json holds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +39,6 @@ class SplitSpec:
             raise InvalidSpec("ratios must sum to 1")
 
 
-@dataclass
-class SplitResult:
-    assignment: dict[str, str]  # admission_id -> partition tag
-    sizes: dict[str, int]
-    label_counts: dict[str, np.ndarray] = field(default_factory=dict)
-
-
 def _largest_remainder(total: int, ratios) -> list[int]:
     """Integer allocation of `total` by ratios, exact by construction."""
     raw = [total * r for r in ratios]
@@ -60,7 +54,8 @@ def _largest_remainder(total: int, ratios) -> list[int]:
 
 def iterative_stratified_split(
     labels: LabelMatrix, spec: SplitSpec
-) -> SplitResult:
+) -> dict[str, str]:
+    """{admission id: partition} for every admission of labels."""
     spec.validate()
     bits = labels.bits
     n, n_labels = bits.shape
@@ -116,25 +111,14 @@ def iterative_stratified_split(
     for sample in sorted(unassigned):
         _place(sample, _pick_partition(capacity))
 
-    assignment = {
+    return {
         adm: PARTITIONS[p]
         for adm, p in zip(labels.admission_ids.tolist(), assignment_index)
     }
-    sizes = {
-        tag: int((assignment_index == p).sum())
-        for p, tag in enumerate(PARTITIONS)
-    }
-    label_counts = {
-        tag: bits[assignment_index == p].sum(axis=0)
-        for p, tag in enumerate(PARTITIONS)
-    }
-    return SplitResult(
-        assignment=assignment, sizes=sizes, label_counts=label_counts
-    )
 
 
 def verify_distribution(
-    result: SplitResult,
+    assignment: dict[str, str],
     labels: LabelMatrix,
     tolerance: float,
     min_support: int = 1,
@@ -146,7 +130,7 @@ def verify_distribution(
     """
     bits = labels.bits
     n, n_labels = bits.shape
-    tags = [result.assignment[adm] for adm in labels.admission_ids.tolist()]
+    tags = [assignment[adm] for adm in labels.admission_ids.tolist()]
     members = {tag: [i for i, t in enumerate(tags) if t == tag]
                for tag in PARTITIONS}
     report: dict = {"tolerance": tolerance, "labels": {}, "flagged": []}
@@ -170,8 +154,8 @@ def verify_distribution(
     return report
 
 
-def save_split(path, result: SplitResult) -> Path:
-    return save_json(path, result.assignment, indent=0, sort_keys=True)
+def save_split(path, assignment: dict[str, str]) -> Path:
+    return save_json(path, assignment, indent=0, sort_keys=True)
 
 
 def load_split(path) -> dict[str, str]:

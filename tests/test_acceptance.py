@@ -51,7 +51,11 @@ import fhir_reference as reference
 from conftest import matrix_blocks, seconds_by_id, write_csv
 from test_metrics import concordance_oracle
 from test_nn import check_layer_gradients, numeric_grad, rel_error
-from test_split import make_structured_labels
+from test_split import (
+    make_structured_labels,
+    partition_positives,
+    partition_sizes,
+)
 
 
 def file_sha256(path) -> str:
@@ -87,10 +91,10 @@ def _prepared_dataset(tmp_path, config, split_seed):
     vectors, _ = labels_mod.encode_labels(
         {adm: diagnoses.get(adm, []) for adm in admission_ids}, xwalk
     )
-    result = split_mod.iterative_stratified_split(
+    assignment = split_mod.iterative_stratified_split(
         vectors, SplitSpec(seed=split_seed)
     )
-    return manifest, paths, xwalk, vectors, result
+    return manifest, paths, xwalk, vectors, assignment
 
 
 class TestA1FhirMapping:
@@ -282,12 +286,12 @@ class TestA5ChartModelLearnability:
                 positive_rate_target=0.043, signal_strength=3.0,
                 n_planted=3, events_min=30, events_max=60,
             )
-            _, paths, xwalk, vectors, result = _prepared_dataset(
+            _, paths, xwalk, vectors, assignment = _prepared_dataset(
                 tmp_path, config, split_seed=1
             )
             times = read_admission_times(paths[TableKind.ADMISSIONS])
             discharge = {adm: t[1] for adm, t in times.items()}
-            train_ids = {a for a, t in result.assignment.items()
+            train_ids = {a for a, t in assignment.items()
                          if t == "train"}
             tensors, catalog, _ = chart.preprocess_admissions(
                 chart.read_chart_events(paths[TableKind.CHARTEVENTS]),
@@ -298,7 +302,7 @@ class TestA5ChartModelLearnability:
             x = tensors.values
             y = np.stack([bits[a] for a in ids])
             test_rows = [i for i, a in enumerate(ids)
-                         if result.assignment.get(a) == "test"]
+                         if assignment.get(a) == "test"]
             baseline = float(y[test_rows].mean())
             assert baseline > 0
 
@@ -311,13 +315,11 @@ class TestA5ChartModelLearnability:
                     epochs=3, batch_size=32, lr=5e-3, dropout=0.2,
                     conv_filters=8, rnn_hidden=64, seed=5,
                 )
-                trained = chart_model.train(
-                    chart_model.ChartModel(model_config), x, y, ids,
-                    result.assignment,
-                )
-                losses = trained.history["train_loss"]
+                model = chart_model.ChartModel(model_config)
+                history = chart_model.train(model, x, y, ids, assignment)
+                losses = history["train_loss"]
                 assert losses[-1] < losses[0], f"{variant}: loss not falling"
-                probs = chart_model.predict(trained.model, x[test_rows])
+                probs = chart_model.predict(model, x[test_rows])
                 aupr = metrics.pr_auc(probs.ravel(), y[test_rows].ravel())
                 assert aupr >= 2.0 * baseline, (
                     f"{variant}: AU-PR {aupr:.4f} < 2x baseline {baseline:.4f}"
@@ -336,7 +338,7 @@ class TestA6NotePipelineLearnability:
                 n_planted=3, events_min=5, events_max=10,
                 notes_min=2, notes_max=4, vocabulary_size=150,
             )
-            manifest, paths, xwalk, vectors, result = _prepared_dataset(
+            manifest, paths, xwalk, vectors, assignment = _prepared_dataset(
                 tmp_path, config, split_seed=3
             )
             times = read_admission_times(paths[TableKind.ADMISSIONS])
@@ -350,7 +352,7 @@ class TestA6NotePipelineLearnability:
             bits = dict(zip(vectors.admission_ids.tolist(), vectors.bits))
             train_chunks = [
                 c for c in chunks
-                if result.assignment.get(c.admission_id) == "train"
+                if assignment.get(c.admission_id) == "train"
             ]
             params, _ = notes_mod.train_scorer(
                 train_chunks, bits,
@@ -362,7 +364,7 @@ class TestA6NotePipelineLearnability:
                 for m in notes_mod.score_chunks(chunks, params)
             }
             test_adm = sorted(
-                a for a, t in result.assignment.items()
+                a for a, t in assignment.items()
                 if t == "test" and a in subset
             )
             chunk_scores, chunk_truths = [], []
@@ -514,19 +516,19 @@ class TestA9StratifiedSplit:
                     np.array([f"a{i}" for i in range(1000)]), bits,
                     np.arange(20),
                 )
-                result = split_mod.iterative_stratified_split(
+                assignment = split_mod.iterative_stratified_split(
                     vectors, SplitSpec(seed=seed)
                 )
                 again = split_mod.iterative_stratified_split(
                     vectors, SplitSpec(seed=seed)
                 )
-                assert result.assignment == again.assignment  # deterministic
-                assert set(result.assignment) == set(
+                assert assignment == again  # deterministic
+                assert set(assignment) == set(
                     vectors.admission_ids.tolist()
                 )
-                assert sum(result.sizes.values()) == 1000
+                assert sum(partition_sizes(assignment)) == 1000
                 report = split_mod.verify_distribution(
-                    result, vectors, tolerance=0.02, min_support=50
+                    assignment, vectors, tolerance=0.02, min_support=50
                 )
                 flagged = [
                     lab for lab in report["flagged"]
@@ -544,7 +546,7 @@ class TestA9StratifiedSplit:
                     np.array([[i < n_pos] for i in range(n)]),
                     np.arange(1),
                 )
-                result = split_mod.iterative_stratified_split(
+                assignment = split_mod.iterative_stratified_split(
                     vectors, SplitSpec(seed=seed)
                 )
 
@@ -559,11 +561,9 @@ class TestA9StratifiedSplit:
                         counts[i] += 1
                     return counts
 
-                got_pos = [int(result.label_counts[t][0])
-                           for t in split_mod.PARTITIONS]
-                got_sizes = [result.sizes[t] for t in split_mod.PARTITIONS]
-                assert got_pos == oracle(n_pos)
-                assert got_sizes == oracle(n)
+                assert partition_positives(assignment, vectors) == \
+                    oracle(n_pos)
+                assert partition_sizes(assignment) == oracle(n)
 
 
 class TestA10Attention:

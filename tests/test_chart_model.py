@@ -1,5 +1,7 @@
 """Model assembly, training determinism and checkpoint roundtrips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from ehrpipe.chart_model import (
     predict,
     save_checkpoint,
     train,
-    TrainedModel,
     VARIANTS,
 )
 from ehrpipe.errors import (
@@ -116,28 +117,28 @@ class TestTrain:
         tensors, labels, ids, assignment = _dataset()
         config = _small_config("fcnn", epochs=0)
         reference = [p.copy() for p in ChartModel(config).params()]
-        trained = train(ChartModel(config), tensors, labels, ids, assignment)
-        for p, q in zip(trained.model.params(), reference):
+        model = ChartModel(config)
+        train(model, tensors, labels, ids, assignment)
+        for p, q in zip(model.params(), reference):
             np.testing.assert_array_equal(p, q)
 
     def test_training_is_deterministic(self):
         tensors, labels, ids, assignment = _dataset()
         histories, params = [], []
         for _ in range(2):
-            trained = train(ChartModel(_small_config("cnn")), tensors, labels,
-                            ids, assignment)
-            histories.append(trained.history)
-            params.append([p.copy() for p in trained.model.params()])
+            model = ChartModel(_small_config("cnn"))
+            histories.append(train(model, tensors, labels, ids, assignment))
+            params.append([p.copy() for p in model.params()])
         assert histories[0] == histories[1]
         for a, b in zip(*params):
             np.testing.assert_array_equal(a, b)
 
     def test_history_records_every_epoch(self):
         tensors, labels, ids, assignment = _dataset()
-        trained = train(ChartModel(_small_config("rnn", epochs=3)), tensors,
+        history = train(ChartModel(_small_config("rnn", epochs=3)), tensors,
                         labels, ids, assignment)
-        assert len(trained.history["train_loss"]) == 3
-        assert len(trained.history["val_micro_aupr"]) == 3
+        assert len(history["train_loss"]) == 3
+        assert len(history["val_micro_aupr"]) == 3
 
     def test_empty_partition(self):
         tensors, labels, ids, _ = _dataset()
@@ -149,41 +150,43 @@ class TestTrain:
 class TestCheckpoint:
     def test_roundtrip_is_bit_identical(self, tmp_path):
         tensors, labels, ids, assignment = _dataset()
-        trained = train(ChartModel(_small_config("cnn")), tensors, labels, ids,
-                        assignment, catalog=[str(i) for i in range(6)],
-                        stats_ref="chart_stats.json")
+        model = ChartModel(_small_config("cnn"))
+        history = train(model, tensors, labels, ids, assignment)
+        catalog = [str(i) for i in range(6)]
         path = tmp_path / "model.npz"
-        save_checkpoint(path, trained)
-        loaded = load_checkpoint(path)
-        assert loaded.model.config == trained.model.config
-        assert loaded.history == trained.history
-        assert loaded.catalog == trained.catalog
-        assert loaded.stats_ref == "chart_stats.json"
-        before = predict(trained.model, tensors)
-        after = predict(loaded.model, tensors)
+        save_checkpoint(path, model, history, catalog, "chart_stats.json")
+        loaded, loaded_catalog = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert loaded_catalog == catalog
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta["history"] == history
+        assert meta["stats_ref"] == "chart_stats.json"
+        before = predict(model, tensors)
+        after = predict(loaded, tensors)
         np.testing.assert_array_equal(before, after)
 
     def test_untrained_roundtrip(self, tmp_path):
         model = ChartModel(_small_config("rnn"))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, TrainedModel(model=model))
-        loaded = load_checkpoint(path)
+        save_checkpoint(path, model, {}, [], "")
+        loaded, _ = load_checkpoint(path)
         x = np.random.default_rng(3).standard_normal((2, 6, 4))
         np.testing.assert_array_equal(predict(model, x),
-                                      predict(loaded.model, x))
+                                      predict(loaded, x))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_load_takes_the_parameters_without_a_glorot_draw(
             self, tmp_path, monkeypatch, variant):
         model = ChartModel(_small_config(variant))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, TrainedModel(model=model))
+        save_checkpoint(path, model, {}, [], "")
 
         def no_draw(*args):
             raise AssertionError("glorot_uniform called during a load")
 
         monkeypatch.setattr(nn, "glorot_uniform", no_draw)
-        loaded = load_checkpoint(path)
-        for stored, param in zip(model.params(), loaded.model.params(),
+        loaded, _ = load_checkpoint(path)
+        for stored, param in zip(model.params(), loaded.params(),
                                  strict=True):
             np.testing.assert_array_equal(stored, param)

@@ -71,7 +71,7 @@ def test_bad_config_exits_3(tmp_path):
 def test_numeric_fault_exits_5(tmp_path):
     from ehrpipe.chart import ChartTensors, save_tensors
     from ehrpipe.labels import LabelMatrix, save_labels
-    from ehrpipe.split import save_split, SplitResult
+    from ehrpipe.split import save_split
 
     ids = np.array([f"a{i}" for i in range(4)])
     tensors = ChartTensors(ids, np.full((4, 2, 4), np.inf),
@@ -80,9 +80,8 @@ def test_numeric_fault_exits_5(tmp_path):
     vectors = LabelMatrix(ids, np.array([[i % 2 == 0] for i in range(4)]),
                           np.array([1]))
     save_labels(tmp_path / "labels.npz", vectors)
-    assignment = {f"a{i}": "train" for i in range(4)}
     save_split(tmp_path / "split.json",
-               SplitResult(assignment=assignment, sizes={"train": 4}))
+               {f"a{i}": "train" for i in range(4)})
     code = main([
         "train", "--tensors", str(tmp_path / "tensors.npz"),
         "--labels", str(tmp_path / "labels.npz"),
@@ -279,8 +278,8 @@ def test_cut_or_broken_streamed_chunk_file_exits_4(tmp_path, monkeypatch,
 
     whole = tmp_path / "whole.json"
     notes.save_chunks(whole, [
-        notes.ChunkTokenSequence(str(adm), i, ["[CLS]", f"t{adm}", "x"])
-        for adm in range(20) for i in range(2)])
+        notes.ChunkTokenSequence(str(adm), ["[CLS]", f"t{adm}", "x"])
+        for adm in range(20) for _ in range(2)])
     text = whole.read_text(encoding="utf-8")
     assert _score_chunk_file(tmp_path, text) == 0
     monkeypatch.setattr(tables, "_JSON_BLOCK_CHARS", block)
@@ -453,6 +452,13 @@ def test_unreadable_artifact_exits_4(chain, cli_dataset, tmp_path, capsys,
     assert str(bad) in capsys.readouterr().err
 
 
+def _stored_config(meta: np.ndarray, **changes) -> np.ndarray:
+    """A checkpoint's meta array with changes made to its stored config."""
+    fields = json.loads(str(meta))
+    fields["config"].update(changes)
+    return np.array(json.dumps(fields))
+
+
 # Ways to spoil one array of a valid .npz artifact.
 ARRAY_SPOILERS = {
     "fewer-rows": lambda a: a[:-1],
@@ -466,6 +472,10 @@ ARRAY_SPOILERS = {
     "first-zero-sum-kept": lambda a: np.concatenate([[0, a[0] + a[1]],
                                                      a[2:]]),
     "dropped": lambda a: None,
+    "first-nan": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0,
+                                    np.nan, a),
+    "variant-xyz": lambda a: _stored_config(a, variant="xyz"),
+    "hidden-size-0": lambda a: _stored_config(a, hidden_size=0),
 }
 
 
@@ -483,6 +493,11 @@ MALFORMED_ARRAYS = [
     ("train", "--tensors", "tensors.npz", "mask", "more-rows"),
     ("train", "--tensors", "tensors.npz", "mask", "one-column-less"),
     ("predict", "--tensors", "tensors.npz", "values", "more-rows"),
+    ("predict", "--model", "model.npz", "param_0", "first-nan"),
+    ("predict", "--model", "model.npz", "param_0", "one-column-less"),
+    ("predict", "--model", "model.npz", "param_7", "dropped"),
+    ("predict", "--model", "model.npz", "meta", "variant-xyz"),
+    ("predict", "--model", "model.npz", "meta", "hidden-size-0"),
     ("score-notes", "--params", "scorer.npz", "bias", "fewer-rows"),
     ("score-notes", "--params", "scorer.npz", "weights", "first-row-only"),
     ("score-notes", "--params", "scorer.npz", "slots", "reversed"),
@@ -491,6 +506,8 @@ MALFORMED_ARRAYS = [
     ("score-notes", "--params", "scorer.npz", "slots", "first-negative"),
     ("score-notes", "--params", "scorer.npz", "weights", "one-column-less"),
     ("score-notes", "--params", "scorer.npz", "slots", "dropped"),
+    ("score-notes", "--params", "scorer.npz", "weights", "first-nan"),
+    ("score-notes", "--params", "scorer.npz", "bias", "first-nan"),
     ("aggregate", "--scores", "scores.npz", "chunk_counts", "fewer-rows"),
     ("aggregate", "--scores", "scores.npz", "chunk_counts", "more-rows"),
     ("aggregate", "--scores", "scores.npz", "probabilities", "fewer-rows"),

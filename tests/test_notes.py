@@ -3,6 +3,8 @@
 import json
 import tracemalloc
 from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -129,7 +131,7 @@ class TestChunking:
         text = " ".join(f"t{i}" for i in range(1030))
         chunks = chunk_text("A", text, max_len=512)
         assert [len(c.tokens) for c in chunks] == [512, 512, 9]
-        assert [c.chunk_index for c in chunks] == [0, 1, 2]
+        assert [c.tokens[1] for c in chunks] == ["t0", "t511", "t1022"]
 
     def test_short_text_single_chunk(self):
         chunks = chunk_text("A", "a b c d e", max_len=512)
@@ -170,8 +172,8 @@ class TestScoring:
 
     def test_duplicate_chunks_duplicate_rows(self):
         chunks = [
-            ChunkTokenSequence("A", 0, ["[CLS]", "x", "y"]),
-            ChunkTokenSequence("A", 1, ["[CLS]", "x", "y"]),
+            ChunkTokenSequence("A", ["[CLS]", "x", "y"]),
+            ChunkTokenSequence("A", ["[CLS]", "x", "y"]),
         ]
         rng = np.random.default_rng(0)
         params = _dense_params(rng.standard_normal((2, 64)),
@@ -263,10 +265,10 @@ def _sparse_case_chunks(dim: int) -> list[ChunkTokenSequence]:
     for i in range(24):
         words = list(rng.choice(vocab, size=int(rng.integers(1, 40))))
         chunks.extend(chunk_text(f"adm{i % 9}", " ".join(words), max_len=16))
-    chunks.append(ChunkTokenSequence("cancel", 0, [plus, minus, "w1"]))
-    chunks.append(ChunkTokenSequence("cancel", 1, [plus, minus]))
-    chunks.append(ChunkTokenSequence("marker", 0, ["[CLS]"]))
-    chunks.append(ChunkTokenSequence("blank", 0, []))
+    chunks.append(ChunkTokenSequence("cancel", [plus, minus, "w1"]))
+    chunks.append(ChunkTokenSequence("cancel", [plus, minus]))
+    chunks.append(ChunkTokenSequence("marker", ["[CLS]"]))
+    chunks.append(ChunkTokenSequence("blank", []))
     return chunks
 
 
@@ -330,12 +332,10 @@ class TestSparseFeatures:
         full = np.zeros((5, dim))
         full[:, slots] = params.weights
         matrices = score_chunks(chunks, params)
-        assert [m.admission_id for m in matrices] == list(
-            dict.fromkeys(ch.admission_id for ch in chunks))
-        for matrix in matrices:
-            own = sorted((ch for ch in chunks
-                          if ch.admission_id == matrix.admission_id),
-                         key=lambda ch: ch.chunk_index)
+        runs = [(adm, list(run)) for adm, run in groupby(
+            chunks, key=attrgetter("admission_id"))]
+        assert [m.admission_id for m in matrices] == [adm for adm, _ in runs]
+        for matrix, (_, own) in zip(matrices, runs, strict=True):
             dense = np.stack([hash_features(ch.tokens, dim) for ch in own])
             expected = sigmoid(dense @ full.T + params.bias)
             np.testing.assert_allclose(matrix.probabilities, expected,
@@ -380,7 +380,7 @@ class TestSparseFeatures:
         than a block holds included."""
         chunks = _sparse_case_chunks(dim)
         chunks.insert(5, ChunkTokenSequence(
-            "long", 0, [f"w{i % 70}" for i in range(300)]))
+            "long", [f"w{i % 70}" for i in range(300)]))
         labels = {ch.admission_id: np.arange(3) % 2 == 0 for ch in chunks}
         config = ScorerConfig(feature_dim=dim, epochs=2, batch_size=4,
                               seed=7)
@@ -417,7 +417,7 @@ class TestSparseFeatures:
         rng = np.random.default_rng(5)
         dim = 2 ** 15
         vocab = [f"w{i}" for i in range(3000)]
-        chunks = [ChunkTokenSequence(f"adm{i // 3}", i % 3, ["[CLS]", *(
+        chunks = [ChunkTokenSequence(f"adm{i // 3}", ["[CLS]", *(
             vocab[k] for k in rng.integers(len(vocab), size=127))])
                   for i in range(470)]
         slots = np.unique([_token_slot(w, dim)[0] for w in vocab[:125]])
@@ -447,7 +447,7 @@ class TestSparseFeatures:
             feature_dim=dim, epochs=1, seed=7))
         unseen = next(f"u{i}" for i in range(1_000_000)
                       if _token_slot(f"u{i}", dim)[0] not in params.slots)
-        matrix = score_chunks([ChunkTokenSequence("new", 0, [unseen])],
+        matrix = score_chunks([ChunkTokenSequence("new", [unseen])],
                               params)[0]
         assert not np.all(params.bias == 0)
         np.testing.assert_array_equal(matrix.probabilities[0],
@@ -505,8 +505,8 @@ class TestAggregation:
             aggregate(self._matrix([[0.5]]), 0.0)
 
 
-def _triples(chunks):
-    return [(c.admission_id, c.chunk_index, c.tokens) for c in chunks]
+def _pairs(chunks):
+    return [(c.admission_id, c.tokens) for c in chunks]
 
 
 # Quotes, backslashes, a newline and non-ASCII text, which json.dumps
@@ -522,8 +522,7 @@ class TestPersistence:
         path = tmp_path / "chunks.json"
         save_chunks(path, chunks)
         loaded = load_chunks(path)
-        assert [(c.admission_id, c.chunk_index, c.tokens) for c in loaded] \
-            == [(c.admission_id, c.chunk_index, c.tokens) for c in chunks]
+        assert _pairs(loaded) == _pairs(chunks)
 
     def test_one_line_layout_loads_the_same_chunks(self, tmp_path):
         chunks = chunk_text("A", "a b c d e f", max_len=4) + \
@@ -532,8 +531,8 @@ class TestPersistence:
         save_chunks(streamed, chunks)
         one_line.write_text(json.dumps(json.loads(streamed.read_text())))
         assert "\n" not in one_line.read_text()
-        assert _triples(load_chunks(one_line)) == _triples(
-            load_chunks(streamed)) == _triples(chunks)
+        assert _pairs(load_chunks(one_line)) == _pairs(
+            load_chunks(streamed)) == _pairs(chunks)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(payload=st.dictionaries(
@@ -545,9 +544,9 @@ class TestPersistence:
         block=st.sampled_from([1, 7, 64, 1 << 18]))
     def test_streamed_file_is_json_dumps_and_round_trips(
             self, tmp_path_factory, payload, block):
-        chunks = [ChunkTokenSequence(adm, i, list(tokens))
+        chunks = [ChunkTokenSequence(adm, list(tokens))
                   for adm, token_lists in payload.items()
-                  for i, tokens in enumerate(token_lists)]
+                  for tokens in token_lists]
         path = tmp_path_factory.mktemp("chunks") / "chunks.json"
         assert save_chunks(path, chunks) == len(chunks)
         text = path.read_text(encoding="utf-8")
@@ -558,7 +557,7 @@ class TestPersistence:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tables, "_JSON_BLOCK_CHARS", block)
             loaded = load_chunks(path)
-        assert _triples(loaded) == _triples(chunks)
+        assert _pairs(loaded) == _pairs(chunks)
         # equal tokens are one str object
         tokens = [token for chunk in loaded for token in chunk.tokens]
         assert len(set(map(id, tokens))) == len(set(tokens))

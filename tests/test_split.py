@@ -32,6 +32,19 @@ def _largest_remainder_oracle(total, ratios):
     return counts
 
 
+def partition_sizes(assignment):
+    """Admissions per partition, in PARTITIONS order."""
+    tags = list(assignment.values())
+    return [tags.count(t) for t in PARTITIONS]
+
+
+def partition_positives(assignment, vectors, label=0):
+    """Positives of one label per partition, in PARTITIONS order."""
+    tags = np.array([assignment[adm]
+                     for adm in vectors.admission_ids.tolist()])
+    return [int(vectors.bits[tags == t, label].sum()) for t in PARTITIONS]
+
+
 def make_structured_labels(rng, n, n_labels, second_rate=0.3):
     """Multi-label matrix with a weighted primary label per sample and a
     uniformly chosen second label on a fraction of samples."""
@@ -69,19 +82,18 @@ class TestSmallExamples:
         # 10 positives over 20 samples at 0.8/0.1/0.1: the oracle demands
         # sizes 16/2/2 and positives 8/1/1 regardless of tie-break seed.
         bits = [[1]] * 10 + [[0]] * 10
-        result = iterative_stratified_split(_vectors(bits), SplitSpec(seed=0))
-        assert [result.sizes[t] for t in PARTITIONS] == \
+        assignment = iterative_stratified_split(_vectors(bits),
+                                                SplitSpec(seed=0))
+        assert partition_sizes(assignment) == \
             _largest_remainder_oracle(20, (0.8, 0.1, 0.1))
-        positives = {
-            tag: int(result.label_counts[tag][0]) for tag in PARTITIONS
-        }
-        assert [positives[t] for t in PARTITIONS] == \
+        assert partition_positives(assignment, _vectors(bits)) == \
             _largest_remainder_oracle(10, (0.8, 0.1, 0.1))
 
     def test_identical_label_sets_split_by_ratio(self):
         bits = [[1, 1]] * 30
-        result = iterative_stratified_split(_vectors(bits), SplitSpec(seed=1))
-        assert [result.sizes[t] for t in PARTITIONS] == [24, 3, 3]
+        assignment = iterative_stratified_split(_vectors(bits),
+                                                SplitSpec(seed=1))
+        assert partition_sizes(assignment) == [24, 3, 3]
         report = verify_distribution(
             iterative_stratified_split(_vectors(bits), SplitSpec(seed=1)),
             _vectors(bits), tolerance=1e-9,
@@ -90,16 +102,17 @@ class TestSmallExamples:
 
     def test_single_sample_label_goes_to_train(self):
         bits = [[1, 0]] + [[0, 1]] * 9
-        result = iterative_stratified_split(_vectors(bits), SplitSpec(seed=2))
-        assert result.assignment["a0"] == "train"
+        assignment = iterative_stratified_split(_vectors(bits),
+                                                SplitSpec(seed=2))
+        assert assignment["a0"] == "train"
 
     def test_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(3)
         bits = rng.random((50, 4)) < 0.3
         vectors = _vectors(bits)
-        result = iterative_stratified_split(vectors, SplitSpec(seed=3))
-        assert set(result.assignment) == set(vectors.admission_ids.tolist())
-        assert sum(result.sizes.values()) == 50
+        assignment = iterative_stratified_split(vectors, SplitSpec(seed=3))
+        assert set(assignment) == set(vectors.admission_ids.tolist())
+        assert sum(partition_sizes(assignment)) == 50
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
@@ -107,7 +120,7 @@ class TestSmallExamples:
         vectors = _vectors(bits)
         first = iterative_stratified_split(vectors, SplitSpec(seed=9))
         second = iterative_stratified_split(vectors, SplitSpec(seed=9))
-        assert first.assignment == second.assignment
+        assert first == second
 
     def test_single_label_matches_proportional_oracle(self):
         rng = np.random.default_rng(5)
@@ -115,13 +128,13 @@ class TestSmallExamples:
             n = int(rng.integers(20, 80))
             n_pos = int(rng.integers(3, n - 3))
             bits = [[1]] * n_pos + [[0]] * (n - n_pos)
-            result = iterative_stratified_split(
+            assignment = iterative_stratified_split(
                 _vectors(bits), SplitSpec(seed=trial)
             )
             expected_pos = _largest_remainder_oracle(n_pos, (0.8, 0.1, 0.1))
-            got_pos = [int(result.label_counts[t][0]) for t in PARTITIONS]
-            assert got_pos == expected_pos
-            assert [result.sizes[t] for t in PARTITIONS] == \
+            assert partition_positives(assignment, _vectors(bits)) == \
+                expected_pos
+            assert partition_sizes(assignment) == \
                 _largest_remainder_oracle(n, (0.8, 0.1, 0.1))
 
 
@@ -129,8 +142,8 @@ class TestVerifyDistribution:
     def test_perfect_split_zero_deviation(self):
         bits = [[1]] * 10 + [[0]] * 10
         vectors = _vectors(bits)
-        result = iterative_stratified_split(vectors, SplitSpec(seed=0))
-        report = verify_distribution(result, vectors, tolerance=1e-6)
+        assignment = iterative_stratified_split(vectors, SplitSpec(seed=0))
+        report = verify_distribution(assignment, vectors, tolerance=1e-6)
         assert report["labels"][0]["max_deviation"] < 1e-9
 
     def test_pathological_split_flagged(self):
@@ -140,12 +153,7 @@ class TestVerifyDistribution:
         assignment = {f"a{i}": "train" for i in range(4)}
         for i in range(4, 20):
             assignment[f"a{i}"] = ("train", "val", "test")[i % 3]
-        from ehrpipe.split import SplitResult
-
-        sizes = {t: sum(1 for v in assignment.values() if v == t)
-                 for t in PARTITIONS}
-        result = SplitResult(assignment=assignment, sizes=sizes)
-        report = verify_distribution(result, vectors, tolerance=0.05)
+        report = verify_distribution(assignment, vectors, tolerance=0.05)
         assert 0 in report["flagged"]
         # val/test have zero positives: their deviation is the global rate
         entry = report["labels"][0]
@@ -160,8 +168,8 @@ class TestVerifyDistribution:
         # label, the co-occurrence structure the greedy handles well
         bits = make_structured_labels(np.random.default_rng(6), 1000, 20)
         vectors = _vectors(bits)
-        result = iterative_stratified_split(vectors, SplitSpec(seed=7))
-        report = verify_distribution(result, vectors, tolerance=0.02,
+        assignment = iterative_stratified_split(vectors, SplitSpec(seed=7))
+        report = verify_distribution(assignment, vectors, tolerance=0.02,
                                      min_support=50)
         flagged_supported = [
             lab for lab in report["flagged"]
@@ -173,7 +181,7 @@ class TestVerifyDistribution:
 def test_split_persistence_roundtrip(tmp_path):
     bits = [[1]] * 5 + [[0]] * 15
     vectors = _vectors(bits)
-    result = iterative_stratified_split(vectors, SplitSpec(seed=0))
+    assignment = iterative_stratified_split(vectors, SplitSpec(seed=0))
     path = tmp_path / "split.json"
-    save_split(path, result)
-    assert load_split(path) == result.assignment
+    save_split(path, assignment)
+    assert load_split(path) == assignment
