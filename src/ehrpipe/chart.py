@@ -12,13 +12,15 @@ holds N admissions' matrices stacked, as the arrays tensors.npz stores;
 preprocess_admissions normalizes the binned values in those arrays in
 place.
 
-The readers stream events as EventBlocks: a block of input rows at a time,
-held as numpy columns of admission index, type index, value and charttime.
-Both readers decode charttime with tables.time_seconds, the decoder that
-also reads the admission times, so charttimes and discharge times are
-int64 seconds since 1970-01-01. bin_events reduces those blocks with
-numpy. It keeps 16 bytes per event that can reach a cell, so memory grows
-with the events, slowly, and not with the size of the input text.
+The readers stream events a block of input rows at a time, as the columns
+(hadm_id cells, itemid cells, value, charttime): the id cells as the input
+holds them, value and charttime as numpy arrays. Both readers decode
+charttime with tables.time_seconds, the decoder that also reads the
+admission times, so charttimes and discharge times are int64 seconds since
+1970-01-01. bin_events turns each block's ids into indices as the block
+arrives and reduces the blocks with numpy. It keeps 16 bytes per event that
+can reach a cell, so memory grows with the events, slowly, and not with the
+size of the input text.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import fhir_etl
 from .errors import EmptyType, IoFailure, SchemaMismatch
+from .nn import N_BINS
 from .tables import (
     NO_TIME,
     TableKind,
@@ -47,7 +50,6 @@ from .tables import (
     time_seconds,
 )
 
-N_BINS = 4
 _BIN_EDGE_SECONDS = (86400, 57600, 28800)  # 24, 16 and 8 h before discharge
 
 #: Fraction of a type's values that must parse as numbers for the type to
@@ -62,23 +64,6 @@ _COLLECTION_ATTRIBUTES = frozenset(map(_COLLECTION_NAME, _CHART_COLUMNS))
 
 
 @dataclass
-class EventBlock:
-    """Chart events of a block of input rows, as columns.
-
-    admission and type index into admission_ids and type_ids, which map
-    each id text to its index in order of first appearance. The blocks of
-    one reader share those two dicts, and later blocks only add to them.
-    """
-
-    admission: np.ndarray  # int32 (n,)
-    type: np.ndarray  # int32 (n,)
-    value: np.ndarray  # float64 (n,): NaN where no finite number parses
-    charttime: np.ndarray  # int64 (n,): whole seconds since 1970-01-01
-    admission_ids: dict[str, int]
-    type_ids: dict[str, int]
-
-
-@dataclass
 class ChartTensors:
     admission_ids: np.ndarray  # str (N,)
     values: np.ndarray  # float64 (N, n_types, 4)
@@ -86,14 +71,6 @@ class ChartTensors:
 
     def __len__(self) -> int:
         return len(self.admission_ids)
-
-
-@dataclass
-class NormalizationStats:
-    type_ids: list[str]
-    mean: np.ndarray  # float64 (n_types,)
-    stddev: np.ndarray  # float64 (n_types,)
-    count: np.ndarray  # int64 (n_types,)
 
 
 def _text(cell) -> str:
@@ -130,16 +107,16 @@ def _codes(cells, index: dict[str, int]) -> np.ndarray:
     return np.fromiter(codes, dtype=np.int32, count=len(cells))
 
 
-def _event_blocks(column_blocks: Iterable[list]) -> Iterator[EventBlock]:
-    """EventBlocks out of blocks of the columns hadm_id, itemid, charttime,
-    valuenum and value, each a sequence of cells.
+def _event_blocks(column_blocks: Iterable[list]) -> Iterator[tuple]:
+    """(hadm_id cells, itemid cells, value, charttime) out of blocks of the
+    columns hadm_id, itemid, charttime, valuenum and value, each a sequence
+    of cells. value is float64, NaN where no finite number parses, and
+    charttime int64 whole seconds since 1970-01-01.
 
     valuenum is preferred when it is neither null nor blank; otherwise the
     raw value is judged. Rows without a parseable charttime are dropped.
     Values are canonicalized with + 0.0, so -0.0 counts as 0.0.
     """
-    admission_ids: dict[str, int] = {}
-    type_ids: dict[str, int] = {}
     for hadm_id, itemid, charttime, valuenum, value in column_blocks:
         if not charttime:
             continue
@@ -153,19 +130,18 @@ def _event_blocks(column_blocks: Iterable[list]) -> Iterator[EventBlock]:
         number = np.fromiter(map(_number, valuenum, value),
                              dtype=np.float64, count=len(seconds))
         number[~np.isfinite(number)] = np.nan
-        yield EventBlock(_codes(hadm_id, admission_ids),
-                         _codes(itemid, type_ids), number + 0.0, seconds,
-                         admission_ids, type_ids)
+        yield hadm_id, itemid, number + 0.0, seconds
 
 
-def read_chart_events(path) -> Iterator[EventBlock]:
-    """EventBlocks out of a chartevents CSV (plain or gzip), streamed."""
+def read_chart_events(path) -> Iterator[tuple]:
+    """Event blocks (_event_blocks) out of a chartevents CSV (plain or
+    gzip), streamed."""
     yield from _event_blocks(iter_csv_columns(path, _CHART_COLUMNS))
 
 
-def read_chart_events_from_collection(path) -> Iterator[EventBlock]:
-    """EventBlocks out of a chartevents collection file, streamed a block of
-    records at a time (fhir_etl.iter_collection_blocks).
+def read_chart_events_from_collection(path) -> Iterator[tuple]:
+    """Event blocks (_event_blocks) out of a chartevents collection file,
+    streamed a block of records at a time (fhir_etl.iter_collection_blocks).
 
     Every record must carry the attributes the events are built from, null
     or not; any other kind of collection raises SchemaMismatch.
@@ -204,14 +180,8 @@ def load_tensors(path) -> tuple[ChartTensors, list[str]]:
     return ChartTensors(**arrays), catalog
 
 
-def save_stats(path, stats: NormalizationStats) -> Path:
-    payload = {
-        "type_ids": stats.type_ids,
-        "mean": [float(x) for x in stats.mean],
-        "stddev": [float(x) for x in stats.stddev],
-        "count": [int(x) for x in stats.count],
-    }
-    return save_json(path, payload, indent=1)
+def save_stats(path, stats: dict) -> Path:
+    return save_json(path, stats, indent=1)
 
 
 def _fill_cells(cell: np.ndarray, value: np.ndarray, values: np.ndarray,
@@ -248,11 +218,11 @@ def _fill_cells(cell: np.ndarray, value: np.ndarray, values: np.ndarray,
 
 
 def bin_events(
-    blocks: Iterable[EventBlock],
+    blocks: Iterable[tuple],
     discharge_times: dict[str, int],
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
 ) -> tuple[ChartTensors, list[str]]:
-    """Raw (types x 4) mean matrices of one reader's EventBlocks, per
+    """Raw (types x 4) mean matrices of one reader's event blocks, per
     admission with at least one cell, and the catalog of their types.
 
     A type is numeric when at least numeric_fraction of its values parse
@@ -262,31 +232,35 @@ def bin_events(
     discharge time, stamped after discharge, of other types or without a
     number are dropped.
     """
+    # Each id text's index, in order of first appearance.
     admission_ids: dict[str, int] = {}
     type_ids: dict[str, int] = {}
     total = numeric = np.zeros(0, dtype=np.int64)  # events per type index
     discharge = np.zeros(0, dtype=np.int64)  # per admission index
-    # (admission, type * 4 + bin, value) of the events that can reach a cell
+    # (admission, type * N_BINS + bin, value) of the events that can reach
+    # a cell
     kept = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]
-    for block in blocks:
-        admission_ids, type_ids = block.admission_ids, block.type_ids
+    for hadm_id, itemid, value, charttime in blocks:
+        admission = _codes(hadm_id, admission_ids)
+        type_ = _codes(itemid, type_ids)
+        del hadm_id, itemid  # else the last block's cells outlive the loop
         n_types = len(type_ids)
-        parsed = ~np.isnan(block.value)
-        total = np.bincount(block.type, minlength=n_types) + np.pad(
+        parsed = ~np.isnan(value)
+        total = np.bincount(type_, minlength=n_types) + np.pad(
             total, (0, n_types - len(total)))
-        numeric = np.bincount(block.type[parsed], minlength=n_types) + np.pad(
+        numeric = np.bincount(type_[parsed], minlength=n_types) + np.pad(
             numeric, (0, n_types - len(numeric)))
         new = islice(admission_ids, len(discharge), None)
         discharge = np.concatenate([discharge, np.fromiter(
             (discharge_times.get(a, NO_TIME) for a in new), dtype=np.int64)])
-        offset = discharge[block.admission] - block.charttime
+        offset = discharge[admission] - charttime
         keep = parsed & (offset >= 0)
         offset = offset[keep]
         time_bin = N_BINS - 1 - sum(offset >= edge
                                     for edge in _BIN_EDGE_SECONDS)
-        kept.append((block.admission[keep],
-                     (block.type[keep] * N_BINS + time_bin).astype(np.int32),
-                     block.value[keep]))
+        kept.append((admission[keep],
+                     (type_[keep] * N_BINS + time_bin).astype(np.int32),
+                     value[keep]))
 
     catalog = sorted(
         (tid for tid, n, all_n in zip(type_ids, numeric.tolist(),
@@ -298,10 +272,10 @@ def bin_events(
     position[[type_ids[tid] for tid in catalog]] = np.arange(len(catalog))
     admission, type_bin, value = map(np.concatenate, zip(*kept))
     del kept
-    cell_type = position[type_bin >> 2]
+    cell_type = position[type_bin // N_BINS]
     retained = cell_type >= 0
     admission, value = admission[retained], value[retained]
-    cell_type = cell_type[retained] * N_BINS + (type_bin[retained] & 3)
+    cell_type = cell_type[retained] * N_BINS + type_bin[retained] % N_BINS
 
     # Admissions with a retained event, in order of their first one, then
     # sorted (a stable sort, as the per-admission dict it replaces was).
@@ -320,12 +294,14 @@ def bin_events(
 
 
 def preprocess_admissions(
-    blocks: Iterable[EventBlock],
+    blocks: Iterable[tuple],
     discharge_times: dict[str, int],
     fit_ids: Optional[set[str]] = None,
     numeric_fraction: float = DEFAULT_NUMERIC_FRACTION,
-) -> tuple[ChartTensors, list[str], NormalizationStats]:
-    """bin_events, then z-normalization of every admission, in place.
+) -> tuple[ChartTensors, list[str], dict]:
+    """bin_events, then z-normalization of every admission, in place, and
+    the statistics as chart_stats.json holds them: type_ids, mean, stddev
+    and count, each a list in catalog order.
 
     Each type's mean and population stddev are fitted over the masked cells
     of the fit admissions (those in fit_ids, or all). Both sums add one
@@ -357,5 +333,6 @@ def preprocess_admissions(
     values /= np.where(stddev > 0, stddev, 1.0)[:, None]
     np.copyto(values, 0.0, where=~mask)
     values[:, stddev == 0] = 0.0
-    stats = NormalizationStats(list(catalog), mean, stddev, count)
+    stats = {"type_ids": list(catalog), "mean": mean.tolist(),
+             "stddev": stddev.tolist(), "count": count.tolist()}
     return tensors, catalog, stats

@@ -226,10 +226,11 @@ def _cmd_aggregate(args) -> int:
 def _cmd_eval(args) -> int:
     report = pipeline.evaluate(args.probs, args.labels, args.out, args.split,
                                args.partition, args.target)
-    print(f"micro AU-ROC {report.micro_auroc:.4f}  "
-          f"AU-PR {report.micro_aupr:.4f}  "
-          f"Recall@Prec80 {report.micro_recall_at_prec80:.4f}  "
-          f"(positive ratio {report.positive_ratio:.4f})")
+    micro = report["micro"]
+    print(f"micro AU-ROC {micro['auroc']:.4f}  "
+          f"AU-PR {micro['aupr']:.4f}  "
+          f"Recall@Prec80 {micro['recall_at_prec80']:.4f}  "
+          f"(positive ratio {report['positive_ratio']:.4f})")
     _emit_manifest(args, "eval",
                    {"probs": args.probs, "labels": args.labels},
                    {"report": args.out}, seed=0)

@@ -4,14 +4,13 @@ AU-ROC is the tie-aware concordance probability (equal scores count 1/2),
 identical to the trapezoidal area with tied scores grouped into single
 threshold steps. AU-PR uses step-wise summation over descending unique
 score thresholds, with no interpolation between points. Micro averaging
-pools all (sample, category) cells before computing the scalar metrics.
+pools all (sample, category) cells before computing the scalar metrics;
+micro_average returns its report as the plain dict that save_report writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -94,46 +93,11 @@ def recall_at_precision(scores, truths, target: float = 0.8) -> float:
     return float(feasible.max()) if feasible.size else 0.0
 
 
-@dataclass
-class CategoryMetrics:
-    support: int
-    auroc: Optional[float]
-    aupr: float
-    recall_at_prec80: float
-
-
-@dataclass
-class MetricReport:
-    micro_auroc: float
-    micro_aupr: float
-    micro_recall_at_prec80: float
-    positive_ratio: float
-    per_category: dict[int, CategoryMetrics] = field(default_factory=dict)
-    unsupported_categories: list[int] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "micro": {
-                "auroc": self.micro_auroc,
-                "aupr": self.micro_aupr,
-                "recall_at_prec80": self.micro_recall_at_prec80,
-            },
-            "positive_ratio": self.positive_ratio,
-            "per_category": {
-                str(k): {
-                    "support": v.support,
-                    "auroc": v.auroc,
-                    "aupr": v.aupr,
-                    "recall_at_prec80": v.recall_at_prec80,
-                }
-                for k, v in self.per_category.items()
-            },
-            "unsupported_categories": self.unsupported_categories,
-        }
-
-
-def micro_average(scores, truths, target: float = 0.8) -> MetricReport:
-    """Micro metrics over pooled cells plus per-category breakdown.
+def micro_average(scores, truths, target: float = 0.8) -> dict:
+    """Micro metrics over pooled cells plus per-category breakdown, as the
+    report *_metrics.json holds: micro (auroc, aupr, recall_at_prec80),
+    positive_ratio, per_category (support, auroc, aupr and
+    recall_at_prec80 per category index text) and unsupported_categories.
 
     Categories without a positive in the evaluated data are reported as
     unsupported (their cells still count toward the micro pool). AU-ROC of
@@ -145,35 +109,34 @@ def micro_average(scores, truths, target: float = 0.8) -> MetricReport:
         raise ShapeMismatch(
             f"scores {scores.shape} vs truths {truths.shape}"
         )
-    report = MetricReport(
-        micro_auroc=roc_auc(scores.ravel(), truths.ravel()),
-        micro_aupr=pr_auc(scores.ravel(), truths.ravel()),
-        micro_recall_at_prec80=recall_at_precision(
-            scores.ravel(), truths.ravel(), target
-        ),
-        positive_ratio=float(truths.mean()),
-    )
+    report = {
+        "micro": {
+            "auroc": roc_auc(scores.ravel(), truths.ravel()),
+            "aupr": pr_auc(scores.ravel(), truths.ravel()),
+            "recall_at_prec80": recall_at_precision(
+                scores.ravel(), truths.ravel(), target),
+        },
+        "positive_ratio": float(truths.mean()),
+        "per_category": {},
+        "unsupported_categories": [],
+    }
     for c in range(scores.shape[1]):
         col_scores = scores[:, c]
         col_truths = truths[:, c]
         support = int(col_truths.sum())
         if support == 0:
-            report.unsupported_categories.append(c)
+            report["unsupported_categories"].append(c)
             continue
-        auroc = (
-            roc_auc(col_scores, col_truths)
-            if support < col_truths.size
-            else None
-        )
-        report.per_category[c] = CategoryMetrics(
-            support=support,
-            auroc=auroc,
-            aupr=pr_auc(col_scores, col_truths),
-            recall_at_prec80=recall_at_precision(col_scores, col_truths,
-                                                 target),
-        )
+        report["per_category"][str(c)] = {
+            "support": support,
+            "auroc": (roc_auc(col_scores, col_truths)
+                      if support < col_truths.size else None),
+            "aupr": pr_auc(col_scores, col_truths),
+            "recall_at_prec80": recall_at_precision(col_scores, col_truths,
+                                                    target),
+        }
     return report
 
 
-def save_report(path, report: MetricReport) -> Path:
-    return save_json(path, report.to_dict(), indent=1)
+def save_report(path, report: dict) -> Path:
+    return save_json(path, report, indent=1)

@@ -77,15 +77,16 @@ def labels(diagnoses, crosswalk, out,
     returns the path written, the labels' (admissions, categories) shape
     and the unknown code occurrences.
 
-    With an admissions CSV every admission gets a row, all zeros when it
-    has no diagnosis rows; without one only admissions with diagnoses do.
+    With an admissions CSV every admission with an id gets a row, all zeros
+    when it has no diagnosis rows; without one only admissions with
+    diagnoses do.
     """
     xwalk = labels_mod.load_crosswalk(crosswalk)
     codes = labels_mod.read_diagnoses(diagnoses)
     if admissions is not None:
         admission_ids = [row["hadm_id"].strip()
                          for row in iter_csv_rows(admissions, ("hadm_id",))]
-        codes = {adm: codes.get(adm, []) for adm in admission_ids}
+        codes = {adm: codes.get(adm, []) for adm in admission_ids if adm}
     label_matrix, unknown = labels_mod.encode_labels(codes, xwalk)
     written = labels_mod.save_labels(out, label_matrix)
     save_json(written.parent / "unknown_codes.json", unknown, sort_keys=True)
@@ -241,9 +242,10 @@ def aggregate(scores, out, c: float) -> tuple[Path, int]:
 def evaluate(
     probs_path, labels_path, out, split_path, partition: Optional[str],
     target: float,
-) -> metrics.MetricReport:
-    """Metric report to out over the admissions with probabilities and
-    labels, in one partition of the split when given; returns it."""
+) -> dict:
+    """Metric report (metrics.micro_average) to out over the admissions
+    with probabilities and labels, in one partition of the split when
+    given; returns it."""
     check_fraction("recall_target", target)
     arrays = load_admission_npz(probs_path, ("probs",))
     label_matrix = labels_mod.load_labels(labels_path)

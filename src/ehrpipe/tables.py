@@ -506,12 +506,13 @@ def reading(path):
     """Report any failure to read or decode the artifact at path as IoFailure.
 
     A missing, unreadable, truncated or wrong-kind file raises one of these
-    while it is opened or decoded, or while its content is unpacked.
+    while it is opened or decoded, or while its content is unpacked; a file
+    that asks for more memory than the host has raises MemoryError.
     """
     try:
         yield
     except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
-            TypeError, csv.Error) as exc:
+            TypeError, csv.Error, MemoryError) as exc:
         raise IoFailure(
             f"cannot read {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -5,7 +5,8 @@ in filter_numeric and a Python list per cell in aggregate_bins.
 The bit-identity tests in test_chart.py hold the columnar core to this
 reference. fit_normalization and apply_normalization are the two-pass
 normalization that preprocess_admissions used before it normalized in
-place, kept verbatim, and load_stats reads chart_stats.json back.
+place, kept verbatim with the NormalizationStats class they share, and
+load_stats reads chart_stats.json back into one.
 
 The reference departs from the old code in two ways: it leaves the
 signed-zero fix to its callers (see preprocess_admissions below), and its
@@ -29,7 +30,6 @@ from ehrpipe.chart import (
     ChartTensors,
     N_BINS,
     DEFAULT_NUMERIC_FRACTION,
-    NormalizationStats,
 )
 from ehrpipe.errors import CatalogMismatch, EmptyType
 from ehrpipe.tables import (
@@ -51,6 +51,14 @@ class ObservationEvent:
     observation_type_id: str
     value: object  # raw string before filtering, float afterwards
     charttime: datetime
+
+
+@dataclass
+class NormalizationStats:
+    type_ids: list[str]
+    mean: np.ndarray  # float64 (n_types,)
+    stddev: np.ndarray  # float64 (n_types,)
+    count: np.ndarray  # int64 (n_types,)
 
 
 def _parse_number(raw) -> Optional[float]:

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehrpipe.chart import EventBlock
 from ehrpipe.synth import SynthConfig, generate
 
 
@@ -35,17 +34,17 @@ _BIN_OFFSETS = np.array([30, 20, 12, 4]) * 3600
 def matrix_blocks(values: np.ndarray, mask: np.ndarray):
     """Chart events whose bin_events matrices are values where mask holds,
     and 0 elsewhere: one event per masked cell of the (admissions, types, 4)
-    arrays, in one EventBlock. Admission row i is named i + 1 and type t is
-    named t, so that both sort as they are numbered. Returns the blocks and
-    the discharge time of every admission."""
+    arrays, in one block of the chart readers' columns. Admission row i is
+    named i + 1 and type t is named t, so that both sort as they are
+    numbered. Returns the blocks and the discharge time of every
+    admission."""
     admission, type_, time_bin = np.nonzero(mask)
     discharge = 10 ** 9
-    block = EventBlock(
-        admission.astype(np.int32), type_.astype(np.int32), values[mask],
-        discharge - _BIN_OFFSETS[time_bin],
-        {str(i + 1): i for i in range(mask.shape[0])},
-        {str(t): t for t in range(mask.shape[1])})
-    return [block], dict.fromkeys(block.admission_ids, discharge)
+    block = ([str(i + 1) for i in admission.tolist()],
+             [str(t) for t in type_.tolist()], values[mask],
+             discharge - _BIN_OFFSETS[time_bin])
+    return [block], dict.fromkeys(map(str, range(1, mask.shape[0] + 1)),
+                                  discharge)
 
 
 @pytest.fixture

@@ -224,7 +224,7 @@ class TestA3NormalizationLaw:
                 np.stack([v for v, _ in matrices]), mask))
             z = tensors.values
             for t in range(10):
-                assert stats.stddev[t] > 0
+                assert stats["stddev"][t] > 0
                 cells = np.concatenate(
                     [z[i, t][mask[i, t]] for i in range(len(matrices))]
                 )

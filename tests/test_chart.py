@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import chart_reference as reference
 from conftest import epoch_seconds, matrix_blocks, seconds_by_id, write_csv
 from fhir_reference import read_collection
+from ehrpipe import chart
 from ehrpipe.chart import (
     bin_events,
     ChartTensors,
@@ -248,17 +249,17 @@ class TestNormalization:
 
     def test_hand_computed_stats(self):
         _, stats = _normalized(*_hand_computed())
-        assert stats.mean[0] == pytest.approx(2.0, abs=1e-12)
-        assert stats.stddev[0] == pytest.approx(math.sqrt(2.0 / 3.0),
-                                                abs=1e-12)
+        assert stats["mean"][0] == pytest.approx(2.0, abs=1e-12)
+        assert stats["stddev"][0] == pytest.approx(math.sqrt(2.0 / 3.0),
+                                                   abs=1e-12)
 
     def test_constant_and_single_cells(self):
         values = np.array([[[5.0, 5.0, 0.0, 0.0], [7.0, 0.0, 0.0, 0.0]]])
         mask = np.array([[[True, True, False, False],
                           [True, False, False, False]]])
         _, stats = _normalized(values, mask)
-        assert stats.mean.tolist() == [5.0, 7.0]
-        assert stats.stddev.tolist() == [0.0, 0.0]
+        assert stats["mean"] == [5.0, 7.0]
+        assert stats["stddev"] == [0.0, 0.0]
 
     def test_empty_type_rejected(self):
         # type 1's only cell is in admission 2, which is not fitted on
@@ -289,10 +290,10 @@ class TestNormalization:
         path = write_csv(tmp_path / "chartevents.csv", COLUMNS, rows)
         tensors, catalog, stats = preprocess_admissions(
             read_chart_events(path), seconds_by_id({"A": DISCHARGE}))
-        assert catalog == stats.type_ids == ["1", "10"]
+        assert catalog == stats["type_ids"] == ["1", "10"]
         assert tensors.values.shape == (1, 2, 4)
-        assert stats.mean.tolist() == [2.0, 4.0]
-        assert stats.count.tolist() == [2, 1]
+        assert stats["mean"] == [2.0, 4.0]
+        assert stats["count"] == [2, 1]
 
     def test_normalization_law_on_fit_set(self):
         rng = np.random.default_rng(11)
@@ -350,9 +351,9 @@ class TestPersistenceAndReaders:
         path = tmp_path / "stats.json"
         save_stats(path, stats)
         loaded = reference.load_stats(path)
-        assert loaded.type_ids == stats.type_ids
-        np.testing.assert_allclose(loaded.mean, stats.mean)
-        np.testing.assert_allclose(loaded.stddev, stats.stddev)
+        assert loaded.type_ids == stats["type_ids"]
+        np.testing.assert_allclose(loaded.mean, stats["mean"])
+        np.testing.assert_allclose(loaded.stddev, stats["stddev"])
 
     def test_csv_and_collection_readers_agree(self, small_dataset, tmp_path):
         paths = {kind: path for kind, path, _ in small_dataset.tables}
@@ -403,7 +404,7 @@ class TestPersistenceAndReaders:
         from_csv = _events(read_chart_events(path))["value"]
         from_col = _events(
             read_chart_events_from_collection(collection_path))["value"]
-        # A value that is not a finite number is NaN in an EventBlock.
+        # A value that is not a finite number is NaN in an event block.
         assert all(math.isnan(v) for v in from_csv[:4])
         assert all(math.isnan(v) for v in from_col[:4])
         discharge = seconds_by_id({"7": datetime(2130, 1, 10, 12)})
@@ -428,14 +429,13 @@ class TestPersistenceAndReaders:
 
 
 def _events(blocks) -> dict[str, list]:
-    """Each EventBlock column of the blocks, ids as their texts."""
+    """Each column of the event blocks, ids as their texts."""
     out = {"admission": [], "type": [], "value": [], "charttime": []}
-    for block in blocks:
-        admissions, types = list(block.admission_ids), list(block.type_ids)
-        out["admission"] += [admissions[i] for i in block.admission]
-        out["type"] += [types[i] for i in block.type]
-        out["value"] += block.value.tolist()
-        out["charttime"] += block.charttime.tolist()
+    for hadm_id, itemid, value, charttime in blocks:
+        out["admission"] += map(chart._text, hadm_id)
+        out["type"] += map(chart._text, itemid)
+        out["value"] += value.tolist()
+        out["charttime"] += charttime.tolist()
     return out
 
 
@@ -563,10 +563,10 @@ def _assert_same_outcome(got, want):
         got, want)
     _assert_same(tensors, tensors_ref)
     assert catalog == catalog_ref
-    assert stats.type_ids == stats_ref.type_ids
-    assert stats.mean.tobytes() == stats_ref.mean.tobytes()
-    assert stats.stddev.tobytes() == stats_ref.stddev.tobytes()
-    assert stats.count.tolist() == stats_ref.count.tolist()
+    assert stats["type_ids"] == stats_ref.type_ids
+    assert np.array(stats["mean"]).tobytes() == stats_ref.mean.tobytes()
+    assert np.array(stats["stddev"]).tobytes() == stats_ref.stddev.tobytes()
+    assert stats["count"] == stats_ref.count.tolist()
 
 
 class TestBitIdentityWithReference:

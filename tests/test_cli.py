@@ -476,6 +476,9 @@ ARRAY_SPOILERS = {
                                     np.nan, a),
     "variant-xyz": lambda a: _stored_config(a, variant="xyz"),
     "hidden-size-0": lambda a: _stored_config(a, hidden_size=0),
+    # Parameters of 10^15 types would take more bytes than any address
+    # space holds, so building the model fails before a shape is checked.
+    "types-1e15": lambda a: _stored_config(a, n_types=10 ** 15),
 }
 
 
@@ -498,6 +501,7 @@ MALFORMED_ARRAYS = [
     ("predict", "--model", "model.npz", "param_7", "dropped"),
     ("predict", "--model", "model.npz", "meta", "variant-xyz"),
     ("predict", "--model", "model.npz", "meta", "hidden-size-0"),
+    ("predict", "--model", "model.npz", "meta", "types-1e15"),
     ("score-notes", "--params", "scorer.npz", "bias", "fewer-rows"),
     ("score-notes", "--params", "scorer.npz", "weights", "first-row-only"),
     ("score-notes", "--params", "scorer.npz", "slots", "reversed"),

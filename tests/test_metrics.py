@@ -1,5 +1,7 @@
 """Ranking metrics against hand enumerations and brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from ehrpipe.metrics import (
     pr_auc,
     recall_at_precision,
     roc_auc,
+    save_report,
 )
 
 SCORES = np.array([0.9, 0.8, 0.3, 0.2])
@@ -183,9 +186,10 @@ class TestRankInvariance:
 class TestMicroAverage:
     def test_single_category_equals_scalar_metrics(self):
         report = micro_average(SCORES[:, None], TRUTHS[:, None])
-        assert report.micro_auroc == pytest.approx(0.75, abs=1e-12)
-        assert report.micro_aupr == pytest.approx(5.0 / 6.0, abs=1e-12)
-        assert report.per_category[0].aupr == report.micro_aupr
+        micro = report["micro"]
+        assert micro["auroc"] == pytest.approx(0.75, abs=1e-12)
+        assert micro["aupr"] == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert report["per_category"]["0"]["aupr"] == micro["aupr"]
 
     def test_duplicated_columns_leave_micro_unchanged(self):
         single = micro_average(SCORES[:, None], TRUTHS[:, None])
@@ -193,24 +197,28 @@ class TestMicroAverage:
             np.repeat(SCORES[:, None], 2, axis=1),
             np.repeat(TRUTHS[:, None], 2, axis=1),
         )
-        assert doubled.micro_auroc == pytest.approx(single.micro_auroc)
-        assert doubled.micro_aupr == pytest.approx(single.micro_aupr)
+        assert doubled["micro"]["auroc"] == pytest.approx(
+            single["micro"]["auroc"])
+        assert doubled["micro"]["aupr"] == pytest.approx(
+            single["micro"]["aupr"])
 
     def test_positive_ratio_and_unsupported(self):
         scores = np.array([[0.9, 0.4], [0.1, 0.6], [0.8, 0.2]])
         truths = np.array([[True, False], [False, False], [True, False]])
         report = micro_average(scores, truths)
-        assert report.positive_ratio == pytest.approx(2 / 6)
-        assert report.unsupported_categories == [1]
-        assert list(report.per_category) == [0]
-        assert report.per_category[0].support == 2
+        assert report["positive_ratio"] == pytest.approx(2 / 6)
+        assert report["unsupported_categories"] == [1]
+        assert list(report["per_category"]) == ["0"]
+        assert report["per_category"]["0"]["support"] == 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             micro_average(np.zeros((2, 2)), np.zeros((3, 2), dtype=bool))
 
-    def test_report_serializes(self):
+    def test_report_serializes(self, tmp_path):
         report = micro_average(SCORES[:, None], TRUTHS[:, None])
-        payload = report.to_dict()
+        payload = json.loads(save_report(tmp_path / "report.json",
+                                         report).read_text())
+        assert payload == report
         assert payload["micro"]["aupr"] == pytest.approx(5.0 / 6.0)
         assert "0" in payload["per_category"]

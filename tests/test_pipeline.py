@@ -331,3 +331,25 @@ def test_labels_rerun_rewrites_unknown_codes(small_dataset, tmp_path):
                      "--crosswalk", str(small_dataset.crosswalk_path),
                      "--out", str(tmp_path / "labels.npz")]) == 0
         assert json.loads(unknown.read_text()) == expected
+
+
+def test_labels_skip_a_blank_admission_id(small_dataset, tmp_path):
+    """An admissions row whose hadm_id is blank adds no label row: labels.npz
+    keeps the bytes it has without that row."""
+    data = small_dataset.manifest_path.parent
+    with open(data / "admissions.csv", newline="", encoding="utf-8") as handle:
+        header, first = list(csv.reader(handle))[:2]
+    admissions = tmp_path / "admissions.csv"
+    admissions.write_bytes((data / "admissions.csv").read_bytes())
+    with open(admissions, "a", newline="", encoding="utf-8") as handle:
+        row = dict(zip(header, first), hadm_id=" ")
+        csv.writer(handle, lineterminator="\n").writerow(
+            [row[column] for column in header])
+    written = []
+    for source in (data / "admissions.csv", admissions):
+        out = tmp_path / f"labels{len(written)}.npz"
+        assert main(["labels", "--diagnoses", str(data / "diagnoses_icd.csv"),
+                     "--crosswalk", str(small_dataset.crosswalk_path),
+                     "--admissions", str(source), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
