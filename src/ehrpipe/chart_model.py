@@ -57,7 +57,7 @@ class ChartModelConfig:
     rnn_hidden: int = 64
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}")
         for name in ("n_types", "n_categories", "hidden_size", "batch_size",
@@ -77,8 +77,8 @@ class ChartModel:
 
     def __init__(self, config: ChartModelConfig, initialize: bool = True):
         """Layers for config, Glorot-initialized from its seed; with
-        initialize False every parameter is zero, for a checkpoint to fill."""
-        config.validate()
+        initialize False every parameter is zero, for a checkpoint to fill.
+        Zero parameters and gradients touch no page until written."""
         self.config = config
         init_rng = (np.random.default_rng([config.seed, 0]) if initialize
                     else None)

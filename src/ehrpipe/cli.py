@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -261,7 +262,7 @@ def _cmd_attention(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     if args.output_dir:
-        config.output_dir = Path(args.output_dir)
+        config = replace(config, output_dir=Path(args.output_dir))
     artifacts = pipeline.run_pipeline(config)
     print(f"pipeline complete: {len(artifacts)} artifacts in "
           f"{config.output_dir} (config hash {config_hash(config)[:12]})")

@@ -57,7 +57,7 @@ class DenseLayer:
         self.weights = _initial(rng, in_dim, out_dim, (out_dim, in_dim))
         self.bias = np.zeros(out_dim)
         self._x: np.ndarray | None = None
-        self.d_weights = np.zeros_like(self.weights)
+        self.d_weights = np.zeros(self.weights.shape)
         self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -157,7 +157,7 @@ class TimeConvLayer:
                                 (n_filters, 1, N_BINS))
         self.bias = np.zeros(n_filters)
         self._x: np.ndarray | None = None
-        self.d_filters = np.zeros_like(self.filters)
+        self.d_filters = np.zeros(self.filters.shape)
         self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -198,8 +198,8 @@ class SimpleRnnLayer:
         self.bias = np.zeros(hidden)
         self._x: np.ndarray | None = None
         self._states: list[np.ndarray] = []
-        self.d_input = np.zeros_like(self.input_weights)
-        self.d_recurrent = np.zeros_like(self.recurrent_weights)
+        self.d_input = np.zeros(self.input_weights.shape)
+        self.d_recurrent = np.zeros(self.recurrent_weights.shape)
         self.d_bias = np.zeros_like(self.bias)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:

@@ -116,7 +116,7 @@ class ScorerConfig:
     lr: float = 1e-2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("feature_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"scorer {name} must be positive")
@@ -151,8 +151,7 @@ def build_subset(
     with single spaces; notes that clean to the empty string are dropped;
     admissions with no qualifying notes are absent.
     """
-    if kind not in SUBSET_KINDS:
-        raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
+    check_subset(kind)
     picked: dict[str, list[tuple[int, tuple, str]]] = {}
     for note in notes:
         adm = str(note.admission_id)
@@ -177,6 +176,12 @@ def build_subset(
         adm: " ".join(text for _, _, text in sorted(entries))
         for adm, entries in picked.items()
     }
+
+
+def check_subset(kind: str) -> None:
+    """InvalidConfig unless kind is one of SUBSET_KINDS."""
+    if kind not in SUBSET_KINDS:
+        raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
 
 
 def check_max_len(max_len: int) -> None:
@@ -359,7 +364,6 @@ def train_scorer(
     columns, drawn a row at a time so that the full matrix is never held:
     the row draws give the same numbers as the one full draw.
     """
-    config.validate()
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     if not usable:
         raise EmptyPartition("no labeled chunks to train on")
@@ -417,7 +421,7 @@ def aggregate(matrix: ChunkScoreMatrix,
 def read_note_events(path) -> Iterator[NoteEvent]:
     """Notes from a noteevents CSV, streamed a block of rows at a time, its
     times decoded a column at a time (tables.time_seconds); rows without a
-    parseable time are dropped.
+    parseable time or without an admission id are dropped.
 
     A blank charttime counts as missing, so chartdate stands in for it.
     """
@@ -427,10 +431,10 @@ def read_note_events(path) -> Iterator[NoteEvent]:
             iter_csv_columns(path, columns)):
         seconds = time_seconds([time if time.strip() else date for time, date
                                 in zip(charttime, chartdate)]).tolist()
-        for row, adm, kind, when, body in zip(row_id, hadm, category, seconds,
-                                              text):
-            if when != NO_TIME:
-                yield NoteEvent(row.strip(), adm.strip(), kind, when, body)
+        for row, adm, kind, when, body in zip(
+                row_id, map(str.strip, hadm), category, seconds, text):
+            if when != NO_TIME and adm:
+                yield NoteEvent(row.strip(), adm, kind, when, body)
 
 
 # --- persistence -----------------------------------------------------------

@@ -139,7 +139,6 @@ def train(
     n_categories. The checkpoint names chart_stats.json when that file is
     beside the tensors.
     """
-    config.validate()
     tensors, catalog = chart.load_tensors(tensors_path)
     label_matrix = labels_mod.load_labels(labels_path)
     assignment = split_mod.load_split(split_path)
@@ -202,7 +201,6 @@ def score_notes(
     the fitted scorer's loss per epoch (or None) and the admissions
     scored.
     """
-    config.validate()
     chunks = notes_mod.load_chunks(chunks_path)
     written: dict[str, Path] = {}
     losses = None
@@ -320,7 +318,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    config.validate()
     out = make_dir(config.output_dir)
     manifest = generate(config.synth, out / "data")
     tables = {kind: path for kind, path, _ in manifest.tables}

@@ -2,9 +2,9 @@
 
 The config file is a plain INI document (see README for the schema) whose
 keys are cast to the types of the PipelineConfig defaults; CLI flags
-override file values. One global seed fans out to per-stage seeds by
-hashing the stage name into it, so stages draw from independent but fully
-reproducible streams.
+override file values. Every config is frozen and checks itself when built.
+One global seed fans out to per-stage seeds by hashing the stage name into
+it, so stages draw from independent but fully reproducible streams.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .errors import ConfigError, InvalidConfig
 from .notes import (
     DEFAULT_MAX_LEN,
     DEFAULT_SCALE_C,
-    SUBSET_KINDS,
     ScorerConfig,
     check_max_len,
     check_scale_c,
+    check_subset,
 )
 from .split import PARTITIONS, SplitSpec
 from .synth import SynthConfig
@@ -46,7 +46,7 @@ def derive_seed(master: int, stage: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     output_dir: Path = Path("out")
@@ -61,18 +61,12 @@ class PipelineConfig:
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
     recall_target: float = 0.8
 
-    def validate(self) -> None:
-        """Check every setting, so that a bad one stops a run before its
-        first stage writes anything (InvalidConfig/InvalidSpec, exit 3)."""
-        self.synth.validate()
-        self.split.validate()
+    def __post_init__(self) -> None:
+        """Check its own fields; nested configs checked theirs when built."""
         check_fraction("numeric_fraction", self.numeric_fraction)
-        self.chart_model.validate()
-        if self.subset not in SUBSET_KINDS:
-            raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
+        check_subset(self.subset)
         check_max_len(self.max_len)
         check_scale_c(self.aggregation_c)
-        self.scorer.validate()
         check_fraction("recall_target", self.recall_target)
 
 
@@ -112,8 +106,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     """Parse an INI config file into a PipelineConfig.
 
     Every key is optional and falls back to the PipelineConfig default; an
-    unknown section or key, or a value PipelineConfig.validate rejects, is
-    a ConfigError. The synth, split, chart_model and scorer seeds are all
+    unknown section or key, or a value a config rejects when it is built,
+    is a ConfigError. The synth, split, chart_model and scorer seeds are all
     derived here from the run seed; seed_override replaces the file's seed
     before they are, so a flag-level override reproduces exactly what a
     config edit would. A PipelineConfig built in code keeps the seeds its
@@ -153,7 +147,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     scorer = {key: notes.pop(key) for key in scorer}
     recall = _section(parser, "metrics", {"recall_target": base.recall_target})
 
-    config = PipelineConfig(
+    return PipelineConfig(
         seed=seed,
         output_dir=run["output_dir"],
         synth=SynthConfig(seed=derive_seed(seed, "synth"), **synth),
@@ -164,8 +158,6 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         scorer=ScorerConfig(seed=derive_seed(seed, "scorer"), **scorer),
         **chart, **notes, **recall,
     )
-    config.validate()
-    return config
 
 
 def config_hash(config: PipelineConfig) -> str:

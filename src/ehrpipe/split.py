@@ -30,7 +30,7 @@ class SplitSpec:
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.ratios) != len(PARTITIONS):
             raise InvalidSpec("need one ratio per partition")
         if any(not 0.0 < r < 1.0 for r in self.ratios):
@@ -56,7 +56,6 @@ def iterative_stratified_split(
     labels: LabelMatrix, spec: SplitSpec
 ) -> dict[str, str]:
     """{admission id: partition} for every admission of labels."""
-    spec.validate()
     bits = labels.bits
     n, n_labels = bits.shape
     if n < 3:

@@ -78,7 +78,7 @@ class SynthConfig:
     events_min: int = 40
     events_max: int = 80
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_patients < 1 or self.n_admissions < self.n_patients:
             raise InvalidConfig("need n_admissions >= n_patients >= 1")
         if not 0.0 < self.positive_rate_target < 1.0:
@@ -144,7 +144,6 @@ def _fmt_times(stamps: np.ndarray) -> list[str]:
 
 def generate(config: SynthConfig, output_dir) -> SynthManifest:
     """Emit the synthetic dataset into output_dir and return its manifest."""
-    config.validate()
     out = make_dir(output_dir)
 
     rng = np.random.default_rng(config.seed)

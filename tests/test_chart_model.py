@@ -75,11 +75,11 @@ class TestBuild:
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
-            _small_config("transformer").validate()
+            _small_config("transformer")
         with pytest.raises(InvalidConfig):
-            _small_config("cnn", epochs=-1).validate()
+            _small_config("cnn", epochs=-1)
         with pytest.raises(InvalidConfig):
-            _small_config("cnn", dropout=1.0).validate()
+            _small_config("cnn", dropout=1.0)
 
     def test_variants_share_io_contract(self):
         x = np.random.default_rng(1).standard_normal((3, 6, 4))

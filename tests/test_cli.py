@@ -1,8 +1,12 @@
 """CLI subcommands: exit codes, chained workflows, manifests, isolation."""
 
+import csv
 import gzip
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -789,6 +793,43 @@ def test_predict_with_another_catalog_exits_4(chain, tmp_path, capsys):
     assert not (tmp_path / "probs.npz").exists()
 
 
+def _peak_mib(argv: list, stderr: Path) -> tuple[int, float]:
+    """The exit code of ehrpipe argv run in a child process, and that
+    process's own peak RSS in MiB; its stderr goes to the file stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with open(stderr, "w", encoding="utf-8") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ehrpipe.cli", *map(str, argv)], env=env,
+            stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024
+
+
+def test_oversized_checkpoint_config_exits_4_without_its_memory(chain,
+                                                                tmp_path):
+    """A stored config of 10^6 types asks for a (4, 8 * 10^6) first dense
+    layer, 244 MiB of weights and as much of gradients. Nothing touches
+    either before the stored shapes are compared, so predict exits 4 at
+    about the peak it has with the real checkpoint."""
+    with np.load(chain / "model.npz") as data:
+        arrays = dict(data)
+    arrays["meta"] = _stored_config(arrays["meta"], n_types=10 ** 6)
+    bad = tmp_path / "model.npz"
+    np.savez(bad, **arrays)
+    argv = ["predict", "--tensors", chain / "tensors.npz",
+            "--out", tmp_path / "probs.npz"]
+    code, real = _peak_mib(argv + ["--model", chain / "model.npz"],
+                           tmp_path / "real.err")
+    assert code == 0
+    code, oversized = _peak_mib(argv + ["--model", bad], tmp_path / "bad.err")
+    assert code == 4
+    assert str(bad) in (tmp_path / "bad.err").read_text(encoding="utf-8")
+    assert oversized < real + 64, (oversized, real)
+
+
 @pytest.mark.parametrize("subcommand", ["preprocess", "synth"])
 @pytest.mark.parametrize("where", ["file", "file/sub"])
 def test_out_dir_blocked_by_a_file_exits_4(chain, cli_dataset, tmp_path,
@@ -918,6 +959,35 @@ def test_note_row_order_does_not_change_chunks(tmp_path):
         assert chunks(f"shuffled{seed}", order) == given
 
 
+def test_note_without_an_admission_id_is_dropped(cli_dataset, tmp_path):
+    """MIMIC-III's NOTEEVENTS allows a null HADM_ID: such a note changes no
+    subset's chunks.json."""
+    from conftest import write_csv
+    from ehrpipe.tables import TABLE_COLUMNS, TableKind
+
+    header = list(TABLE_COLUMNS[TableKind.NOTEEVENTS])
+    given = cli_dataset / "noteevents.csv"
+    with open(given, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    extra = []
+    for row_id, hadm_id, category in (("900001", "", "Nursing"),
+                                      ("900002", " ", "Discharge summary")):
+        cells = dict(zip(header, rows[0]))
+        cells.update(row_id=row_id, hadm_id=hadm_id, category=category,
+                     text="unlinked note text")
+        extra.append([cells[col] for col in header])
+    appended = write_csv(tmp_path / "appended.csv", header, rows + extra)
+    for subset in ("disch", "days3", "days2"):
+        chunks = []
+        for notes in (given, appended):
+            out = tmp_path / f"{notes.stem}-{subset}.json"
+            assert main(["notes-prep", "--notes", str(notes),
+                         "--admissions", str(cli_dataset / "admissions.csv"),
+                         "--subset", subset, "--out", str(out)]) == 0
+            chunks.append(out.read_bytes())
+        assert chunks[0] == chunks[1], subset
+
+
 def _preprocess_rows(out: Path, itemids_and_values) -> int:
     """preprocess over one admission and one chartevents row per
     (itemid, value), written in the given order."""
@@ -1040,11 +1110,12 @@ def test_run_pipeline_checks_its_config_first(tmp_path):
     from ehrpipe.runcfg import load_config
 
     config = load_config(REPO / "demo.ini")
-    config.output_dir = tmp_path / "out"
-    config.chart_model = replace(config.chart_model, lr=float("nan"))
+    out = tmp_path / "out"
     with pytest.raises(InvalidConfig):
-        run_pipeline(config)
-    assert not config.output_dir.exists()
+        run_pipeline(replace(
+            config, output_dir=out,
+            chart_model=replace(config.chart_model, lr=float("nan"))))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand,flag,value", [
@@ -1139,8 +1210,9 @@ def test_overflowing_signal_exits_3_and_writes_nothing(tmp_path):
     ("score-notes", ("--chunks", "--params"), ["--feature-dim", "0"]),
     ("train", ("--tensors", "--labels", "--split"), ["--lr", "inf"]),
     ("score-notes", ("--chunks", "--labels", "--split"), ["--lr", "inf"]),
+    ("split", ("--labels",), ["--ratios", "0.5", "0.5", "0.2"]),
 ], ids=["train", "score-notes-fit", "score-notes-params", "train-lr-inf",
-        "score-notes-lr-inf"])
+        "score-notes-lr-inf", "split-ratios"])
 def test_train_and_score_notes_check_settings_before_reading(
         tmp_path, subcommand, inputs, setting):
     out = tmp_path / "out.npz"

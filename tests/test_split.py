@@ -62,9 +62,9 @@ def make_structured_labels(rng, n, n_labels, second_rate=0.3):
 class TestSpecValidation:
     def test_bad_ratios(self):
         with pytest.raises(InvalidSpec):
-            SplitSpec(ratios=(0.5, 0.5, 0.2)).validate()
+            SplitSpec(ratios=(0.5, 0.5, 0.2))
         with pytest.raises(InvalidSpec):
-            SplitSpec(ratios=(1.0, 0.0, 0.0)).validate()
+            SplitSpec(ratios=(1.0, 0.0, 0.0))
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidSpec):

@@ -202,11 +202,10 @@ def test_crosswalk_covers_all_emitted_codes(small_dataset):
         dict(signal_strength=1e308),
     ],
 )
-def test_invalid_configs(tmp_path, bad):
-    config = SynthConfig(**{**dict(n_observation_types=8,
-                                   n_ccs_categories=6), **bad})
+def test_invalid_configs(bad):
     with pytest.raises(InvalidConfig):
-        generate(config, tmp_path / "x")
+        SynthConfig(**{**dict(n_observation_types=8, n_ccs_categories=6),
+                       **bad})
 
 
 # --- the same bytes as the row-at-a-time generator ------------------------------
