@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 usage error, 3 configuration error, 4 data/schema
-error, 5 numeric fault, 1 anything unexpected. Every invocation writes a
-run manifest (inputs, outputs, config hash, seed, BLAS threads) next to
-its primary output. Subcommands never modify their input files. A stage's
-handler maps its flags onto the stage's pipeline function, prints what that
-returns and writes the manifest; the function reads and writes the
-artifacts. The flags of a config dataclass are named once, in its
-{field: flag} table.
+error, 5 numeric fault, 1 anything unexpected. Subcommands never modify
+their input files. A stage's handler maps its flags onto the stage's
+pipeline function, prints what that returns and returns the {name: path}
+of the files it wrote; the function reads and writes the artifacts. main
+then writes the run manifest next to the first of those files: every
+input flag given, as each subparser declares them in its set_defaults,
+every file written, the config hash, seed and BLAS threads. (pipeline
+writes its own manifest.) The flags of a config dataclass are named once,
+in its {field: flag} table.
 """
 
 from __future__ import annotations
@@ -39,22 +41,22 @@ from .tables import TableKind
 
 def _args_hash(args: argparse.Namespace) -> str:
     payload = {k: str(v) for k, v in sorted(vars(args).items())
-               if k != "func"}
+               if k not in ("func", "inputs")}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
 
-def _emit_manifest(args, subcommand: str, inputs: dict, outputs: dict,
-                   seed: int):
+def _emit_manifest(args, outputs: dict) -> None:
     primary = next(iter(outputs.values()), ".")
     write_run_manifest(
-        Path(primary).parent / f"run_manifest_{subcommand}.json",
-        subcommand,
-        inputs={k: str(v) for k, v in inputs.items()},
+        Path(primary).parent / f"run_manifest_{args.subcommand}.json",
+        args.subcommand,
+        inputs={name: str(getattr(args, name)) for name in args.inputs
+                if getattr(args, name) is not None},
         outputs={k: str(v) for k, v in outputs.items()},
         cfg_hash=_args_hash(args),
-        seed=seed,
+        seed=getattr(args, "seed", 0),
     )
 
 
@@ -106,125 +108,89 @@ def _config(cls, flags: dict[str, str], args: argparse.Namespace):
 
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> dict:
     table = TableKind(args.table)
     count = fhir_etl.transform(args.input, args.output, table)
     print(f"{args.input} -> {args.output}: {count} records "
           f"({fhir_etl.map_table_kind(table)})")
-    _emit_manifest(args, "transform", {"csv": args.input},
-                   {"collection": args.output}, seed=0)
-    return 0
+    return {"collection": args.output}
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     manifest = generate(_config(SynthConfig, SYNTH_FLAGS, args), args.out)
     for kind, path, count in manifest.tables:
         print(f"{kind.value}: {count} rows -> {path}")
-    _emit_manifest(
-        args, "synth", {},
-        {kind.value: path for kind, path, _ in manifest.tables}
-        | {"crosswalk": manifest.crosswalk_path,
-           "manifest": manifest.manifest_path},
-        seed=args.seed,
-    )
-    return 0
+    return ({kind.value: path for kind, path, _ in manifest.tables}
+            | {"crosswalk": manifest.crosswalk_path,
+               "manifest": manifest.manifest_path})
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> dict:
     tensors, stats, (n_tensors, n_types) = pipeline.preprocess(
         args.chartevents, args.admissions, args.out, args.split,
         args.numeric_fraction)
     print(f"{n_tensors} admission tensors over {n_types} types")
-    _emit_manifest(
-        args, "preprocess",
-        {"chartevents": args.chartevents, "admissions": args.admissions},
-        {"tensors": tensors, "stats": stats}, seed=0,
-    )
-    return 0
+    return {"tensors": tensors, "stats": stats}
 
 
-def _cmd_labels(args) -> int:
+def _cmd_labels(args) -> dict:
     written, (n_admissions, n_categories), n_unknown = pipeline.labels(
         args.diagnoses, args.crosswalk, args.out, args.admissions)
     print(f"{n_admissions} admissions x {n_categories} categories; "
           f"{n_unknown} unknown code occurrences")
-    _emit_manifest(
-        args, "labels",
-        {"diagnoses": args.diagnoses, "crosswalk": args.crosswalk},
-        {"labels": written}, seed=0,
-    )
-    return 0
+    return written
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> dict:
     sizes = pipeline.split(
         args.labels, args.out,
         split_mod.SplitSpec(ratios=tuple(args.ratios), seed=args.seed))
     print(f"sizes: {sizes}")
-    _emit_manifest(args, "split", {"labels": args.labels},
-                   {"split": args.out}, seed=args.seed)
-    return 0
+    return {"split": args.out}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> dict:
     log = Path(args.log or f"{args.out}.log.json")
     written, losses = pipeline.train(
         args.tensors, args.labels, args.split, args.out, log,
         _config(chart_model.ChartModelConfig, MODEL_FLAGS, args))
     print(f"train loss per epoch: {[round(x, 6) for x in losses]}")
-    _emit_manifest(
-        args, "train",
-        {"tensors": args.tensors, "labels": args.labels, "split": args.split},
-        {"checkpoint": written, "log": log}, seed=args.seed,
-    )
-    return 0
+    return {"checkpoint": written, "log": log}
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> dict:
     written, (n, c) = pipeline.predict(args.model, args.tensors, args.out)
     print(f"{n} x {c} probabilities -> {written}")
-    _emit_manifest(args, "predict",
-                   {"model": args.model, "tensors": args.tensors},
-                   {"probs": written}, seed=0)
-    return 0
+    return {"probs": written}
 
 
-def _cmd_notes_prep(args) -> int:
+def _cmd_notes_prep(args) -> dict:
     n_admissions, n_chunks = pipeline.notes_prep(
         args.notes, args.admissions, args.out, args.subset, args.max_len)
     print(f"{n_admissions} admissions -> {n_chunks} chunks "
           f"(subset={args.subset})")
-    _emit_manifest(args, "notes-prep",
-                   {"notes": args.notes, "admissions": args.admissions},
-                   {"chunks": args.out}, seed=0)
-    return 0
+    return {"chunks": args.out}
 
 
-def _cmd_score_notes(args) -> int:
+def _cmd_score_notes(args) -> dict:
     fit_out = args.fit_out or f"{args.out}.scorer.npz"
-    outputs, losses, n_scored = pipeline.score_notes(
+    written, losses, n_scored = pipeline.score_notes(
         args.chunks, args.out, args.params, args.labels, args.split,
         fit_out, f"{fit_out}.log.json",
         _config(notes_mod.ScorerConfig, SCORER_FLAGS, args))
     if losses is not None:
         print(f"scorer loss per epoch: {[round(x, 6) for x in losses]}")
-    print(f"scored {n_scored} admissions -> {outputs['scores']}")
-    inputs = ({"chunks": args.chunks, "params": args.params} if args.params
-              else {"chunks": args.chunks, "labels": args.labels,
-                    "split": args.split})
-    _emit_manifest(args, "score-notes", inputs, outputs, seed=args.seed)
-    return 0
+    print(f"scored {n_scored} admissions -> {written['scores']}")
+    return written
 
 
-def _cmd_aggregate(args) -> int:
+def _cmd_aggregate(args) -> dict:
     written, n = pipeline.aggregate(args.scores, args.out, args.scale_c)
     print(f"aggregated {n} admissions -> {written}")
-    _emit_manifest(args, "aggregate", {"scores": args.scores},
-                   {"probs": written}, seed=0)
-    return 0
+    return {"probs": written}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     report = pipeline.evaluate(args.probs, args.labels, args.out, args.split,
                                args.partition, args.target)
     micro = report["micro"]
@@ -232,13 +198,10 @@ def _cmd_eval(args) -> int:
           f"AU-PR {micro['aupr']:.4f}  "
           f"Recall@Prec80 {micro['recall_at_prec80']:.4f}  "
           f"(positive ratio {report['positive_ratio']:.4f})")
-    _emit_manifest(args, "eval",
-                   {"probs": args.probs, "labels": args.labels},
-                   {"report": args.out}, seed=0)
-    return 0
+    return {"report": args.out}
 
 
-def _cmd_attention(args) -> int:
+def _cmd_attention(args) -> dict:
     inp = load_attention_input(args.input)
     weights = attention(inp)
     outputs = {}
@@ -255,11 +218,10 @@ def _cmd_attention(args) -> int:
         outputs["weights"] = args.out_json
     print(f"attention over {weights.weights.shape[0]} queries x "
           f"{weights.weights.shape[1]} keys")
-    _emit_manifest(args, "attention", {"input": args.input}, outputs, seed=0)
-    return 0
+    return outputs
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> None:
     config = load_config(args.config, seed_override=args.seed)
     if args.output_dir:
         config = replace(config, output_dir=Path(args.output_dir))
@@ -268,7 +230,6 @@ def _cmd_pipeline(args) -> int:
           f"{config.output_dir} (config hash {config_hash(config)[:12]})")
     for name in ("chart_metrics", "note_metrics"):
         print(f"  {name}: {artifacts[name]}")
-    return 0
 
 
 # --- parser ------------------------------------------------------------------
@@ -287,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[t.value for t in TableKind])
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_transform, inputs=("input",))
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     _add_config_flags(p, SynthConfig, SYNTH_FLAGS)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, inputs=())
 
     p = sub.add_parser("preprocess", help="chart events -> admission tensors")
     p.add_argument("--chartevents", required=True,
@@ -302,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", help="fit normalization on its train ids only")
     p.add_argument("--numeric-fraction", type=float,
                    default=chart.DEFAULT_NUMERIC_FRACTION)
-    p.set_defaults(func=_cmd_preprocess)
+    p.set_defaults(func=_cmd_preprocess,
+                   inputs=("chartevents", "admissions", "split"))
 
     p = sub.add_parser("labels", help="encode CCS label vectors")
     p.add_argument("--diagnoses", required=True)
@@ -310,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admissions",
                    help="include admissions without diagnosis rows")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_labels)
+    p.set_defaults(func=_cmd_labels,
+                   inputs=("diagnoses", "crosswalk", "admissions"))
 
     p = sub.add_parser("split", help="iterative stratified split")
     p.add_argument("--labels", required=True)
@@ -318,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=float, nargs=3,
                    default=list(split_mod.SplitSpec.ratios))
     p.add_argument("--seed", type=int, default=split_mod.SplitSpec.seed)
-    p.set_defaults(func=_cmd_split)
+    p.set_defaults(func=_cmd_split, inputs=("labels",))
 
     p = sub.add_parser("train", help="train a chart tensor classifier")
     p.add_argument("--tensors", required=True)
@@ -328,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log")
     _add_config_flags(p, chart_model.ChartModelConfig, MODEL_FLAGS,
                       choices={"variant": chart_model.VARIANTS})
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, inputs=("tensors", "labels", "split"))
 
     p = sub.add_parser("predict", help="probabilities from a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--tensors", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, inputs=("model", "tensors"))
 
     p = sub.add_parser("notes-prep", help="clean, subset and chunk notes")
     p.add_argument("--notes", required=True)
@@ -343,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PipelineConfig.subset)
     p.add_argument("--max-len", type=int, default=notes_mod.DEFAULT_MAX_LEN)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_notes_prep)
+    p.set_defaults(func=_cmd_notes_prep, inputs=("notes", "admissions"))
 
     p = sub.add_parser("score-notes",
                        help="score chunks (fits the scorer when asked)")
@@ -354,14 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", help="split json, to fit a new scorer")
     p.add_argument("--fit-out", help="where to store the fitted scorer")
     _add_config_flags(p, notes_mod.ScorerConfig, SCORER_FLAGS)
-    p.set_defaults(func=_cmd_score_notes)
+    p.set_defaults(func=_cmd_score_notes,
+                   inputs=("chunks", "params", "labels", "split"))
 
     p = sub.add_parser("aggregate", help="chunk scores -> admission scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scale-c", type=float,
                    default=notes_mod.DEFAULT_SCALE_C)
-    p.set_defaults(func=_cmd_aggregate)
+    p.set_defaults(func=_cmd_aggregate, inputs=("scores",))
 
     p = sub.add_parser("eval", help="metric report from probabilities")
     p.add_argument("--probs", required=True)
@@ -372,20 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float,
                    default=PipelineConfig.recall_target,
                    help="precision target for the recall metric")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("probs", "labels", "split"))
 
     p = sub.add_parser("attention", help="attention weights and alignment")
     p.add_argument("--input", required=True,
                    help="JSON with queries/keys/values and optional tokens")
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
-    p.set_defaults(func=_cmd_attention)
+    p.set_defaults(func=_cmd_attention, inputs=("input",))
 
     p = sub.add_parser("pipeline", help="run the whole pipeline end to end")
     p.add_argument("--config", required=True, help="INI config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir")
-    p.set_defaults(func=_cmd_pipeline)
+    p.set_defaults(func=_cmd_pipeline, inputs=("config",))
 
     return parser
 
@@ -396,8 +360,17 @@ def main(argv=None) -> int:
     if args.subcommand == "eval" and (args.split is None) != (
             args.partition is None):
         parser.error("eval: --split and --partition go together")
+    if args.subcommand == "score-notes" and (
+            (args.labels is None) != (args.split is None)
+            or args.params is not None
+            and (args.labels, args.split, args.fit_out) != (None,) * 3):
+        parser.error("score-notes: --params, or --labels and --split to fit "
+                     "a scorer (with --fit-out), not both")
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        if outputs is not None:
+            _emit_manifest(args, outputs)
+        return 0
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -71,11 +71,11 @@ def _save_probs(path, ids: list[str], probs: np.ndarray) -> Path:
 # --- stages ------------------------------------------------------------------
 
 def labels(diagnoses, crosswalk, out,
-           admissions=None) -> tuple[Path, tuple[int, int], int]:
+           admissions=None) -> tuple[dict[str, Path], tuple[int, int], int]:
     """CCS labels to out, and beside it unknown_codes.json, the occurrences
     of each code missing from the crosswalk ({} when there are none);
-    returns the path written, the labels' (admissions, categories) shape
-    and the unknown code occurrences.
+    returns the paths written ("labels", "unknown_codes"), the labels'
+    (admissions, categories) shape and the unknown code occurrences.
 
     With an admissions CSV every admission with an id gets a row, all zeros
     when it has no diagnosis rows; without one only admissions with
@@ -89,8 +89,10 @@ def labels(diagnoses, crosswalk, out,
         codes = {adm: codes.get(adm, []) for adm in admission_ids if adm}
     label_matrix, unknown = labels_mod.encode_labels(codes, xwalk)
     written = labels_mod.save_labels(out, label_matrix)
-    save_json(written.parent / "unknown_codes.json", unknown, sort_keys=True)
-    return written, label_matrix.bits.shape, sum(unknown.values())
+    return ({"labels": written,
+             "unknown_codes": save_json(written.parent / "unknown_codes.json",
+                                        unknown, sort_keys=True)},
+            label_matrix.bits.shape, sum(unknown.values()))
 
 
 def split(labels_path, out, spec: split_mod.SplitSpec) -> dict[str, int]:
@@ -197,12 +199,12 @@ def score_notes(
 ) -> tuple[dict[str, Path], Optional[list[float]], int]:
     """Chunk scores to out, by the scorer at params or else by one fitted
     on the split's train admissions, saved to fit_out with its log at
-    log_out. Returns the paths written ("scorer" when fitted, "scores"),
-    the fitted scorer's loss per epoch (or None) and the admissions
-    scored.
+    log_out. Returns the paths written ("scores", and "scorer" and "log"
+    when fitted), the fitted scorer's loss per epoch (or None) and the
+    admissions scored.
     """
     chunks = notes_mod.load_chunks(chunks_path)
-    written: dict[str, Path] = {}
+    fitted: dict[str, Path] = {}
     losses = None
     if params:
         scorer = notes_mod.load_scorer(params)
@@ -217,12 +219,12 @@ def score_notes(
         scorer, log = notes_mod.train_scorer(
             [ch for ch in chunks if ch.admission_id in train_ids], bits_of,
             config)
-        written["scorer"] = notes_mod.save_scorer(fit_out, scorer)
-        save_json(log_out, log, indent=1)
+        fitted = {"scorer": notes_mod.save_scorer(fit_out, scorer),
+                  "log": save_json(log_out, log, indent=1)}
         losses = log["train_loss"]
     matrices = notes_mod.score_chunks(chunks, scorer)
-    written["scores"] = notes_mod.save_score_matrices(out, matrices)
-    return written, losses, len(matrices)
+    return ({"scores": notes_mod.save_score_matrices(out, matrices)} | fitted,
+            losses, len(matrices))
 
 
 def aggregate(scores, out, c: float) -> tuple[Path, int]:

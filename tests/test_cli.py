@@ -1170,6 +1170,118 @@ def test_manifest_records_the_npz_path_written(chain, tmp_path):
     assert (tmp_path / "probs.npz").exists()
 
 
+def _manifest_case(case: str, chain, data, src, out):
+    """The subcommand of case, the {dest: path} of the input flags it gives
+    and its other arguments, which write into out."""
+    return {
+        "transform": ("transform", {"input": data / "admissions.csv"},
+                      ["--table", "admissions", out / "admissions.json"]),
+        "synth": ("synth", {}, ["--out", out, "--patients", "4",
+                                "--admissions", "6", "--types", "8",
+                                "--categories", "6"]),
+        "preprocess": ("preprocess", {
+            "chartevents": data / "chartevents.csv",
+            "admissions": data / "admissions.csv",
+            "split": chain / "split.json"}, ["--out", out]),
+        "labels": ("labels", {
+            "diagnoses": data / "diagnoses_icd.csv",
+            "crosswalk": data / "ccs_crosswalk.csv",
+            "admissions": data / "admissions.csv"},
+            ["--out", out / "labels.npz"]),
+        "split": ("split", {"labels": chain / "labels.npz"},
+                  ["--out", out / "split.json"]),
+        "train": ("train", {"tensors": chain / "tensors.npz",
+                            "labels": chain / "labels.npz",
+                            "split": chain / "split.json"},
+                  ["--out", out / "model.npz", "--hidden", "4",
+                   "--epochs", "1"]),
+        "predict": ("predict", {"model": chain / "model.npz",
+                                "tensors": chain / "tensors.npz"},
+                    ["--out", out / "probs.npz"]),
+        "notes-prep": ("notes-prep", {"notes": data / "noteevents.csv",
+                                      "admissions": data / "admissions.csv"},
+                       ["--out", out / "chunks.json"]),
+        "score-notes-params": ("score-notes", {
+            "chunks": chain / "chunks.json", "params": chain / "scorer.npz"},
+            ["--out", out / "scores.npz"]),
+        "score-notes-fit": ("score-notes", {
+            "chunks": chain / "chunks.json", "labels": chain / "labels.npz",
+            "split": chain / "split.json"},
+            ["--out", out / "scores.npz", "--feature-dim", "256",
+             "--epochs", "1"]),
+        "aggregate": ("aggregate", {"scores": chain / "scores.npz"},
+                      ["--out", out / "probs.npz"]),
+        "eval": ("eval", {"probs": chain / "probs.npz",
+                          "labels": chain / "labels.npz",
+                          "split": chain / "split.json"},
+                 ["--partition", "test", "--out", out / "report.json"]),
+        "attention": ("attention", {"input": src},
+                      ["--out-csv", out / "alignment.csv",
+                       "--out-json", out / "weights.json"]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "transform", "synth", "preprocess", "labels", "split", "train",
+    "predict", "notes-prep", "score-notes-params", "score-notes-fit",
+    "aggregate", "eval", "attention",
+])
+def test_manifest_lists_every_file_read_and_written(chain, cli_dataset,
+                                                    tmp_path, case):
+    src = tmp_path / "qkv.json"
+    src.write_text(json.dumps({"queries": [[1.0]], "keys": [[1.0], [0.0]],
+                               "values": [[1.0], [0.0]]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    subcommand, inputs, rest = _manifest_case(case, chain, cli_dataset, src,
+                                              out)
+    argv = [subcommand]
+    for dest, path in inputs.items():
+        # transform takes its input as a positional argument
+        argv += [path] if subcommand == "transform" else [f"--{dest}", path]
+    before = set(out.rglob("*"))
+    assert main([str(a) for a in argv + rest]) == 0
+    written = set(out.rglob("*")) - before
+    manifest_path = out / f"run_manifest_{subcommand}.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert {Path(p) for p in manifest["outputs"].values()} == (
+        written - {manifest_path})
+    assert manifest["inputs"] == {k: str(v) for k, v in inputs.items()}
+
+
+@pytest.mark.parametrize("flags", [
+    ("--params", "scorer.npz", "--labels", "labels.npz"),
+    ("--params", "scorer.npz", "--fit-out", "fit.npz"),
+    ("--labels", "labels.npz"),
+], ids=["params-and-labels", "params-and-fit-out", "labels-alone"])
+def test_score_notes_takes_one_mode_or_the_other(chain, tmp_path, flags):
+    out = tmp_path / "scores.npz"
+    argv = ["score-notes", "--chunks", str(chain / "chunks.json"),
+            "--out", str(out)]
+    argv += [flag if flag.startswith("--") else str(chain / flag)
+             for flag in flags]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_score_notes_manifest_goes_beside_its_scores(chain, tmp_path):
+    scores, fit = tmp_path / "scores", tmp_path / "fit"
+    scores.mkdir()
+    fit.mkdir()
+    assert main([
+        "score-notes", "--chunks", str(chain / "chunks.json"),
+        "--labels", str(chain / "labels.npz"),
+        "--split", str(chain / "split.json"), "--feature-dim", "256",
+        "--epochs", "1", "--fit-out", str(fit / "scorer.npz"),
+        "--out", str(scores / "chunk_scores.npz"),
+    ]) == 0
+    assert (scores / "run_manifest_score-notes.json").exists()
+    assert sorted(p.name for p in fit.iterdir()) == [
+        "scorer.npz", "scorer.npz.log.json"]
+
+
 def test_notes_prep_checks_max_len_before_reading(cli_dataset, tmp_path):
     notes = tmp_path / "noteevents.csv"
     with open(cli_dataset / "noteevents.csv", encoding="utf-8") as handle:
