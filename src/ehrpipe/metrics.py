@@ -3,8 +3,10 @@
 AU-ROC is the tie-aware concordance probability (equal scores count 1/2),
 identical to the trapezoidal area with tied scores grouped into single
 threshold steps. AU-PR uses step-wise summation over descending unique
-score thresholds, with no interpolation between points. Micro averaging
-pools all (sample, category) cells before computing the scalar metrics;
+score thresholds, with no interpolation between points. Each scored set is
+checked and sorted once, into its cumulative (tp, fp) counts at those
+thresholds, and each metric is a formula over them. Micro averaging pools
+all (sample, category) cells before computing the scalar metrics;
 micro_average returns its report as the plain dict that save_report writes.
 """
 
@@ -18,8 +20,10 @@ from .errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
 from .tables import save_json
 
 
-def _validate(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray,
-                                                               np.ndarray]:
+def _curve(scores, truths) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, fp) after each descending unique score threshold,
+    from one check and one sort of the input; the last entries are the
+    numbers of positives and negatives."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     truths = np.asarray(truths).ravel().astype(bool)
     if scores.shape != truths.shape:
@@ -30,12 +34,6 @@ def _validate(scores: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray,
         raise DegenerateLabels("empty input")
     if not np.isfinite(scores).all():
         raise NonFiniteValue("scores contain NaN or Inf")
-    return scores, truths
-
-
-def _threshold_counts(scores: np.ndarray,
-                      truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative (tp, fp) after each descending unique score threshold."""
     order = np.argsort(-scores, kind="mergesort")
     sorted_truth = truths[order].astype(np.int64)
     sorted_scores = scores[order]
@@ -46,6 +44,35 @@ def _threshold_counts(scores: np.ndarray,
     return tp[last], fp[last]
 
 
+def _roc(tp: np.ndarray, fp: np.ndarray) -> float:
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabels("need at least one positive and one negative")
+    tp = np.concatenate([[0], tp])
+    twice_area = int((np.diff(fp, prepend=0) * (tp[1:] + tp[:-1])).sum())
+    return twice_area / (2 * n_pos * n_neg)
+
+
+def _precision_recall(tp: np.ndarray,
+                      fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n_pos = int(tp[-1])
+    if n_pos == 0:
+        raise DegenerateLabels("need at least one positive")
+    return tp / (tp + fp), tp / n_pos
+
+
+def _pr(tp: np.ndarray, fp: np.ndarray) -> float:
+    precision, recall = _precision_recall(tp, fp)
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(((recall - prev_recall) * precision).sum())
+
+
+def _recall_at(tp: np.ndarray, fp: np.ndarray, target: float) -> float:
+    precision, recall = _precision_recall(tp, fp)
+    feasible = recall[precision >= target]
+    return float(feasible.max()) if feasible.size else 0.0
+
+
 def roc_auc(scores, truths) -> float:
     """Trapezoidal area under ROC over the tied-score threshold steps.
 
@@ -53,28 +80,12 @@ def roc_auc(scores, truths) -> float:
     result equals the Mann-Whitney statistic from tie-averaged ranks bit for
     bit.
     """
-    scores, truths = _validate(scores, truths)
-    n_pos = int(truths.sum())
-    n_neg = truths.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("need at least one positive and one negative")
-    tp, fp = _threshold_counts(scores, truths)
-    tp = np.concatenate([[0], tp])
-    twice_area = int((np.diff(fp, prepend=0) * (tp[1:] + tp[:-1])).sum())
-    return twice_area / (2 * n_pos * n_neg)
+    return _roc(*_curve(scores, truths))
 
 
 def pr_auc(scores, truths) -> float:
     """Step-wise area under the precision-recall curve."""
-    scores, truths = _validate(scores, truths)
-    n_pos = int(truths.sum())
-    if n_pos == 0:
-        raise DegenerateLabels("need at least one positive")
-    tp, fp = _threshold_counts(scores, truths)
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())
+    return _pr(*_curve(scores, truths))
 
 
 def recall_at_precision(scores, truths, target: float = 0.8) -> float:
@@ -82,15 +93,7 @@ def recall_at_precision(scores, truths, target: float = 0.8) -> float:
 
     0.0 when no threshold reaches the target.
     """
-    scores, truths = _validate(scores, truths)
-    n_pos = int(truths.sum())
-    if n_pos == 0:
-        raise DegenerateLabels("need at least one positive")
-    tp, fp = _threshold_counts(scores, truths)
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    feasible = recall[precision >= target]
-    return float(feasible.max()) if feasible.size else 0.0
+    return _recall_at(*_curve(scores, truths), target)
 
 
 def micro_average(scores, truths, target: float = 0.8) -> dict:
@@ -109,31 +112,24 @@ def micro_average(scores, truths, target: float = 0.8) -> dict:
         raise ShapeMismatch(
             f"scores {scores.shape} vs truths {truths.shape}"
         )
+    pool = _curve(scores, truths)
     report = {
-        "micro": {
-            "auroc": roc_auc(scores.ravel(), truths.ravel()),
-            "aupr": pr_auc(scores.ravel(), truths.ravel()),
-            "recall_at_prec80": recall_at_precision(
-                scores.ravel(), truths.ravel(), target),
-        },
+        "micro": {"auroc": _roc(*pool), "aupr": _pr(*pool),
+                  "recall_at_prec80": _recall_at(*pool, target)},
         "positive_ratio": float(truths.mean()),
         "per_category": {},
         "unsupported_categories": [],
     }
-    for c in range(scores.shape[1]):
-        col_scores = scores[:, c]
-        col_truths = truths[:, c]
-        support = int(col_truths.sum())
+    for c, support in enumerate(truths.sum(axis=0).tolist()):
         if support == 0:
             report["unsupported_categories"].append(c)
             continue
+        tp, fp = _curve(scores[:, c], truths[:, c])
         report["per_category"][str(c)] = {
             "support": support,
-            "auroc": (roc_auc(col_scores, col_truths)
-                      if support < col_truths.size else None),
-            "aupr": pr_auc(col_scores, col_truths),
-            "recall_at_prec80": recall_at_precision(col_scores, col_truths,
-                                                    target),
+            "auroc": _roc(tp, fp) if fp[-1] else None,
+            "aupr": _pr(tp, fp),
+            "recall_at_prec80": _recall_at(tp, fp, target),
         }
     return report
 

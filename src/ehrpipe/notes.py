@@ -15,11 +15,12 @@ shared BCE/Adam kernel (feature hashing as in Weinberger et al., ICML 2009).
 Hashed chunks are held sparsely, as CSR rows of sorted unique slots and
 summed signs, never as a dense (chunks x feature_dim) matrix. The scorer
 keeps only the columns its training chunks touch, as their sorted slots and
-a (categories x slots) weight matrix, in training, in its checkpoint and in
-scoring. A slot it was not trained on weighs 0, and scoring is a blocked
-gather-sum over the weight columns. Chunk probabilities are combined per
-admission as (P_max + P_mean * n/c) / (1 + n/c), which leans on the best
-chunk while the mean term attenuates noise as chunks accumulate.
+a (categories x slots) weight matrix, from its initial draw through training
+and its checkpoint to scoring. A slot it was not trained on weighs 0, and
+scoring is a blocked gather-sum over the weight columns. Chunk
+probabilities are combined per admission as (P_max + P_mean * n/c) /
+(1 + n/c), which leans on the best chunk while the mean term attenuates
+noise as chunks accumulate.
 
 Memory per token is a pointer. chunks.json is written an admission per
 line as the admissions are chunked, and read back a block of lines at a
@@ -360,9 +361,8 @@ def train_scorer(
     Only the active columns, the slots the training chunks hash to, can get
     a gradient, so training runs a DenseLayer over them alone, on batches
     densified to (batch, active), and the parameters are those columns.
-    Their init is the full (categories, feature_dim) Glorot draw's active
-    columns, drawn a row at a time so that the full matrix is never held:
-    the row draws give the same numbers as the one full draw.
+    Only they are drawn, from the Glorot range of the full (categories,
+    feature_dim) layer, so fitting costs the same whatever feature_dim is.
     """
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     if not usable:
@@ -378,11 +378,9 @@ def train_scorer(
     indptr, slots, values = _hash_rows(usable, config.feature_dim)
     active, columns = np.unique(slots, return_inverse=True)
     layer = DenseLayer(active.size, n_categories, None)
-    layer.weights[...] = np.stack([
-        glorot_uniform(init_rng, config.feature_dim, n_categories,
-                       (config.feature_dim,))[active]
-        for _ in range(n_categories)
-    ])
+    layer.weights[...] = glorot_uniform(init_rng, config.feature_dim,
+                                        n_categories,
+                                        (n_categories, active.size))
     optimizer = Adam(layer.params(), lr=config.lr)
     history: dict = {"train_loss": []}
     for _ in range(config.epochs):

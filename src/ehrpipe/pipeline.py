@@ -203,14 +203,14 @@ def score_notes(
     when fitted), the fitted scorer's loss per epoch (or None) and the
     admissions scored.
     """
+    if not (params or labels_path and split_path):
+        raise DataError(
+            "score-notes needs --params, or --labels and --split to fit")
     chunks = notes_mod.load_chunks(chunks_path)
     fitted: dict[str, Path] = {}
     losses = None
     if params:
         scorer = notes_mod.load_scorer(params)
-    elif not (labels_path and split_path):
-        raise DataError(
-            "score-notes needs --params, or --labels and --split to fit")
     else:
         label_matrix = labels_mod.load_labels(labels_path)
         train_ids = _members(split_path, "train")
@@ -333,8 +333,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         "note_training_log.json", "chunk_scores.npz",
         "note_admission_probs.npz", "note_metrics.json",
     )}
-    labels(tables[TableKind.DIAGNOSES_ICD], manifest.crosswalk_path,
-           files["labels"], tables[TableKind.ADMISSIONS])
+    labelled, _, _ = labels(tables[TableKind.DIAGNOSES_ICD],
+                            manifest.crosswalk_path, files["labels"],
+                            tables[TableKind.ADMISSIONS])
     split(files["labels"], files["split"], config.split)
 
     with ProcessPoolExecutor(
@@ -346,10 +347,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 break
         notes.result()
 
-    artifacts = {"synth_manifest": manifest.manifest_path}
+    artifacts = {"synth_manifest": manifest.manifest_path,
+                 "crosswalk": manifest.crosswalk_path}
+    artifacts |= {f"data_{kind.value}": path for kind, path in tables.items()}
     artifacts |= {f"fhir_{kind.value}": path
                   for kind, path in collections.items()}
-    artifacts |= files
+    artifacts |= files | labelled
     artifacts["run_manifest"] = write_run_manifest(
         out / "run_manifest_pipeline.json", "pipeline",
         inputs={"config": "inline"},

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -1280,6 +1281,30 @@ def test_score_notes_manifest_goes_beside_its_scores(chain, tmp_path):
     assert (scores / "run_manifest_score-notes.json").exists()
     assert sorted(p.name for p in fit.iterdir()) == [
         "scorer.npz", "scorer.npz.log.json"]
+
+
+def test_score_notes_fits_at_the_largest_feature_dim(chain, tmp_path):
+    """Fitting draws only the trained columns, so 2^32 slots cost about
+    what 256 do. The child's address space is capped at 4 GiB, so a draw as
+    wide as the feature space (32 GiB a category) fails at once."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    limit = 4 << 30
+    child = subprocess.run(
+        [sys.executable, "-m", "ehrpipe.cli", "score-notes",
+         "--chunks", str(chain / "chunks.json"),
+         "--labels", str(chain / "labels.npz"),
+         "--split", str(chain / "split.json"),
+         "--feature-dim", str(2 ** 32), "--epochs", "1",
+         "--fit-out", str(tmp_path / "scorer.npz"),
+         "--out", str(tmp_path / "scores.npz")],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert child.returncode == 0, child.stderr
+    with np.load(tmp_path / "scorer.npz") as data:
+        assert int(data["feature_dim"]) == 2 ** 32
 
 
 def test_notes_prep_checks_max_len_before_reading(cli_dataset, tmp_path):

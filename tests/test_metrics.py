@@ -215,6 +215,43 @@ class TestMicroAverage:
         with pytest.raises(ShapeMismatch):
             micro_average(np.zeros((2, 2)), np.zeros((3, 2), dtype=bool))
 
+    def test_figures_are_the_scalar_metrics(self):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 6, size=(40, 5)) / 5.0  # many ties
+        truths = rng.random((40, 5)) < 0.3
+        truths[:, 3] = True  # no negatives: AU-ROC is None
+        truths[:, 4] = False  # unsupported
+        report = micro_average(scores, truths, target=0.6)
+        assert report["micro"] == {
+            "auroc": roc_auc(scores, truths),
+            "aupr": pr_auc(scores, truths),
+            "recall_at_prec80": recall_at_precision(scores, truths, 0.6),
+        }
+        for c in range(4):
+            col = scores[:, c], truths[:, c]
+            assert report["per_category"][str(c)] == {
+                "support": int(truths[:, c].sum()),
+                "auroc": roc_auc(*col) if c != 3 else None,
+                "aupr": pr_auc(*col),
+                "recall_at_prec80": recall_at_precision(*col, 0.6),
+            }
+        assert report["unsupported_categories"] == [4]
+
+    def test_each_scored_set_is_sorted_once(self, monkeypatch):
+        """One sort for the pool and one per supported category."""
+        calls, argsort = [], np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(args[0].shape)
+            return argsort(*args, **kwargs)
+
+        scores = np.random.default_rng(6).random((30, 4))
+        truths = scores > 0.5
+        truths[:, 2] = False
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        micro_average(scores, truths)
+        assert calls == [(120,), (30,), (30,), (30,)]
+
     def test_report_serializes(self, tmp_path):
         report = micro_average(SCORES[:, None], TRUTHS[:, None])
         payload = json.loads(save_report(tmp_path / "report.json",

@@ -273,13 +273,20 @@ def _sparse_case_chunks(dim: int) -> list[ChunkTokenSequence]:
 
 
 def _dense_train(chunks, labels_by_admission, config):
-    """The scorer trained on dense hash_features rows: the reference."""
+    """The scorer trained on dense hash_features rows: the reference. Its
+    touched columns start from the scorer's draw, the others from 0; no
+    gradient reaches those."""
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     targets = np.stack([labels_by_admission[ch.admission_id]
                         for ch in usable])
     rng = np.random.default_rng([config.seed, 0])
-    layer = DenseLayer(config.feature_dim, targets.shape[1],
-                       np.random.default_rng([config.seed, 1]))
+    dim, n_categories = config.feature_dim, targets.shape[1]
+    touched = sorted({_token_slot(token, dim)[0]
+                      for ch in usable for token in ch.tokens})
+    layer = DenseLayer(dim, n_categories, None)
+    layer.weights[:, touched] = glorot_uniform(
+        np.random.default_rng([config.seed, 1]), dim, n_categories,
+        (n_categories, len(touched)))
     optimizer = Adam(layer.params(), lr=config.lr)
     features = np.stack([hash_features(ch.tokens, config.feature_dim)
                          for ch in usable])
@@ -363,15 +370,35 @@ class TestSparseFeatures:
         np.testing.assert_allclose(history["train_loss"], losses, rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("dim", [16, 2 ** 15])
-    def test_untrained_scorer_is_the_full_draws_columns(self, dim):
+    # At dim 16 every slot is trained, so the draw is the full layer's.
+    @pytest.mark.parametrize("dim", [64, 2 ** 15])
+    def test_untrained_scorer_is_one_draw_of_its_columns(self, dim):
+        """The trained columns alone are drawn, at the Glorot scale of the
+        full (categories, dim) layer."""
         chunks = _sparse_case_chunks(dim)
         labels = {ch.admission_id: np.ones(3, dtype=bool) for ch in chunks}
         config = ScorerConfig(feature_dim=dim, epochs=0, seed=7)
         params, _ = train_scorer(chunks, labels, config)
         init = glorot_uniform(np.random.default_rng([config.seed, 1]), dim,
-                              3, (3, dim))
-        np.testing.assert_array_equal(params.weights, init[:, params.slots])
+                              3, (3, params.slots.size))
+        np.testing.assert_array_equal(params.weights, init)
+
+    def test_fitting_memory_does_not_grow_with_feature_dim(self):
+        dim = 2 ** 24
+        chunks = _sparse_case_chunks(dim)
+        labels = {ch.admission_id: np.arange(3) % 2 == 0 for ch in chunks}
+        config = ScorerConfig(feature_dim=dim, epochs=1, batch_size=4,
+                              seed=7)
+        # The first call fills _token_slot's cache, which outlives it.
+        expected, _ = train_scorer(chunks, labels, config)
+        tracemalloc.start()
+        try:
+            params, _ = train_scorer(chunks, labels, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        np.testing.assert_array_equal(params.weights, expected.weights)
 
     @pytest.mark.parametrize("dim", [16, 2 ** 15])
     def test_blocks_give_the_whole_list_results(self, dim, monkeypatch):

@@ -175,6 +175,24 @@ def test_chart_error_is_reported_when_both_branches_fail(
     assert _no_worker_and_no_temp_file(tmp_path / "run")
 
 
+def test_run_manifest_lists_every_file_the_run_wrote(config_path,
+                                                    tmp_path):
+    artifacts = pipeline.run_pipeline(load_config(config_path))
+    written = {p for p in (tmp_path / "run").rglob("*") if p.is_file()}
+    manifest = json.loads(artifacts["run_manifest"].read_text())
+    listed = [Path(p) for p in manifest["outputs"].values()]
+    assert sorted(listed) == sorted(written - {artifacts["run_manifest"]})
+    assert {"crosswalk", "data_noteevents", "unknown_codes"} <= set(
+        manifest["outputs"])
+    assert manifest["inputs"] == {"config": "inline"}
+
+
+def test_score_notes_checks_its_mode_before_reading(tmp_path):
+    with pytest.raises(DataError, match="score-notes needs --params, or "
+                                        "--labels and --split to fit"):
+        pipeline.score_notes(tmp_path / "missing.json", tmp_path / "s.npz")
+
+
 def test_load_config_derives_every_stage_seed(config_path):
     stages = ("synth", "split", "chart_model", "scorer")
     seeds = {}
