@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DataError
 from .tables import iter_csv_rows, load_json, open_atomic, reading, save_json
 
 
@@ -27,19 +27,19 @@ class AttentionInput:
     def validate(self) -> None:
         q, k, v = map(np.asarray, (self.queries, self.keys, self.values))
         if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-            raise ShapeMismatch("queries, keys and values must be 2-D")
+            raise DataError("queries, keys and values must be 2-D")
         if q.shape[1] != k.shape[1] or q.shape[1] < 1:
-            raise ShapeMismatch(
+            raise DataError(
                 f"query dim {q.shape[1]} != key dim {k.shape[1]}"
             )
         if v.shape[0] != k.shape[0]:
-            raise ShapeMismatch(
+            raise DataError(
                 f"{v.shape[0]} value rows for {k.shape[0]} keys"
             )
         if self.tokens_q and len(self.tokens_q) != q.shape[0]:
-            raise ShapeMismatch("tokens_q length != number of queries")
+            raise DataError("tokens_q length != number of queries")
         if self.tokens_k and len(self.tokens_k) != k.shape[0]:
-            raise ShapeMismatch("tokens_k length != number of keys")
+            raise DataError("tokens_k length != number of keys")
 
 
 @dataclass
@@ -69,7 +69,7 @@ def export_alignment(
     within each query; ties keep key order."""
     w = weights.weights
     if w.shape != (len(tokens_q), len(tokens_k)):
-        raise ShapeMismatch(
+        raise DataError(
             f"weights {w.shape} vs {len(tokens_q)} queries x "
             f"{len(tokens_k)} keys"
         )

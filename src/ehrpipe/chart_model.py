@@ -5,8 +5,11 @@ patterns across the time dimension: a dense layer on the flattened tensor
 (fcnn), a per-type convolution spanning the N_BINS bins (cnn), or a simple
 tanh recurrence over the bins (rnn). All variants continue with dropout and
 two 512-wide dense layers into a sigmoid head with one output per category.
-train fits a model in place and returns its history; a checkpoint loads
-back as the model and the tensors' observation-type catalog.
+train fits a model in place and returns its history, with a validation
+AU-PR for each epoch whose validation labels hold a positive; a checkpoint
+loads back as the model and the tensors' observation-type catalog. An
+invalid config raises ConfigError, tensors or labels of other shapes
+DataError, and a checkpoint that does not load DataError naming its file.
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CatalogMismatch,
-    DegenerateLabels,
-    EmptyPartition,
-    InvalidConfig,
-    ShapeMismatch,
-)
+from .errors import ConfigError, DataError
 from .metrics import pr_auc
 from .nn import (
     N_BINS,
@@ -59,17 +56,17 @@ class ChartModelConfig:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise InvalidConfig(f"variant must be one of {VARIANTS}")
+            raise ConfigError(f"variant must be one of {VARIANTS}")
         for name in ("n_types", "n_categories", "hidden_size", "batch_size",
                      "conv_filters", "rnn_hidden"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfig("dropout must be in [0,1)")
+            raise ConfigError("dropout must be in [0,1)")
         if not 0 < self.lr < math.inf:  # also rejects NaN
-            raise InvalidConfig("lr must be positive and finite")
+            raise ConfigError("lr must be positive and finite")
 
 
 class ChartModel:
@@ -128,7 +125,7 @@ class ChartModel:
 def _check_inputs(config: ChartModelConfig, tensors: np.ndarray):
     if tensors.ndim != 3 or tensors.shape[1] != config.n_types \
             or tensors.shape[2] != N_BINS:
-        raise CatalogMismatch(
+        raise DataError(
             f"tensors {tensors.shape} do not match "
             f"({config.n_types} types x {N_BINS} bins)"
         )
@@ -145,14 +142,14 @@ def train(
     minibatch Adam; returns its history.
 
     Minibatches are drawn from a fresh seeded shuffle each epoch. The log
-    records the mean train loss per epoch and, when the validation split has
-    both classes, its micro AU-PR. No early stopping: the epoch count is
-    fixed configuration.
+    records the mean train loss per epoch and, when the validation split
+    holds a positive label, its micro AU-PR. No early stopping: the epoch
+    count is fixed configuration.
     """
     config = model.config
     _check_inputs(config, tensors)
     if labels.shape != (tensors.shape[0], config.n_categories):
-        raise ShapeMismatch(
+        raise DataError(
             f"labels {labels.shape} do not match "
             f"({tensors.shape[0]}, {config.n_categories})"
         )
@@ -161,23 +158,21 @@ def train(
     val_idx = [i for i, adm in enumerate(admission_ids)
                if assignment.get(str(adm)) == "val"]
     if not train_idx.size:
-        raise EmptyPartition("no training samples in the split")
+        raise DataError("no training samples in the split")
 
     rng = np.random.default_rng([config.seed, 2])
     optimizer = Adam(model.params(), lr=config.lr)
     history: dict = {"train_loss": [], "val_micro_aupr": []}
+    val_truth = labels[val_idx].ravel()
 
     for _ in range(config.epochs):
         history["train_loss"].append(train_epoch(
             model, optimizer, train_idx[rng.permutation(train_idx.size)],
             config.batch_size, lambda rows: (tensors[rows], labels[rows])))
         val_aupr = None
-        if val_idx:
+        if val_truth.any():
             val_probs = predict(model, tensors[val_idx])
-            try:
-                val_aupr = pr_auc(val_probs.ravel(), labels[val_idx].ravel())
-            except DegenerateLabels:
-                pass
+            val_aupr = pr_auc(val_probs.ravel(), val_truth)
         history["val_micro_aupr"].append(val_aupr)
 
     return history
@@ -217,7 +212,7 @@ def save_checkpoint(path, model: ChartModel, history: dict,
 
 
 def load_checkpoint(path) -> tuple[ChartModel, list[str]]:
-    """The model and the catalog a checkpoint stores; IoFailure naming path
+    """The model and the catalog a checkpoint stores; DataError naming path
     when its config is invalid, its arrays do not fit the config's
     parameters or one holds a NaN or Inf."""
     with reading(path):
@@ -230,7 +225,7 @@ def load_checkpoint(path) -> tuple[ChartModel, list[str]]:
         try:
             model = ChartModel(ChartModelConfig(**meta["config"]),
                                initialize=False)
-        except InvalidConfig as exc:
+        except ConfigError as exc:
             raise ValueError(f"config: {exc}") from exc
         params = model.params()
         if len(params) != len(arrays):

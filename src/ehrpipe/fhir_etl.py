@@ -21,7 +21,7 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Iterator
 
-from .errors import MalformedJson, UnknownResourceType, UnmappedTable
+from .errors import DataError
 from .tables import (
     RESOURCE_TYPES,
     TABLE_COLUMNS,
@@ -155,7 +155,7 @@ def transform(input_path, output_path, table: TableKind) -> int:
     """
     resource_type = map_table_kind(table)
     if resource_type is None:
-        raise UnmappedTable(f"no FHIR resource type for table {table.value}")
+        raise DataError(f"no FHIR resource type for table {table.value}")
     count = 0
     template = None
     with open_atomic(output_path) as handle:
@@ -176,9 +176,9 @@ def transform(input_path, output_path, table: TableKind) -> int:
 
 
 def _check_records(path, start: int, records: list) -> None:
-    """MalformedJson unless every record is an object with a resource_type
-    whose attributes are all scalars, and UnknownResourceType unless that
-    resource_type is in RESOURCE_TYPES; records start at record start.
+    """DataError unless every record is an object with a resource_type
+    whose attributes are all scalars and that resource_type is in
+    RESOURCE_TYPES; records start at record start.
 
     Three passes over the whole block check the types of the records, of
     every value and the resource types; only a block that fails one is
@@ -195,16 +195,16 @@ def _check_records(path, start: int, records: list) -> None:
         pass  # a record without a resource_type
     for index, record in enumerate(records, start):
         if type(record) is not dict or "resource_type" not in record:
-            raise MalformedJson(f"{path}: record {index} is not a flat object")
+            raise DataError(f"{path}: record {index} is not a flat object")
         if not _SCALAR_TYPES.issuperset(map(type, record.values())):
             key = next(key for key, value in record.items()
                        if type(value) not in _SCALAR_TYPES)
-            raise MalformedJson(
+            raise DataError(
                 f"{path}: record {index} attribute {key!r} is nested"
             )
         rtype = record["resource_type"]
         if rtype not in RESOURCE_TYPES:
-            raise UnknownResourceType(
+            raise DataError(
                 f"{path}: record {index} has resource_type {rtype!r}"
             )
 
@@ -219,7 +219,7 @@ def iter_collection_blocks(path) -> Iterator[list[Record]]:
     """
     with reading(path), open_text_auto(path) as handle:
         start = 0
-        for records in iter_json_blocks(path, handle, "[", MalformedJson):
+        for records in iter_json_blocks(path, handle, "["):
             _check_records(path, start, records)
             start += len(records)
             yield records

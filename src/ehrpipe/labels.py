@@ -17,11 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DuplicateIcdCode,
-    IoFailure,
-    MalformedCrosswalk,
-)
+from .errors import DataError
 from .tables import (
     iter_csv_rows,
     load_admission_npz,
@@ -63,12 +59,12 @@ def load_crosswalk(path) -> dict[str, int]:
                 continue  # header or descriptive line
             seen = mapping.get(code)
             if seen is not None and seen != category:
-                raise DuplicateIcdCode(
+                raise DataError(
                     f"code {code!r} maps to both {seen} and {category}"
                 )
             mapping[code] = category
     if not mapping:
-        raise MalformedCrosswalk(f"{path}: no code/category rows found")
+        raise DataError(f"{path}: no code/category rows found")
     return mapping
 
 
@@ -120,7 +116,7 @@ def load_labels(path) -> LabelMatrix:
     """labels.npz, checked to hold one bits column per category."""
     arrays = load_admission_npz(path, ("bits",), ("categories",))
     if arrays["bits"].shape[1:] != arrays["categories"].shape:
-        raise IoFailure(f"{path}: bits of shape {arrays['bits'].shape} do not"
+        raise DataError(f"{path}: bits of shape {arrays['bits'].shape} do not"
                         f" have one column per category of"
                         f" {arrays['categories'].shape}")
     return LabelMatrix(**arrays)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
+from .errors import DataError, NumericError
 from .tables import save_json
 
 
@@ -27,13 +27,13 @@ def _curve(scores, truths) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64).ravel()
     truths = np.asarray(truths).ravel().astype(bool)
     if scores.shape != truths.shape:
-        raise ShapeMismatch(
+        raise DataError(
             f"scores {scores.shape} vs truths {truths.shape}"
         )
     if scores.size == 0:
-        raise DegenerateLabels("empty input")
+        raise DataError("empty input")
     if not np.isfinite(scores).all():
-        raise NonFiniteValue("scores contain NaN or Inf")
+        raise NumericError("scores contain NaN or Inf")
     order = np.argsort(-scores, kind="mergesort")
     sorted_truth = truths[order].astype(np.int64)
     sorted_scores = scores[order]
@@ -47,7 +47,7 @@ def _curve(scores, truths) -> tuple[np.ndarray, np.ndarray]:
 def _roc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("need at least one positive and one negative")
+        raise DataError("need at least one positive and one negative")
     tp = np.concatenate([[0], tp])
     twice_area = int((np.diff(fp, prepend=0) * (tp[1:] + tp[:-1])).sum())
     return twice_area / (2 * n_pos * n_neg)
@@ -57,7 +57,7 @@ def _precision_recall(tp: np.ndarray,
                       fp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_pos = int(tp[-1])
     if n_pos == 0:
-        raise DegenerateLabels("need at least one positive")
+        raise DataError("need at least one positive")
     return tp / (tp + fp), tp / n_pos
 
 
@@ -109,7 +109,7 @@ def micro_average(scores, truths, target: float = 0.8) -> dict:
     scores = np.asarray(scores, dtype=np.float64)
     truths = np.asarray(truths).astype(bool)
     if scores.shape != truths.shape or scores.ndim != 2:
-        raise ShapeMismatch(
+        raise DataError(
             f"scores {scores.shape} vs truths {truths.shape}"
         )
     pool = _curve(scores, truths)

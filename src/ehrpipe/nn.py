@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteValue, ShapeMismatch
+from .errors import ConfigError, DataError, NumericError
 
 N_BINS = 4
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
-        raise NonFiniteValue(f"non-finite values in {name}")
+        raise NumericError(f"non-finite values in {name}")
     return arr
 
 
@@ -62,7 +62,7 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.weights.shape[1]:
-            raise ShapeMismatch(
+            raise DataError(
                 f"dense expects (B,{self.weights.shape[1]}), got {x.shape}"
             )
         self._x = x
@@ -71,7 +71,7 @@ class DenseLayer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None or grad.shape != (self._x.shape[0],
                                              self.weights.shape[0]):
-            raise ShapeMismatch(f"dense backward got {grad.shape}")
+            raise DataError(f"dense backward got {grad.shape}")
         np.matmul(grad.T, self._x, out=self.d_weights)
         np.sum(grad, axis=0, out=self.d_bias)
         return grad @ self.weights
@@ -114,7 +114,7 @@ class DropoutLayer(_Parameterless):
 
     def __init__(self, p: float, rng: np.random.Generator):
         if not 0.0 <= p < 1.0:
-            raise InvalidConfig(f"dropout probability {p} not in [0,1)")
+            raise ConfigError(f"dropout probability {p} not in [0,1)")
         self.p = p
         self.rng = rng
         self.last_mask: np.ndarray | None = None
@@ -162,7 +162,7 @@ class TimeConvLayer:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != N_BINS:
-            raise ShapeMismatch(f"timeconv expects (B,T,{N_BINS}), got {x.shape}")
+            raise DataError(f"timeconv expects (B,T,{N_BINS}), got {x.shape}")
         self._x = x
         kernel = self.filters[:, 0, :]  # (F, 4)
         out = np.einsum("btk,fk->btf", x, kernel) + self.bias
@@ -170,7 +170,7 @@ class TimeConvLayer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None or grad.shape[:2] != self._x.shape[:2]:
-            raise ShapeMismatch(f"timeconv backward got {grad.shape}")
+            raise DataError(f"timeconv backward got {grad.shape}")
         kernel = self.filters[:, 0, :]
         self.d_filters[:, 0, :] = np.einsum("btf,btk->fk", grad, self._x)
         self.d_bias[:] = grad.sum(axis=(0, 1))
@@ -204,9 +204,9 @@ class SimpleRnnLayer:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != N_BINS:
-            raise ShapeMismatch(f"rnn expects (B,T,{N_BINS}), got {x.shape}")
+            raise DataError(f"rnn expects (B,T,{N_BINS}), got {x.shape}")
         if x.shape[1] != self.input_weights.shape[1]:
-            raise ShapeMismatch(
+            raise DataError(
                 f"rnn expects {self.input_weights.shape[1]} types, "
                 f"got {x.shape[1]}"
             )
@@ -222,7 +222,7 @@ class SimpleRnnLayer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None or grad.shape != self._states[-1].shape:
-            raise ShapeMismatch(f"rnn backward got {grad.shape}")
+            raise DataError(f"rnn backward got {grad.shape}")
         x = self._x
         self.d_input.fill(0.0)
         self.d_recurrent.fill(0.0)
@@ -269,7 +269,7 @@ def bce_loss(probabilities: np.ndarray,
     sigmoid output layer backpropagates directly from it.
     """
     if probabilities.shape != targets.shape:
-        raise ShapeMismatch(
+        raise DataError(
             f"probabilities {probabilities.shape} vs targets {targets.shape}"
         )
     p = np.clip(probabilities, _CLAMP, 1.0 - _CLAMP)
@@ -314,7 +314,7 @@ class Adam:
             flat = p.reshape(-1)
             if not np.may_share_memory(flat, p):
                 # reshape copied: an update of the copy would never reach p
-                raise ShapeMismatch(
+                raise DataError(
                     f"Adam needs contiguous parameters, got strides "
                     f"{p.strides} for shape {p.shape}"
                 )
@@ -324,12 +324,12 @@ class Adam:
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
-            raise ShapeMismatch(
+            raise DataError(
                 f"{len(grads)} gradients for {len(self.params)} parameters"
             )
         for p, g in zip(self.params, grads):
             if g.shape != p.shape:
-                raise ShapeMismatch(
+                raise DataError(
                     f"gradient {g.shape} does not match parameter {p.shape}"
                 )
         self.step_count += 1

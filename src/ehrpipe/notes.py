@@ -45,13 +45,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    EmptyChunkSet,
-    EmptyPartition,
-    InvalidConfig,
-    IoFailure,
-    UnknownAdmission,
-)
+from .errors import ConfigError, DataError
 from .nn import Adam, DenseLayer, glorot_uniform, sigmoid, train_epoch
 from .tables import (
     NO_TIME,
@@ -120,13 +114,13 @@ class ScorerConfig:
     def __post_init__(self) -> None:
         for name in ("feature_dim", "batch_size"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"scorer {name} must be positive")
+                raise ConfigError(f"scorer {name} must be positive")
         if self.feature_dim > MAX_FEATURE_DIM:
-            raise InvalidConfig("scorer feature_dim must be at most 2^32")
+            raise ConfigError("scorer feature_dim must be at most 2^32")
         if self.epochs < 0:
-            raise InvalidConfig("scorer epochs must be >= 0")
+            raise ConfigError("scorer epochs must be >= 0")
         if not 0 < self.lr < math.inf:  # also rejects NaN
-            raise InvalidConfig("scorer lr must be positive and finite")
+            raise ConfigError("scorer lr must be positive and finite")
 
 
 def clean_text(raw: str) -> str:
@@ -157,7 +151,7 @@ def build_subset(
     for note in notes:
         adm = str(note.admission_id)
         if adm not in admission_times:
-            raise UnknownAdmission(f"note references unknown admission {adm}")
+            raise DataError(f"note references unknown admission {adm}")
         is_discharge = note.category.strip().lower() == DISCHARGE_CATEGORY
         if kind == "disch":
             if not is_discharge:
@@ -180,16 +174,16 @@ def build_subset(
 
 
 def check_subset(kind: str) -> None:
-    """InvalidConfig unless kind is one of SUBSET_KINDS."""
+    """ConfigError unless kind is one of SUBSET_KINDS."""
     if kind not in SUBSET_KINDS:
-        raise InvalidConfig(f"subset kind must be one of {SUBSET_KINDS}")
+        raise ConfigError(f"subset kind must be one of {SUBSET_KINDS}")
 
 
 def check_max_len(max_len: int) -> None:
-    """InvalidConfig unless a chunk of max_len tokens holds the marker and
+    """ConfigError unless a chunk of max_len tokens holds the marker and
     at least one token."""
     if max_len < 2:
-        raise InvalidConfig("max_len must be at least 2 (marker + 1 token)")
+        raise ConfigError("max_len must be at least 2 (marker + 1 token)")
 
 
 def chunk_text(
@@ -366,7 +360,7 @@ def train_scorer(
     """
     usable = [ch for ch in chunks if ch.admission_id in labels_by_admission]
     if not usable:
-        raise EmptyPartition("no labeled chunks to train on")
+        raise DataError("no labeled chunks to train on")
     targets = np.stack(
         [np.asarray(labels_by_admission[ch.admission_id], dtype=bool)
          for ch in usable]
@@ -395,9 +389,9 @@ def train_scorer(
 
 
 def check_scale_c(c: float) -> None:
-    """InvalidConfig unless the aggregation scale c is positive."""
+    """ConfigError unless the aggregation scale c is positive."""
     if not c > 0:  # also rejects NaN
-        raise InvalidConfig("aggregation scale c must be positive")
+        raise ConfigError("aggregation scale c must be positive")
 
 
 def aggregate(matrix: ChunkScoreMatrix,
@@ -406,7 +400,7 @@ def aggregate(matrix: ChunkScoreMatrix,
     check_scale_c(c)
     probs = matrix.probabilities
     if probs.ndim != 2 or probs.shape[0] < 1:
-        raise EmptyChunkSet(
+        raise DataError(
             f"admission {matrix.admission_id} has no scored chunks"
         )
     n = probs.shape[0]
@@ -461,7 +455,7 @@ def save_chunks(path, chunks: Iterable[ChunkTokenSequence]) -> int:
 
 
 def _check_chunk_block(path, members: list, seen: set[str]) -> None:
-    """IoFailure unless every admission of members maps to lists of
+    """DataError unless every admission of members maps to lists of
     strings and appears once in the file; seen holds the admissions of the
     blocks before, and gets these.
 
@@ -479,11 +473,11 @@ def _check_chunk_block(path, members: list, seen: set[str]) -> None:
                        type(tokens) is list
                        and all(type(t) is str for t in tokens)
                        for tokens in token_lists)))
-        raise IoFailure(
+        raise DataError(
             f"{path}: admission {adm!r} does not map to token lists")
     for adm, _ in members:
         if adm in seen:
-            raise IoFailure(f"{path}: admission {adm!r} appears twice")
+            raise DataError(f"{path}: admission {adm!r} appears twice")
         seen.add(adm)
 
 
@@ -494,14 +488,14 @@ def load_chunks(path) -> list[ChunkTokenSequence]:
     The layout save_chunks writes is decoded a block of admissions at a
     time, and any other valid layout whole (tables.iter_json_blocks). An
     admission that does not map to lists of strings, or that appears twice,
-    raises IoFailure. Equal tokens share one str object, so the chunks hold
+    raises DataError. Equal tokens share one str object, so the chunks hold
     a pointer per token and one string per distinct token.
     """
     chunks = []
     seen: set[str] = set()
     canonical: dict[str, str] = {}
     with reading(path), open(path, "r", encoding="utf-8") as handle:
-        for members in iter_json_blocks(path, handle, "{", IoFailure):
+        for members in iter_json_blocks(path, handle, "{"):
             _check_chunk_block(path, members, seen)
             for adm, token_lists in members:
                 for tokens in token_lists:
@@ -564,7 +558,7 @@ def load_score_matrices(path) -> list[ChunkScoreMatrix]:
     counts, probs = arrays["chunk_counts"], arrays["probabilities"]
     if (probs.ndim != 2 or counts.ndim != 1 or counts.dtype.kind not in "iu"
             or np.any(counts < 1) or counts.sum() != probs.shape[0]):
-        raise IoFailure(f"{path}: chunk_counts {counts.shape} {counts.dtype}"
+        raise DataError(f"{path}: chunk_counts {counts.shape} {counts.dtype}"
                         " are not counts of at least 1 summing to the rows"
                         f" of probabilities {probs.shape}")
     return [

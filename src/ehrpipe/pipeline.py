@@ -28,7 +28,7 @@ import numpy as np
 from . import chart, chart_model, fhir_etl, labels as labels_mod, metrics
 from . import notes as notes_mod
 from . import split as split_mod
-from .errors import CatalogMismatch, DataError, EmptyChunkSet, EmptyPartition
+from .errors import DataError
 from .runcfg import (
     PipelineConfig,
     check_fraction,
@@ -38,6 +38,7 @@ from .runcfg import (
 from .synth import generate
 from .tables import (
     TableKind,
+    check_dirs,
     iter_csv_rows,
     load_admission_npz,
     make_dir,
@@ -139,15 +140,17 @@ def train(
 
     The tensors' catalog and the labels replace config's n_types and
     n_categories. The checkpoint names chart_stats.json when that file is
-    beside the tensors.
+    beside the tensors. A missing directory of out or log_out fails before
+    anything is read.
     """
+    check_dirs(out, log_out)
     tensors, catalog = chart.load_tensors(tensors_path)
     label_matrix = labels_mod.load_labels(labels_path)
     assignment = split_mod.load_split(split_path)
     ids = tensors.admission_ids.tolist()
     kept, rows = _labelled(ids, label_matrix)
     if not kept:
-        raise EmptyPartition("no admission tensor has a label vector")
+        raise DataError("no admission tensor has a label vector")
     stats = Path(tensors_path).parent / "chart_stats.json"
     config = replace(config, n_types=len(catalog),
                      n_categories=label_matrix.bits.shape[1])
@@ -165,13 +168,13 @@ def predict(model, tensors_path, out) -> tuple[Path, tuple[int, int]]:
     """(N, C) probabilities of the tensors' admissions to out; returns the
     path written and the shape.
 
-    CatalogMismatch when the checkpoint records a catalog other than the
+    DataError when the checkpoint records a catalog other than the
     tensors' one.
     """
     loaded, stored_catalog = chart_model.load_checkpoint(model)
     tensors, catalog = chart.load_tensors(tensors_path)
     if stored_catalog and stored_catalog != catalog:
-        raise CatalogMismatch(
+        raise DataError(
             "the tensors' observation types differ from the checkpoint's")
     probs = chart_model.predict(loaded, tensors.values)
     return (_save_probs(out, tensors.admission_ids.tolist(), probs),
@@ -201,11 +204,13 @@ def score_notes(
     on the split's train admissions, saved to fit_out with its log at
     log_out. Returns the paths written ("scores", and "scorer" and "log"
     when fitted), the fitted scorer's loss per epoch (or None) and the
-    admissions scored.
+    admissions scored. A missing directory of a file it would write fails
+    before anything is read.
     """
     if not (params or labels_path and split_path):
         raise DataError(
             "score-notes needs --params, or --labels and --split to fit")
+    check_dirs(out, *(() if params else (fit_out, log_out)))
     chunks = notes_mod.load_chunks(chunks_path)
     fitted: dict[str, Path] = {}
     losses = None
@@ -233,7 +238,7 @@ def aggregate(scores, out, c: float) -> tuple[Path, int]:
     notes_mod.check_scale_c(c)
     matrices = notes_mod.load_score_matrices(scores)
     if not matrices:
-        raise EmptyChunkSet("no scored admissions to aggregate")
+        raise DataError("no scored admissions to aggregate")
     probs = np.stack([notes_mod.aggregate(m, c) for m in matrices])
     return (_save_probs(out, [m.admission_id for m in matrices], probs),
             len(matrices))

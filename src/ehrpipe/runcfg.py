@@ -19,7 +19,7 @@ from pathlib import Path
 from . import blas_threads
 from .chart import DEFAULT_NUMERIC_FRACTION
 from .chart_model import ChartModelConfig
-from .errors import ConfigError, InvalidConfig
+from .errors import ConfigError
 from .notes import (
     DEFAULT_MAX_LEN,
     DEFAULT_SCALE_C,
@@ -34,9 +34,9 @@ from .tables import reading, save_json
 
 
 def check_fraction(name: str, value: float) -> None:
-    """InvalidConfig unless 0 <= value <= 1; NaN fails too."""
+    """ConfigError unless 0 <= value <= 1; NaN fails too."""
     if not 0.0 <= value <= 1.0:
-        raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
 def derive_seed(master: int, stage: str) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, IoFailure
+from .errors import ConfigError, DataError
 from .labels import LabelMatrix
 from .tables import load_json, save_json
 
@@ -32,11 +32,11 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if len(self.ratios) != len(PARTITIONS):
-            raise InvalidSpec("need one ratio per partition")
+            raise ConfigError("need one ratio per partition")
         if any(not 0.0 < r < 1.0 for r in self.ratios):
-            raise InvalidSpec("each ratio must be in (0,1)")
+            raise ConfigError("each ratio must be in (0,1)")
         if abs(sum(self.ratios) - 1.0) > 1e-12:
-            raise InvalidSpec("ratios must sum to 1")
+            raise ConfigError("ratios must sum to 1")
 
 
 def _largest_remainder(total: int, ratios) -> list[int]:
@@ -59,9 +59,9 @@ def iterative_stratified_split(
     bits = labels.bits
     n, n_labels = bits.shape
     if n < 3:
-        raise InvalidSpec("need at least 3 samples")
+        raise ConfigError("need at least 3 samples")
     if not bits.any():
-        raise InvalidSpec("need at least one label present")
+        raise ConfigError("need at least one label present")
 
     rng = random.Random(spec.seed)
     capacity = _largest_remainder(n, spec.ratios)
@@ -162,6 +162,6 @@ def load_split(path) -> dict[str, str]:
     assignment = load_json(path)
     for adm, tag in assignment.items():
         if tag not in PARTITIONS:
-            raise IoFailure(f"{path}: admission {adm!r} is in {tag!r}, not"
+            raise DataError(f"{path}: admission {adm!r} is in {tag!r}, not"
                             f" one of {', '.join(PARTITIONS)}")
     return assignment

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import ConfigError
 from .tables import TABLE_COLUMNS, TableKind, make_dir, open_atomic, save_json
 
 _BASE_ADMIT = np.datetime64("2130-01-01T00:00:00", "s")
@@ -80,29 +80,29 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.n_patients < 1 or self.n_admissions < self.n_patients:
-            raise InvalidConfig("need n_admissions >= n_patients >= 1")
+            raise ConfigError("need n_admissions >= n_patients >= 1")
         if not 0.0 < self.positive_rate_target < 1.0:
-            raise InvalidConfig("positive_rate_target must be in (0,1)")
+            raise ConfigError("positive_rate_target must be in (0,1)")
         # also rejects NaN, and a strength whose planted mean shift,
         # signal_strength times a type sigma, would overflow
         if not 0 <= self.signal_strength * _SIGMA_HIGH < math.inf:
-            raise InvalidConfig("signal_strength must be non-negative and"
+            raise ConfigError("signal_strength must be non-negative and"
                                 f" keep signal_strength * {_SIGMA_HIGH:g}"
                                 " finite")
         if not 1 <= self.notes_min <= self.notes_max:
-            raise InvalidConfig("need 1 <= notes_min <= notes_max")
+            raise ConfigError("need 1 <= notes_min <= notes_max")
         if not 1 <= self.events_min <= self.events_max:
-            raise InvalidConfig("need 1 <= events_min <= events_max")
+            raise ConfigError("need 1 <= events_min <= events_max")
         if self.vocabulary_size < 10:
-            raise InvalidConfig("vocabulary_size must be >= 10")
+            raise ConfigError("vocabulary_size must be >= 10")
         if self.n_observation_types < 1 or self.n_ccs_categories < 1:
-            raise InvalidConfig("need at least one observation type and category")
+            raise ConfigError("need at least one observation type and category")
         if self.n_planted < 0 or self.n_planted > min(
             self.n_ccs_categories, self.n_observation_types
         ):
-            raise InvalidConfig("n_planted exceeds available categories/types")
+            raise ConfigError("n_planted exceeds available categories/types")
         if self.seed < 0:
-            raise InvalidConfig("seed must be unsigned")
+            raise ConfigError("seed must be unsigned")
 
 
 @dataclass(frozen=True)

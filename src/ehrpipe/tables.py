@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import IoFailure, MalformedRow, SchemaMismatch
+from .errors import DataError
 
 
 class TableKind(str, Enum):
@@ -442,7 +442,7 @@ def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
     is removed and path keeps its old content, if any. Text written to a
     name ending in .gz is gzip-compressed with an empty header name and
     mtime 0, so identical content gives identical bytes. An OSError becomes
-    IoFailure.
+    DataError.
     """
     target = Path(path)
     temp = target.with_name(f".{target.name}.tmp")
@@ -462,7 +462,7 @@ def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
             yield handle
         os.replace(temp, target)
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         temp.unlink(missing_ok=True)
 
@@ -470,13 +470,22 @@ def open_atomic(path, binary: bool = False, newline: Optional[str] = None):
 def make_dir(path) -> Path:
     """Create the directory path and its parents if missing; returns it.
 
-    An OSError, such as a file in the way, becomes IoFailure.
+    An OSError, such as a file in the way, becomes DataError.
     """
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create {path}: {exc}") from exc
+        raise DataError(f"cannot create {path}: {exc}") from exc
     return Path(path)
+
+
+def check_dirs(*paths) -> None:
+    """DataError unless the directory of each path exists, so that a stage
+    that writes several files fails before it reads or writes any."""
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise DataError(
+                f"cannot write {path}: no directory {Path(path).parent}")
 
 
 def save_json(path, payload, **dump_options) -> Path:
@@ -503,7 +512,7 @@ def save_npz(path, arrays: dict[str, np.ndarray]) -> Path:
 
 @contextmanager
 def reading(path):
-    """Report any failure to read or decode the artifact at path as IoFailure.
+    """Report any failure to read or decode the artifact at path as DataError.
 
     A missing, unreadable, truncated or wrong-kind file raises one of these
     while it is opened or decoded, or while its content is unpacked; a file
@@ -513,7 +522,7 @@ def reading(path):
         yield
     except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
             TypeError, csv.Error, MemoryError) as exc:
-        raise IoFailure(
+        raise DataError(
             f"cannot read {path}: {type(exc).__name__}: {exc}"
         ) from exc
 
@@ -562,8 +571,7 @@ _JSON_KINDS = {
 }
 
 
-def iter_json_blocks(path, handle, bracket: str,
-                     error: type[Exception]) -> Iterator[list]:
+def iter_json_blocks(path, handle, bracket: str) -> Iterator[list]:
     """The members of the JSON array ("[") or object ("{") in handle, a
     block at a time: an array's elements, or an object's (key, value)
     pairs as a list of pairs (and so is every object nested in them).
@@ -574,7 +582,7 @@ def iter_json_blocks(path, handle, bracket: str,
     decode on their own, each to at least one member, decode to the members
     of the whole value. Otherwise the remaining members come from decoding
     the whole text, so every other valid layout is read, and an invalid
-    file, or one whose top-level value is of the other kind, raises error.
+    file, or one whose top-level value is of the other kind, raises DataError.
     """
     close, kind, top, loads = _JSON_KINDS[bracket]
     text = handle.read(_JSON_BLOCK_CHARS).lstrip(_JSON_SPACE)
@@ -609,9 +617,9 @@ def iter_json_blocks(path, handle, bracket: str,
     try:
         members = loads(handle.read())
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     if type(members) is not top:
-        raise error(f"{path}: top-level JSON value is not an {kind}")
+        raise DataError(f"{path}: top-level JSON value is not an {kind}")
     yield members[done:]
 
 
@@ -620,7 +628,7 @@ def load_json(path) -> dict:
     with reading(path), open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
-        raise IoFailure(f"{path}: top-level JSON value is not an object")
+        raise DataError(f"{path}: top-level JSON value is not an object")
     return payload
 
 
@@ -647,20 +655,20 @@ def iter_csv_blocks(
     the header, stripped and lowercased (the same list for every block),
     and rows the block's rows as lists of strings. The header must name
     every required column, and every later line, a blank one included,
-    must have as many fields as the header; otherwise SchemaMismatch or
-    MalformedRow (with the row number). Parsing is strict, so a quoted
-    field cut off by the end of the file raises IoFailure instead of
+    must have as many fields as the header; otherwise DataError (naming
+    the row number of a bad row). Parsing is strict, so a quoted
+    field cut off by the end of the file raises DataError instead of
     yielding a shortened last row.
     """
     with reading(path), open_text_auto(path, newline="") as handle:
         reader = csv.reader(handle, strict=True)
         header = next(reader, None)
         if header is None:
-            raise SchemaMismatch(f"{path}: empty file, no header")
+            raise DataError(f"{path}: empty file, no header")
         keys = [h.strip().lower() for h in header]
         missing = set(required) - set(keys)
         if missing:
-            raise SchemaMismatch(
+            raise DataError(
                 f"{path}: header lacks column(s) {sorted(missing)}"
             )
         width = len(keys)
@@ -670,7 +678,7 @@ def iter_csv_blocks(
                 number, row = next((number, row) for number, row
                                    in enumerate(rows, done + 1)
                                    if len(row) != width)
-                raise MalformedRow(
+                raise DataError(
                     f"{path}: row {number} has {len(row)} fields, "
                     f"header has {width}"
                 )

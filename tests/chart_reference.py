@@ -31,7 +31,7 @@ from ehrpipe.chart import (
     N_BINS,
     DEFAULT_NUMERIC_FRACTION,
 )
-from ehrpipe.errors import CatalogMismatch, EmptyType
+from ehrpipe.errors import DataError
 from ehrpipe.tables import (
     iter_csv_rows,
     load_json,
@@ -197,7 +197,7 @@ def fit_normalization(
 ) -> NormalizationStats:
     """Per-type mean and population stddev over all masked cells.
 
-    Two-pass computation for numerical stability. Raises EmptyType when a
+    Two-pass computation for numerical stability. Raises DataError when a
     catalog type contributes no cells anywhere in the fit set.
     """
     matrices = list(matrices)
@@ -206,14 +206,14 @@ def fit_normalization(
     count = np.zeros(n_types, dtype=np.int64)
     for values, mask in matrices:
         if values.shape != (n_types, N_BINS):
-            raise CatalogMismatch(
+            raise DataError(
                 f"matrix shape {values.shape} != ({n_types}, {N_BINS})"
             )
         total += np.where(mask, values, 0.0).sum(axis=1)
         count += mask.sum(axis=1)
     empty = np.flatnonzero(count == 0)
     if empty.size:
-        raise EmptyType(
+        raise DataError(
             f"no contributing cells for type(s) {[catalog[i] for i in empty]}"
         )
     mean = total / count
@@ -236,7 +236,7 @@ def apply_normalization(
     empty cells -> 0."""
     n_types = len(stats.type_ids)
     if values.shape[-2:] != (n_types, N_BINS) or mask.shape != values.shape:
-        raise CatalogMismatch(
+        raise DataError(
             f"matrix shape {values.shape} does not match {n_types} types"
         )
     safe_std = np.where(stats.stddev > 0, stats.stddev, 1.0)

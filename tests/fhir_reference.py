@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Callable, Iterator
 
-from ehrpipe.errors import UnmappedTable
+from ehrpipe.errors import DataError
 from ehrpipe.fhir_etl import Record, Scalar, iter_collection_blocks
 from ehrpipe.tables import (
     TABLE_COLUMNS,
@@ -89,7 +89,7 @@ def iter_records(input_path, table: TableKind) -> Iterator[Record]:
     """
     resource_type = map_table_kind(table)
     if resource_type is None:
-        raise UnmappedTable(f"no FHIR resource type for table {table.value}")
+        raise DataError(f"no FHIR resource type for table {table.value}")
     schema = TABLE_COLUMNS[table]
     for row in iter_csv_rows(input_path, schema):
         record: Record = {"resource_type": resource_type,
@@ -118,9 +118,9 @@ def read_collection(path) -> list[Record]:
 
     Returns the records as parsed, in file order. The top level must be an
     array and each record an object with a resource_type; no attribute,
-    resource_type included, may be an object or an array (MalformedJson
+    resource_type included, may be an object or an array (DataError
     otherwise). A flat record whose resource_type is not in RESOURCE_TYPES
-    raises UnknownResourceType.
+    raises DataError.
     """
     return [record for records in iter_collection_blocks(path)
             for record in records]

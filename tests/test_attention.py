@@ -12,7 +12,7 @@ from ehrpipe.attention import (
     read_alignment_csv,
     write_alignment_csv,
 )
-from ehrpipe.errors import ShapeMismatch
+from ehrpipe.errors import DataError
 
 
 def _input(q, k, v, tq=None, tk=None):
@@ -83,10 +83,10 @@ class TestAttention:
         assert np.isfinite(out.weights).all()
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="query dim 3 != key dim 2"):
             attention(_input(np.zeros((2, 3)), np.zeros((4, 2)),
                              np.zeros((4, 1))))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="3 value rows for 4 keys"):
             attention(_input(np.zeros((2, 3)), np.zeros((4, 3)),
                              np.zeros((3, 1))))
 
@@ -124,5 +124,6 @@ class TestAlignment:
 
     def test_token_count_mismatch(self):
         out = attention(_input(np.zeros((2, 2)), np.ones((3, 2)), np.eye(3)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError,
+                           match=r"weights \(2, 3\) vs 1 queries x 3 keys"):
             export_alignment(out, ["only-one"], ["a", "b", "c"])

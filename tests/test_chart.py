@@ -26,7 +26,7 @@ from ehrpipe.chart import (
     save_stats,
     save_tensors,
 )
-from ehrpipe.errors import EmptyType
+from ehrpipe.errors import DataError
 from ehrpipe.fhir_etl import transform
 from ehrpipe.tables import (
     TABLE_COLUMNS,
@@ -266,7 +266,8 @@ class TestNormalization:
         values = np.zeros((2, 2, 4))
         mask = np.zeros((2, 2, 4), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 0] = True
-        with pytest.raises(EmptyType):
+        with pytest.raises(DataError,
+                           match=r"contributing cells for type\(s\) \['1'\]"):
             _normalized(values, mask, fit_ids={"1"})
 
     def test_apply_hand_computed(self):
@@ -551,12 +552,12 @@ def _write_both(tmp_path, rows):
 def _outcome(run):
     try:
         return run()
-    except EmptyType as exc:
-        return ("EmptyType", str(exc))
+    except DataError as exc:
+        return ("DataError", str(exc))
 
 
 def _assert_same_outcome(got, want):
-    if isinstance(want, tuple) and want[0] == "EmptyType":
+    if isinstance(want, tuple) and want[0] == "DataError":
         assert got == want
         return
     (tensors, catalog, stats), (tensors_ref, catalog_ref, stats_ref) = (

@@ -14,11 +14,7 @@ from ehrpipe.chart_model import (
     train,
     VARIANTS,
 )
-from ehrpipe.errors import (
-    CatalogMismatch,
-    EmptyPartition,
-    InvalidConfig,
-)
+from ehrpipe.errors import ConfigError, DataError
 from ehrpipe import nn
 from ehrpipe.nn import DenseLayer, SimpleRnnLayer, TimeConvLayer
 
@@ -74,11 +70,11 @@ class TestBuild:
         assert first_dense.weights.shape[1] == 64
 
     def test_invalid_configs(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="variant must be one of"):
             _small_config("transformer")
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="epochs must be >= 0"):
             _small_config("cnn", epochs=-1)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match=r"dropout must be in \[0,1\)"):
             _small_config("cnn", dropout=1.0)
 
     def test_variants_share_io_contract(self):
@@ -108,7 +104,8 @@ class TestPredict:
 
     def test_catalog_mismatch(self):
         model = ChartModel(_small_config("fcnn"))
-        with pytest.raises(CatalogMismatch):
+        with pytest.raises(DataError,
+                           match=r"tensors \(2, 7, 4\) do not match"):
             predict(model, np.zeros((2, 7, 4)))
 
 
@@ -142,7 +139,8 @@ class TestTrain:
 
     def test_empty_partition(self):
         tensors, labels, ids, _ = _dataset()
-        with pytest.raises(EmptyPartition):
+        with pytest.raises(DataError,
+                           match="no training samples in the split"):
             train(ChartModel(_small_config("fcnn")), tensors, labels, ids,
                   {i: "test" for i in ids})
 

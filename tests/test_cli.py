@@ -841,6 +841,38 @@ def test_out_dir_blocked_by_a_file_exits_4(chain, cli_dataset, tmp_path,
     assert main(_with(argv, "--out", tmp_path / where)) == 4
 
 
+def test_train_checks_both_output_dirs_before_reading(chain, tmp_path,
+                                                      capsys):
+    """A --log under a missing directory fails before the tensors are
+    read, so no checkpoint is left behind."""
+    out, log = tmp_path / "out", tmp_path / "missing" / "m.log.json"
+    out.mkdir()
+    argv = ["train", "--tensors", tmp_path / "absent.npz",
+            "--labels", chain / "labels.npz", "--split", chain / "split.json",
+            "--out", out / "m.npz", "--log", log, "--hidden", "4",
+            "--epochs", "1"]
+    assert main([str(a) for a in argv]) == 4
+    assert f"cannot write {log}: no directory" in capsys.readouterr().err
+    assert main(_with(argv, "--tensors", chain / "tensors.npz")) == 4
+    assert list(out.iterdir()) == []
+
+
+def test_score_notes_checks_every_output_dir_before_fitting(chain, tmp_path,
+                                                            capsys):
+    """An --out under a missing directory fails before the chunks are read,
+    so no scorer is fitted and none is left behind."""
+    fitted, scores = tmp_path / "fitted", tmp_path / "missing" / "s.npz"
+    fitted.mkdir()
+    argv = ["score-notes", "--chunks", tmp_path / "absent.json",
+            "--labels", chain / "labels.npz", "--split", chain / "split.json",
+            "--feature-dim", "256", "--epochs", "1", "--out", scores,
+            "--fit-out", fitted / "scorer.npz"]
+    assert main([str(a) for a in argv]) == 4
+    assert f"cannot write {scores}: no directory" in capsys.readouterr().err
+    assert main(_with(argv, "--chunks", chain / "chunks.json")) == 4
+    assert list(fitted.iterdir()) == []
+
+
 def test_attention_input_without_values_exits_4(tmp_path):
     src = tmp_path / "qk.json"
     src.write_text(json.dumps({"queries": [[1.0]], "keys": [[1.0]]}))
@@ -850,11 +882,12 @@ def test_attention_input_without_values_exits_4(tmp_path):
 
 def test_load_stats_without_keys_raises_io_failure(tmp_path):
     from chart_reference import load_stats
-    from ehrpipe.errors import IoFailure
+    from ehrpipe.errors import DataError
 
     path = tmp_path / "chart_stats.json"
     path.write_text(json.dumps({"type_ids": ["1"], "mean": [0.0]}))
-    with pytest.raises(IoFailure):
+    with pytest.raises(DataError,
+                       match="chart_stats.json: KeyError: 'stddev'"):
         load_stats(path)
 
 
@@ -1106,13 +1139,13 @@ def test_bad_config_exits_3_before_the_first_stage(tmp_path, section, key,
 def test_run_pipeline_checks_its_config_first(tmp_path):
     from dataclasses import replace
 
-    from ehrpipe.errors import InvalidConfig
+    from ehrpipe.errors import ConfigError
     from ehrpipe.pipeline import run_pipeline
     from ehrpipe.runcfg import load_config
 
     config = load_config(REPO / "demo.ini")
     out = tmp_path / "out"
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ConfigError, match="lr must be positive and finite"):
         run_pipeline(replace(
             config, output_dir=out,
             chart_model=replace(config.chart_model, lr=float("nan"))))

@@ -5,10 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ehrpipe.errors import (
-    DuplicateIcdCode,
-    MalformedCrosswalk,
-)
+from ehrpipe.errors import DataError
 from ehrpipe.labels import (
     encode_labels,
     LabelMatrix,
@@ -61,7 +58,7 @@ class TestCrosswalk:
     def test_duplicate_conflicting_code(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("'a1','1'\n'a1','2'\n")
-        with pytest.raises(DuplicateIcdCode):
+        with pytest.raises(DataError, match="code 'a1' maps to both 1 and 2"):
             load_crosswalk(path)
 
     def test_duplicate_identical_rows_tolerated(self, tmp_path):
@@ -72,7 +69,8 @@ class TestCrosswalk:
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("no data rows here\njust text\n")
-        with pytest.raises(MalformedCrosswalk):
+        with pytest.raises(DataError,
+                           match="x.csv: no code/category rows found"):
             load_crosswalk(path)
 
 

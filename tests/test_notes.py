@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import epoch_seconds
 from ehrpipe import notes, tables
-from ehrpipe.errors import (
-    EmptyChunkSet,
-    EmptyPartition,
-    InvalidConfig,
-    UnknownAdmission,
-)
+from ehrpipe.errors import ConfigError, DataError
 from ehrpipe.notes import (
     _token_slot,
     aggregate,
@@ -102,11 +97,12 @@ class TestBuildSubset:
         assert subset["A"] == "first part second part"
 
     def test_unknown_admission(self):
-        with pytest.raises(UnknownAdmission):
+        with pytest.raises(DataError,
+                           match="note references unknown admission ghost"):
             build_subset([_note(1, adm="ghost")], TIMES, "days3")
 
     def test_invalid_kind(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="subset kind must be one of"):
             build_subset([], TIMES, "days7")
 
     def test_empty_after_cleaning_dropped(self):
@@ -152,7 +148,8 @@ class TestChunking:
         assert rebuilt == text
 
     def test_max_len_too_small(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError,
+                           match=r"max_len must be at least 2 \(marker"):
             chunk_text("A", "x", max_len=1)
 
 
@@ -238,7 +235,7 @@ class TestScoring:
         np.testing.assert_array_equal(p1.weights, p2.weights)
 
     def test_no_labeled_chunks(self):
-        with pytest.raises(EmptyPartition):
+        with pytest.raises(DataError, match="no labeled chunks to train on"):
             train_scorer(chunk_text("A", "a b", max_len=4), {},
                          ScorerConfig(feature_dim=16))
 
@@ -524,11 +521,13 @@ class TestAggregation:
             assert out_b[j] >= out[j] - 1e-12
 
     def test_empty_chunk_set(self):
-        with pytest.raises(EmptyChunkSet):
+        with pytest.raises(DataError,
+                           match="admission A has no scored chunks"):
             aggregate(ChunkScoreMatrix("A", np.zeros((0, 3))))
 
     def test_invalid_scale(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError,
+                           match="aggregation scale c must be positive"):
             aggregate(self._matrix([[0.5]]), 0.0)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehrpipe.errors import InvalidSpec
+from ehrpipe.errors import ConfigError
 from ehrpipe.labels import LabelMatrix
 from ehrpipe.split import (
     iterative_stratified_split,
@@ -61,17 +61,19 @@ def make_structured_labels(rng, n, n_labels, second_rate=0.3):
 
 class TestSpecValidation:
     def test_bad_ratios(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="ratios must sum to 1"):
             SplitSpec(ratios=(0.5, 0.5, 0.2))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError,
+                           match=r"each ratio must be in \(0,1\)"):
             SplitSpec(ratios=(1.0, 0.0, 0.0))
 
     def test_too_few_samples(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError, match="need at least 3 samples"):
             iterative_stratified_split(_vectors([[1], [0]]), SplitSpec())
 
     def test_no_labels(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigError,
+                           match="need at least one label present"):
             iterative_stratified_split(
                 _vectors([[0], [0], [0], [0]]), SplitSpec()
             )

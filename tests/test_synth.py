@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth_reference as reference
-from ehrpipe.errors import InvalidConfig
+from ehrpipe.errors import ConfigError
 from ehrpipe.labels import load_crosswalk, read_diagnoses
 from ehrpipe.synth import _BLOCK_ADMISSIONS, SynthConfig, _fmt_time, generate
 from ehrpipe.tables import TableKind, iter_csv_rows, parse_timestamp
@@ -186,24 +186,29 @@ def test_crosswalk_covers_all_emitted_codes(small_dataset):
             assert columns.get(code) is not None
 
 
+_RATE = r"positive_rate_target must be in \(0,1\)"
+_SIGNAL = "signal_strength must be non-negative and keep"
+_INVALID_SYNTH = [
+    (dict(n_patients=10, n_admissions=5),
+     "need n_admissions >= n_patients >= 1"),
+    (dict(positive_rate_target=0.0), _RATE),
+    (dict(positive_rate_target=1.0), _RATE),
+    (dict(signal_strength=-1.0), _SIGNAL),
+    (dict(notes_min=0, notes_max=2), "need 1 <= notes_min <= notes_max"),
+    (dict(notes_min=3, notes_max=2), "need 1 <= notes_min <= notes_max"),
+    (dict(vocabulary_size=3), "vocabulary_size must be >= 10"),
+    (dict(n_planted=100), "n_planted exceeds available categories/types"),
+    (dict(events_min=0, events_max=5), "need 1 <= events_min <= events_max"),
+    (dict(signal_strength=float("inf")), _SIGNAL),
+    (dict(signal_strength=1e308), _SIGNAL),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [
-        dict(n_patients=10, n_admissions=5),
-        dict(positive_rate_target=0.0),
-        dict(positive_rate_target=1.0),
-        dict(signal_strength=-1.0),
-        dict(notes_min=0, notes_max=2),
-        dict(notes_min=3, notes_max=2),
-        dict(vocabulary_size=3),
-        dict(n_planted=100),
-        dict(events_min=0, events_max=5),
-        dict(signal_strength=float("inf")),
-        dict(signal_strength=1e308),
-    ],
-)
-def test_invalid_configs(bad):
-    with pytest.raises(InvalidConfig):
+    "bad,message", _INVALID_SYNTH,
+    ids=[f"bad{i}" for i in range(len(_INVALID_SYNTH))])
+def test_invalid_configs(bad, message):
+    with pytest.raises(ConfigError, match=message):
         SynthConfig(**{**dict(n_observation_types=8, n_ccs_categories=6),
                        **bad})
 
