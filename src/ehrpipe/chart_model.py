@@ -5,11 +5,12 @@ patterns across the time dimension: a dense layer on the flattened tensor
 (fcnn), a per-type convolution spanning the N_BINS bins (cnn), or a simple
 tanh recurrence over the bins (rnn). All variants continue with dropout and
 two 512-wide dense layers into a sigmoid head with one output per category.
-train fits a model in place and returns its history, with a validation
-AU-PR for each epoch whose validation labels hold a positive; a checkpoint
-loads back as the model and the tensors' observation-type catalog. An
-invalid config raises ConfigError, tensors or labels of other shapes
-DataError, and a checkpoint that does not load DataError naming its file.
+train fits a model in place on the tensor rows its caller picks and returns
+its history, with a validation AU-PR for each epoch whose validation labels
+hold a positive; a checkpoint holds the model and the tensors'
+observation-type catalog. An invalid config raises ConfigError, tensors or
+labels of other shapes DataError, and a checkpoint that does not load
+DataError naming its file.
 """
 
 from __future__ import annotations
@@ -135,16 +136,16 @@ def train(
     model: ChartModel,
     tensors: np.ndarray,
     labels: np.ndarray,
-    admission_ids: list[str],
-    assignment: dict[str, str],
+    train_rows: np.ndarray | list[int],
+    val_rows: np.ndarray | list[int],
 ) -> dict:
-    """Train model in place for the configured number of epochs of
-    minibatch Adam; returns its history.
+    """Train model in place on tensors[train_rows] for the configured
+    number of epochs of minibatch Adam; returns its history.
 
     Minibatches are drawn from a fresh seeded shuffle each epoch. The log
-    records the mean train loss per epoch and, when the validation split
-    holds a positive label, its micro AU-PR. No early stopping: the epoch
-    count is fixed configuration.
+    records the mean train loss per epoch and, when labels[val_rows] holds
+    a positive, the micro AU-PR on tensors[val_rows]. No early stopping:
+    the epoch count is fixed configuration.
     """
     config = model.config
     _check_inputs(config, tensors)
@@ -153,25 +154,22 @@ def train(
             f"labels {labels.shape} do not match "
             f"({tensors.shape[0]}, {config.n_categories})"
         )
-    train_idx = np.array([i for i, adm in enumerate(admission_ids)
-                          if assignment.get(str(adm)) == "train"], np.intp)
-    val_idx = [i for i, adm in enumerate(admission_ids)
-               if assignment.get(str(adm)) == "val"]
-    if not train_idx.size:
+    train_rows = np.asarray(train_rows, np.intp)
+    if not train_rows.size:
         raise DataError("no training samples in the split")
 
     rng = np.random.default_rng([config.seed, 2])
     optimizer = Adam(model.params(), lr=config.lr)
     history: dict = {"train_loss": [], "val_micro_aupr": []}
-    val_truth = labels[val_idx].ravel()
+    val_truth = labels[val_rows].ravel()
 
     for _ in range(config.epochs):
         history["train_loss"].append(train_epoch(
-            model, optimizer, train_idx[rng.permutation(train_idx.size)],
+            model, optimizer, train_rows[rng.permutation(train_rows.size)],
             config.batch_size, lambda rows: (tensors[rows], labels[rows])))
         val_aupr = None
         if val_truth.any():
-            val_probs = predict(model, tensors[val_idx])
+            val_probs = predict(model, tensors[val_rows])
             val_aupr = pr_auc(val_probs.ravel(), val_truth)
         history["val_micro_aupr"].append(val_aupr)
 
@@ -182,13 +180,11 @@ def predict(model: ChartModel, tensors: np.ndarray,
             batch_size: int = 256) -> np.ndarray:
     """Probability matrix (N, C); deterministic, dropout disabled."""
     _check_inputs(model.config, tensors)
-    chunks = []
+    probs = np.empty((tensors.shape[0], model.config.n_categories))
     for start in range(0, tensors.shape[0], batch_size):
-        logits = model.forward(tensors[start:start + batch_size], train=False)
-        chunks.append(sigmoid(logits))
-    if not chunks:
-        return np.zeros((0, model.config.n_categories))
-    return np.concatenate(chunks, axis=0)
+        probs[start:start + batch_size] = sigmoid(
+            model.forward(tensors[start:start + batch_size], train=False))
+    return probs
 
 
 # --- checkpointing ----------------------------------------------------------
@@ -196,16 +192,12 @@ def predict(model: ChartModel, tensors: np.ndarray,
 _CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, model: ChartModel, history: dict,
-                    catalog: list[str], stats_ref: str) -> Path:
-    """model's config, parameters and history, the tensors' catalog and
-    stats_ref, their normalization statistics' file name or ""."""
+def save_checkpoint(path, model: ChartModel, catalog: list[str]) -> Path:
+    """model's config and parameters, and the tensors' catalog."""
     meta = {
         "version": _CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "history": history,
         "catalog": catalog,
-        "stats_ref": stats_ref,
     }
     arrays = {f"param_{i}": p for i, p in enumerate(model.params())}
     return save_npz(path, {"meta": np.array(json.dumps(meta)), **arrays})

@@ -193,10 +193,9 @@ def _cmd_aggregate(args) -> dict:
 def _cmd_eval(args) -> dict:
     report = pipeline.evaluate(args.probs, args.labels, args.out, args.split,
                                args.partition, args.target)
-    micro = report["micro"]
-    print(f"micro AU-ROC {micro['auroc']:.4f}  "
-          f"AU-PR {micro['aupr']:.4f}  "
-          f"Recall@Prec80 {micro['recall_at_prec80']:.4f}  "
+    micro, prec = report["micro"], f"{100 * args.target:g}"
+    print(f"micro AU-ROC {micro['auroc']:.4f}  AU-PR {micro['aupr']:.4f}  "
+          f"Recall@Prec{prec} {micro['recall_at_prec' + prec]:.4f}  "
           f"(positive ratio {report['positive_ratio']:.4f})")
     return {"report": args.out}
 

@@ -98,9 +98,9 @@ def recall_at_precision(scores, truths, target: float = 0.8) -> float:
 
 def micro_average(scores, truths, target: float = 0.8) -> dict:
     """Micro metrics over pooled cells plus per-category breakdown, as the
-    report *_metrics.json holds: micro (auroc, aupr, recall_at_prec80),
-    positive_ratio, per_category (support, auroc, aupr and
-    recall_at_prec80 per category index text) and unsupported_categories.
+    report *_metrics.json holds: micro (auroc, aupr, recall_at_prec<P> at
+    P = 100 * target), positive_ratio, per_category (support and those three
+    per category index text) and unsupported_categories.
 
     Categories without a positive in the evaluated data are reported as
     unsupported (their cells still count toward the micro pool). AU-ROC of
@@ -113,9 +113,10 @@ def micro_average(scores, truths, target: float = 0.8) -> dict:
             f"scores {scores.shape} vs truths {truths.shape}"
         )
     pool = _curve(scores, truths)
+    recall = f"recall_at_prec{100 * target:g}"
     report = {
         "micro": {"auroc": _roc(*pool), "aupr": _pr(*pool),
-                  "recall_at_prec80": _recall_at(*pool, target)},
+                  recall: _recall_at(*pool, target)},
         "positive_ratio": float(truths.mean()),
         "per_category": {},
         "unsupported_categories": [],
@@ -129,7 +130,7 @@ def micro_average(scores, truths, target: float = 0.8) -> dict:
             "support": support,
             "auroc": _roc(tp, fp) if fp[-1] else None,
             "aupr": _pr(tp, fp),
-            "recall_at_prec80": _recall_at(tp, fp, target),
+            recall: _recall_at(tp, fp, target),
         }
     return report
 

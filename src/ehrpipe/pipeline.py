@@ -135,13 +135,13 @@ def train(
     tensors_path, labels_path, split_path, out, log_out,
     config: chart_model.ChartModelConfig,
 ) -> tuple[Path, list[float]]:
-    """Chart model trained on the tensors that have labels to out, and its
-    log to log_out; returns the checkpoint path and the loss per epoch.
+    """Chart model fitted on the split's labelled train admissions, and
+    validated on its val ones, to out, and its log to log_out; returns the
+    checkpoint path and the loss per epoch.
 
-    The tensors' catalog and the labels replace config's n_types and
-    n_categories. The checkpoint names chart_stats.json when that file is
-    beside the tensors. A missing directory of out or log_out fails before
-    anything is read.
+    Both are rows of the one copy of the tensors it loads. Their catalog
+    and the labels replace config's n_types and n_categories. A missing
+    directory of out or log_out fails before anything is read.
     """
     check_dirs(out, log_out)
     tensors, catalog = chart.load_tensors(tensors_path)
@@ -151,15 +151,16 @@ def train(
     kept, rows = _labelled(ids, label_matrix)
     if not kept:
         raise DataError("no admission tensor has a label vector")
-    stats = Path(tensors_path).parent / "chart_stats.json"
+    bits = np.zeros((len(ids), label_matrix.bits.shape[1]), bool)
+    bits[kept] = label_matrix.bits[rows]
+    train_rows, val_rows = ([i for i in kept if assignment.get(ids[i]) == tag]
+                            for tag in ("train", "val"))
     config = replace(config, n_types=len(catalog),
                      n_categories=label_matrix.bits.shape[1])
     model = chart_model.ChartModel(config)
-    history = chart_model.train(model, tensors.values[kept],
-                                label_matrix.bits[rows],
-                                [ids[i] for i in kept], assignment)
-    written = chart_model.save_checkpoint(
-        out, model, history, catalog, stats.name if stats.exists() else "")
+    history = chart_model.train(model, tensors.values, bits, train_rows,
+                                val_rows)
+    written = chart_model.save_checkpoint(out, model, catalog)
     save_json(log_out, history, indent=1)
     return written, history["train_loss"]
 

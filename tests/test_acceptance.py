@@ -301,8 +301,9 @@ class TestA5ChartModelLearnability:
             ids = tensors.admission_ids.tolist()
             x = tensors.values
             y = np.stack([bits[a] for a in ids])
-            test_rows = [i for i, a in enumerate(ids)
-                         if assignment.get(a) == "test"]
+            train_rows, val_rows, test_rows = (
+                [i for i, a in enumerate(ids) if assignment.get(a) == tag]
+                for tag in ("train", "val", "test"))
             baseline = float(y[test_rows].mean())
             assert baseline > 0
 
@@ -316,7 +317,8 @@ class TestA5ChartModelLearnability:
                     conv_filters=8, rnn_hidden=64, seed=5,
                 )
                 model = chart_model.ChartModel(model_config)
-                history = chart_model.train(model, x, y, ids, assignment)
+                history = chart_model.train(model, x, y, train_rows,
+                                            val_rows)
                 losses = history["train_loss"]
                 assert losses[-1] < losses[0], f"{variant}: loss not falling"
                 probs = chart_model.predict(model, x[test_rows])

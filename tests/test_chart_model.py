@@ -31,12 +31,10 @@ def _dataset(n=40, n_types=6, n_categories=4, seed=0):
     rng = np.random.default_rng(seed)
     tensors = rng.standard_normal((n, n_types, 4))
     labels = rng.random((n, n_categories)) < 0.3
-    ids = [f"adm{i}" for i in range(n)]
-    assignment = {
-        ids[i]: ("train" if i < n * 0.8 else "val" if i < n * 0.9 else "test")
-        for i in range(n)
-    }
-    return tensors, labels, ids, assignment
+    # rows 0-79% train, 80-89% val, the rest test
+    train_rows, val_rows = np.arange(n * 8 // 10), np.arange(n * 8 // 10,
+                                                             n * 9 // 10)
+    return tensors, labels, train_rows, val_rows
 
 
 class TestBuild:
@@ -111,63 +109,80 @@ class TestPredict:
 
 class TestTrain:
     def test_zero_epochs_keeps_initialization(self):
-        tensors, labels, ids, assignment = _dataset()
+        tensors, labels, train_rows, val_rows = _dataset()
         config = _small_config("fcnn", epochs=0)
         reference = [p.copy() for p in ChartModel(config).params()]
         model = ChartModel(config)
-        train(model, tensors, labels, ids, assignment)
+        train(model, tensors, labels, train_rows, val_rows)
         for p, q in zip(model.params(), reference):
             np.testing.assert_array_equal(p, q)
 
     def test_training_is_deterministic(self):
-        tensors, labels, ids, assignment = _dataset()
+        tensors, labels, train_rows, val_rows = _dataset()
         histories, params = [], []
         for _ in range(2):
             model = ChartModel(_small_config("cnn"))
-            histories.append(train(model, tensors, labels, ids, assignment))
+            histories.append(train(model, tensors, labels, train_rows,
+                                   val_rows))
             params.append([p.copy() for p in model.params()])
         assert histories[0] == histories[1]
         for a, b in zip(*params):
             np.testing.assert_array_equal(a, b)
 
     def test_history_records_every_epoch(self):
-        tensors, labels, ids, assignment = _dataset()
+        tensors, labels, train_rows, val_rows = _dataset()
         history = train(ChartModel(_small_config("rnn", epochs=3)), tensors,
-                        labels, ids, assignment)
+                        labels, train_rows, val_rows)
         assert len(history["train_loss"]) == 3
         assert len(history["val_micro_aupr"]) == 3
 
     def test_empty_partition(self):
-        tensors, labels, ids, _ = _dataset()
+        tensors, labels, _, val_rows = _dataset()
         with pytest.raises(DataError,
                            match="no training samples in the split"):
-            train(ChartModel(_small_config("fcnn")), tensors, labels, ids,
-                  {i: "test" for i in ids})
+            train(ChartModel(_small_config("fcnn")), tensors, labels, [],
+                  val_rows)
 
 
 class TestCheckpoint:
     def test_roundtrip_is_bit_identical(self, tmp_path):
-        tensors, labels, ids, assignment = _dataset()
+        tensors, labels, train_rows, val_rows = _dataset()
         model = ChartModel(_small_config("cnn"))
-        history = train(model, tensors, labels, ids, assignment)
+        train(model, tensors, labels, train_rows, val_rows)
         catalog = [str(i) for i in range(6)]
         path = tmp_path / "model.npz"
-        save_checkpoint(path, model, history, catalog, "chart_stats.json")
+        save_checkpoint(path, model, catalog)
         loaded, loaded_catalog = load_checkpoint(path)
         assert loaded.config == model.config
         assert loaded_catalog == catalog
         with np.load(path) as data:
             meta = json.loads(str(data["meta"]))
-        assert meta["history"] == history
-        assert meta["stats_ref"] == "chart_stats.json"
+        assert meta.keys() == {"version", "config", "catalog"}
         before = predict(model, tensors)
         after = predict(loaded, tensors)
         np.testing.assert_array_equal(before, after)
 
+    def test_checkpoint_with_history_and_stats_ref_loads(self, tmp_path):
+        """A checkpoint whose meta still holds the training history and
+        the stats file name loads to the same predictions."""
+        model = ChartModel(_small_config("fcnn"))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, ["a", "b"])
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["meta"]))
+        meta.update(history={"train_loss": [0.5], "val_micro_aupr": [None]},
+                    stats_ref="chart_stats.json")
+        np.savez(path, **arrays | {"meta": np.array(json.dumps(meta))})
+        loaded, catalog = load_checkpoint(path)
+        assert catalog == ["a", "b"]
+        x = np.random.default_rng(4).standard_normal((3, 6, 4))
+        np.testing.assert_array_equal(predict(model, x), predict(loaded, x))
+
     def test_untrained_roundtrip(self, tmp_path):
         model = ChartModel(_small_config("rnn"))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, model, {}, [], "")
+        save_checkpoint(path, model, [])
         loaded, _ = load_checkpoint(path)
         x = np.random.default_rng(3).standard_normal((2, 6, 4))
         np.testing.assert_array_equal(predict(model, x),
@@ -178,7 +193,7 @@ class TestCheckpoint:
             self, tmp_path, monkeypatch, variant):
         model = ChartModel(_small_config(variant))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, model, {}, [], "")
+        save_checkpoint(path, model, [])
 
         def no_draw(*args):
             raise AssertionError("glorot_uniform called during a load")

@@ -1191,6 +1191,22 @@ def test_eval_split_and_partition_go_together(chain, tmp_path, flag):
     assert err.value.code == 2
 
 
+def test_eval_names_the_precision_its_recall_was_taken_at(chain, tmp_path,
+                                                         capsys):
+    out = tmp_path / "report.json"
+    assert main([
+        "eval", "--probs", str(chain / "probs.npz"),
+        "--labels", str(chain / "labels.npz"), "--out", str(out),
+        "--target", "0.6",
+    ]) == 0
+    report = json.loads(out.read_text())
+    recall = report["micro"]["recall_at_prec60"]
+    assert "recall_at_prec80" not in report["micro"]
+    assert all("recall_at_prec60" in figures
+               for figures in report["per_category"].values())
+    assert f"Recall@Prec60 {recall:.4f}  " in capsys.readouterr().out
+
+
 def test_manifest_records_the_npz_path_written(chain, tmp_path):
     assert main([
         "predict", "--model", str(chain / "model.npz"),

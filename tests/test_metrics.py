@@ -227,7 +227,7 @@ class TestMicroAverage:
         assert report["micro"] == {
             "auroc": roc_auc(scores, truths),
             "aupr": pr_auc(scores, truths),
-            "recall_at_prec80": recall_at_precision(scores, truths, 0.6),
+            "recall_at_prec60": recall_at_precision(scores, truths, 0.6),
         }
         for c in range(4):
             col = scores[:, c], truths[:, c]
@@ -235,7 +235,7 @@ class TestMicroAverage:
                 "support": int(truths[:, c].sum()),
                 "auroc": roc_auc(*col) if c != 3 else None,
                 "aupr": pr_auc(*col),
-                "recall_at_prec80": recall_at_precision(*col, 0.6),
+                "recall_at_prec60": recall_at_precision(*col, 0.6),
             }
         assert report["unsupported_categories"] == [4]
 
