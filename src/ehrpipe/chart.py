@@ -175,7 +175,8 @@ def save_tensors(path, tensors: ChartTensors, catalog: list[str]) -> Path:
 
 
 def load_tensors(path) -> tuple[ChartTensors, list[str]]:
-    arrays = load_admission_npz(path, ("values", "mask"), ("catalog",))
+    arrays = load_admission_npz(path, {"values": "f", "mask": "b"},
+                                {"catalog": None})
     catalog = [str(x) for x in arrays.pop("catalog")]
     if arrays["mask"].shape != arrays["values"].shape:
         raise DataError(f"{path}: mask and values differ in shape")

@@ -169,21 +169,26 @@ def train(
             config.batch_size, lambda rows: (tensors[rows], labels[rows])))
         val_aupr = None
         if val_truth.any():
-            val_probs = predict(model, tensors[val_rows])
-            val_aupr = pr_auc(val_probs.ravel(), val_truth)
+            val_aupr = pr_auc(predict(model, tensors, val_rows).ravel(),
+                              val_truth)
         history["val_micro_aupr"].append(val_aupr)
 
     return history
 
 
 def predict(model: ChartModel, tensors: np.ndarray,
+            rows: np.ndarray | list[int] | None = None,
             batch_size: int = 256) -> np.ndarray:
-    """Probability matrix (N, C); deterministic, dropout disabled."""
+    """Probability matrix of tensors[rows], every row when rows is None;
+    deterministic, dropout disabled. Each batch of rows is gathered on its
+    own, so only one batch is ever copied."""
     _check_inputs(model.config, tensors)
-    probs = np.empty((tensors.shape[0], model.config.n_categories))
-    for start in range(0, tensors.shape[0], batch_size):
-        probs[start:start + batch_size] = sigmoid(
-            model.forward(tensors[start:start + batch_size], train=False))
+    n = tensors.shape[0] if rows is None else len(rows)
+    probs = np.empty((n, model.config.n_categories))
+    for start in range(0, n, batch_size):
+        batch = slice(start, start + batch_size)
+        x = tensors[batch] if rows is None else tensors[rows[batch]]
+        probs[batch] = sigmoid(model.forward(x, train=False))
     return probs
 
 

@@ -114,7 +114,7 @@ def save_labels(path, labels: LabelMatrix) -> Path:
 
 def load_labels(path) -> LabelMatrix:
     """labels.npz, checked to hold one bits column per category."""
-    arrays = load_admission_npz(path, ("bits",), ("categories",))
+    arrays = load_admission_npz(path, {"bits": "b"}, {"categories": "iu"})
     if arrays["bits"].shape[1:] != arrays["categories"].shape:
         raise DataError(f"{path}: bits of shape {arrays['bits'].shape} do not"
                         f" have one column per category of"

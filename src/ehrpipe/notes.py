@@ -554,10 +554,11 @@ def load_score_matrices(path) -> list[ChunkScoreMatrix]:
     """chunk_scores.npz, checked to hold 2-D probabilities whose rows the
     chunk counts, each at least 1, cover exactly; each matrix is a view of
     its admission's rows."""
-    arrays = load_admission_npz(path, ("chunk_counts",), ("probabilities",))
+    arrays = load_admission_npz(path, {"chunk_counts": "iu"},
+                                {"probabilities": "f"})
     counts, probs = arrays["chunk_counts"], arrays["probabilities"]
-    if (probs.ndim != 2 or counts.ndim != 1 or counts.dtype.kind not in "iu"
-            or np.any(counts < 1) or counts.sum() != probs.shape[0]):
+    if (probs.ndim != 2 or counts.ndim != 1 or np.any(counts < 1)
+            or counts.sum() != probs.shape[0]):
         raise DataError(f"{path}: chunk_counts {counts.shape} {counts.dtype}"
                         " are not counts of at least 1 summing to the rows"
                         f" of probabilities {probs.shape}")

@@ -253,7 +253,7 @@ def evaluate(
     with probabilities and labels, in one partition of the split when
     given; returns it."""
     check_fraction("recall_target", target)
-    arrays = load_admission_npz(probs_path, ("probs",))
+    arrays = load_admission_npz(probs_path, {"probs": "f"})
     label_matrix = labels_mod.load_labels(labels_path)
     keep = _members(split_path, partition) if partition else None
     kept, rows = _labelled(arrays["admission_ids"].tolist(), label_matrix,

@@ -33,6 +33,7 @@ import json
 import os
 import re
 import zipfile
+import zlib
 from collections import Counter, deque
 from contextlib import ExitStack, contextmanager
 from datetime import datetime, timedelta
@@ -515,27 +516,36 @@ def reading(path):
     """Report any failure to read or decode the artifact at path as DataError.
 
     A missing, unreadable, truncated or wrong-kind file raises one of these
-    while it is opened or decoded, or while its content is unpacked; a file
-    that asks for more memory than the host has raises MemoryError.
+    while it is opened or decoded, or while its content is unpacked: a
+    corrupt deflate stream raises zlib.error, and a zip member whose
+    compression method field is damaged NotImplementedError. A file that
+    asks for more memory than the host has raises MemoryError.
     """
     try:
         yield
-    except (OSError, EOFError, zipfile.BadZipFile, KeyError, ValueError,
-            TypeError, csv.Error, MemoryError) as exc:
+    except (OSError, EOFError, zipfile.BadZipFile, zlib.error,
+            NotImplementedError, KeyError, ValueError, TypeError, csv.Error,
+            MemoryError) as exc:
         raise DataError(
             f"cannot read {path}: {type(exc).__name__}: {exc}"
         ) from exc
 
 
-def load_admission_npz(path, per_admission: tuple[str, ...],
-                       shared: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+def load_admission_npz(path, per_admission: dict[str, str],
+                       shared: dict[str, Optional[str]] = {}
+                       ) -> dict[str, np.ndarray]:
     """admission_ids (as strings), checked to be unique, the per_admission
     arrays, each checked to have one row per admission id, and the shared
-    arrays of a .npz file."""
+    arrays of a .npz file; both map each array's name to the dtype kinds
+    (numpy.dtype.kind letters) it may have, None for any kind."""
     with reading(path), np.load(path, allow_pickle=False) as data:
-        arrays = {name: data[name]
-                  for name in ("admission_ids", *per_admission, *shared)}
+        kinds = {**per_admission, **shared}
+        arrays = {name: data[name] for name in ("admission_ids", *kinds)}
         ids = arrays["admission_ids"] = arrays["admission_ids"].astype(str)
+        for name, kind in kinds.items():
+            if kind is not None and arrays[name].dtype.kind not in kind:
+                raise ValueError(f"{name} of dtype {arrays[name].dtype} is"
+                                 f" not of kind {kind!r}")
         shapes = {name: arrays[name].shape for name in per_admission}
         if ids.ndim != 1 or any(s[:1] != ids.shape for s in shapes.values()):
             raise ValueError(f"{ids.shape} admission ids and arrays {shapes}"

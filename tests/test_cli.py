@@ -377,9 +377,13 @@ def chain(cli_dataset, tmp_path_factory):
          "--labels", d / "labels.npz", "--split", d / "split.json",
          "--feature-dim", "256", "--epochs", "1", "--out", d / "scores.npz",
          "--fit-out", d / "scorer.npz"],
+        ["transform", data / "chartevents.csv", d / "chartevents.json.gz",
+         "--table", "chartevents"],
     ]
     for argv in steps:
         assert main([str(a) for a in argv]) == 0, argv[0]
+    (d / "diagnoses_icd.csv.gz").write_bytes(
+        gzip.compress((data / "diagnoses_icd.csv").read_bytes(), mtime=0))
     (d / "array.json").write_text("[1, 2]\n")
     (d / "faulty").mkdir()
     return d
@@ -412,6 +416,8 @@ def _argv(chain, data, subcommand: str) -> list:
                    "--crosswalk", data / "ccs_crosswalk.csv",
                    "--admissions", data / "admissions.csv",
                    "--out", out / "l.npz"],
+        "split": ["split", "--labels", chain / "labels.npz",
+                  "--out", out / "split.json"],
         "aggregate": ["aggregate", "--scores", chain / "scores.npz",
                       "--out", out / "a.npz"],
         # _with(argv, "transform", path) replaces the input positional
@@ -484,6 +490,8 @@ ARRAY_SPOILERS = {
     # Parameters of 10^15 types would take more bytes than any address
     # space holds, so building the model fails before a shape is checked.
     "types-1e15": lambda a: _stored_config(a, n_types=10 ** 15),
+    # The same shape, as text: "1.5", "True", "3".
+    "as-text": lambda a: a.astype(str),
 }
 
 
@@ -530,6 +538,15 @@ MALFORMED_ARRAYS = [
     ("train", "--tensors", "tensors.npz", "admission_ids", "first-repeated"),
     ("aggregate", "--scores", "scores.npz", "admission_ids",
      "first-repeated"),
+    ("predict", "--tensors", "tensors.npz", "values", "as-text"),
+    ("train", "--tensors", "tensors.npz", "values", "as-text"),
+    ("train", "--tensors", "tensors.npz", "mask", "as-text"),
+    ("train", "--labels", "labels.npz", "bits", "as-text"),
+    ("split", "--labels", "labels.npz", "bits", "as-text"),
+    ("eval", "--labels", "labels.npz", "categories", "as-text"),
+    ("eval", "--probs", "probs.npz", "probs", "as-text"),
+    ("aggregate", "--scores", "scores.npz", "probabilities", "as-text"),
+    ("aggregate", "--scores", "scores.npz", "chunk_counts", "as-text"),
 ]
 
 
@@ -547,6 +564,58 @@ def test_malformed_array_exits_4(chain, cli_dataset, tmp_path, capsys,
     argv = _with(_argv(chain, cli_dataset, subcommand), flag, bad)
     assert main(argv) == 4
     assert str(bad) in capsys.readouterr().err
+
+
+def test_corrupt_deflate_stream_exits_4(chain, cli_dataset, tmp_path, capsys):
+    """Byte 10 of a gzip member without a file name is the first byte of its
+    deflate stream; 0xff there is an invalid block type, which zlib raises
+    as zlib.error, not as an OSError."""
+    content = bytearray((chain / "diagnoses_icd.csv.gz").read_bytes())
+    content[10] = 0xFF
+    bad = tmp_path / "diagnoses_icd.csv.gz"
+    bad.write_bytes(content)
+    argv = _with(_argv(chain, cli_dataset, "labels"), "--diagnoses", bad)
+    assert main(argv) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
+# Each .gz and .npz input of the chain: the subcommand that reads it, its
+# flag, and the file the subcommand writes.
+COMPRESSED_AND_ARCHIVED_INPUTS = [
+    ("labels", "--diagnoses", "diagnoses_icd.csv.gz", "l.npz"),
+    ("preprocess", "--chartevents", "chartevents.json.gz", "tensors.npz"),
+    ("split", "--labels", "labels.npz", "split.json"),
+    ("eval", "--probs", "probs.npz", "r.json"),
+    ("predict", "--tensors", "tensors.npz", "p.npz"),
+    ("predict", "--model", "model.npz", "p.npz"),
+    ("score-notes", "--params", "scorer.npz", "s.npz"),
+    ("aggregate", "--scores", "scores.npz", "a.npz"),
+]
+
+
+@pytest.mark.parametrize("subcommand,flag,artifact,written",
+                         COMPRESSED_AND_ARCHIVED_INPUTS)
+def test_flipped_bit_exits_4_or_changes_nothing(chain, cli_dataset, capsys,
+                                                subcommand, flag, artifact,
+                                                written):
+    """20 seeded single-bit flips of the input: each run exits 4, or exits
+    0 with the bytes of the unflipped run (the flip hit a header field that
+    nothing reads). None exits 1."""
+    argv = _with(_argv(chain, cli_dataset, subcommand), flag, chain / artifact)
+    out = chain / "faulty" / written
+    assert main(argv) == 0
+    expected = out.read_bytes()
+    content = (chain / artifact).read_bytes()
+    flipped = chain / "faulty" / f"flipped-{artifact}"
+    for bit in np.random.default_rng(13).choice(8 * len(content), 20,
+                                                replace=False):
+        spoiled = bytearray(content)
+        spoiled[bit // 8] ^= 1 << (bit % 8)
+        flipped.write_bytes(spoiled)
+        out.unlink(missing_ok=True)
+        code = main(_with(argv, flag, flipped))
+        assert code in (0, 4), (bit, capsys.readouterr().err)
+        assert code == 4 or out.read_bytes() == expected, bit
 
 
 # Ways to spoil split.json's {admission: partition}: each gives the bad
